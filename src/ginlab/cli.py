@@ -20,7 +20,7 @@ from .families import (
     random_ideal,
     random_points,
 )
-from .gin import generic_initial_ideal, index_at_degree, is_borel_fixed
+from .gin import certification_degree, generic_initial_ideal, index_at_degree, is_borel_fixed
 from .grassmann import SchubertIndex, hilbert_point, max_index, pluecker_coordinate
 from .groebner import Ideal, initial_ideal
 from .hilbert import (
@@ -141,8 +141,7 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
             ideal, index, m = result.gin, result.index, result.certification_degree
         else:
             ideal = initial_ideal(ctx, I)
-            P = hilbert_polynomial(ctx, I)
-            m = max(gotzmann_number(P), I.max_degree())
+            m, _ = certification_degree(ctx, I)
             index = index_at_degree(ctx, ideal, m)
         bucket = strata.setdefault(
             ideal.min_gens,

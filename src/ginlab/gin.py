@@ -146,11 +146,7 @@ def secondary_gin(ctx: RingContext, I: Ideal, g: LinearChange) -> SecondaryGin:
         return SecondaryGin(SchubertIndex(()), MonomialIdeal.zero(ctx.nvars), 0)
     moved = Ideal([apply_change(ctx, g, f) for f in I.generators])
     inM = initial_ideal(ctx, moved)
-    # the moved ideal has the same Hilbert function, so certify off its initial ideal
-    from .hilbert import hilbert_polynomial_of_monomial_ideal
-
-    P = hilbert_polynomial_of_monomial_ideal(ctx, inM, start=I.max_degree() + ctx.n + 1)
-    m = max(gotzmann_number(P), I.max_degree())
+    m, _ = certification_degree(ctx, I)
     return SecondaryGin(index_at_degree(ctx, inM, m), inM, m)
 
 

@@ -103,6 +103,14 @@ class TestStrataCommand:
         ids = sorted(i for s in report["strata"] for i in s["member_ids"])
         assert ids == [0, 1, 2]
 
+    def test_plane_complete_intersection_member(self, capsys):
+        # Hilbert polynomial 81 has Gotzmann number 81, so the index is taken at degree 81
+        code, report = run_json(
+            capsys, "strata", "--n", "2", "--mode", "initial", "--members", "x0^9; x1^9"
+        )
+        assert code == 0
+        assert report["strata"][0]["gin_generators"] == ["x0^9", "x1^9"]
+
     def test_random_conic_family_single_stratum(self, capsys):
         code, report = run_json(
             capsys,

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ginlab.groebner import Ideal
 from ginlab.hilbert import (
@@ -8,6 +10,7 @@ from ginlab.hilbert import (
     gotzmann_number,
     hilbert_function,
     hilbert_polynomial,
+    hilbert_polynomial_of_monomial_ideal,
     is_admissible,
     lex_segment_ideal,
     macaulay_rep,
@@ -68,9 +71,43 @@ class TestHilbertPolynomial:
     def test_zero_ideal(self):
         assert hilbert_polynomial(CTX2, Ideal([])) == binomial_poly(2, 2)
 
+    @pytest.mark.parametrize("a, b, value", [(9, 9, 81), (9, 10, 90), (10, 10, 100)])
+    def test_plane_complete_intersection(self, a, b, value):
+        # (x0^a, x1^b) in P^2 has Hilbert function ab only from degree a + b - 2 on
+        M = MonomialIdeal.make(3, [(a, 0, 0), (0, b, 0)])
+        assert hilbert_polynomial_of_monomial_ideal(CTX2, M) == HilbertPolynomial.constant(value)
+        I = Ideal([p(f"x0^{a}"), p(f"x1^{b}")])
+        assert hilbert_polynomial(CTX2, I) == HilbertPolynomial.constant(value)
+
     def test_integer_valued_on_window(self):
         P = hypersurface_hp(3, 2)
         assert P.is_integer_valued_on(0, 10)
+
+
+def count_standard_monomials(ctx, M, m):
+    """Brute-force oracle: the degree-m monomials outside M."""
+    return sum(1 for u in ctx.monomials(m) if not M.contains(u))
+
+
+@st.composite
+def monomial_ideals(draw):
+    n = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 4)] * (n + 1)), max_size=6))
+    return RingContext(n, GrevLex()), MonomialIdeal.make(n + 1, gens)
+
+
+class TestAgainstCounting:
+    @settings(deadline=None)
+    @given(monomial_ideals())
+    @example((CTX2, MonomialIdeal.zero(3)))
+    @example((CTX2, MonomialIdeal.make(3, [(0, 0, 0)])))
+    def test_series_matches_counting(self, drawn):
+        ctx, M = drawn
+        for m in range(31):
+            assert hilbert_function(ctx, M, m) == count_standard_monomials(ctx, M, m)
+        past = sum(sum(g) for g in M.min_gens) + 1
+        P = hilbert_polynomial_of_monomial_ideal(ctx, M)
+        assert P(past) == count_standard_monomials(ctx, M, past)
 
 
 class TestGotzmann:
