@@ -2,7 +2,8 @@
 
 Every command prints one JSON report (schema 1) to standard output and, with
 --out, writes the identical bytes to a file.  Exit codes: 0 success, 2 for
-parse or validation problems, 3 when an internal property check fails.
+parse or validation problems and for unreadable input or unwritable output
+files, 3 when an internal property check fails.
 """
 
 from __future__ import annotations
@@ -439,9 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if out:
         Path(out).write_text(text + "\n")
+    print(text)
 
 
 def main(argv=None) -> int:
@@ -473,10 +474,10 @@ def main(argv=None) -> int:
             report, code = run_hilb_info(ctx, P, args.p)
         else:  # pragma: no cover - argparse enforces the choices
             raise CliError(f"unknown command {args.command!r}")
-    except (CliError, ParseError, NotAdmissible, ValueError) as exc:
+        _emit(report, args.out)
+    except (CliError, ParseError, NotAdmissible, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    _emit(report, args.out)
     return code
 
 

@@ -5,16 +5,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import NamedTuple
 
 from . import linalg
-from .grassmann import (
-    SchubertIndex,
-    hilbert_point,
-    index_weight,
-    schubert_cell_index,
-)
+from .grassmann import SchubertIndex, hilbert_point
 from .groebner import Ideal, initial_ideal
 from .hilbert import HilbertPolynomial, gotzmann_number, hilbert_polynomial
 from .monideal import MonomialIdeal, saturate
@@ -97,10 +92,13 @@ def generic_initial_ideal(
         indices.append(idx)
         rank = tuple(key(u) for u in idx.monomials)
         if best is None or rank > best[0]:
-            best = (rank, idx, g)
-    _, idx, witness = best
+            best = (rank, idx, g, inM)
+    _, idx, witness, inM = best
     stable = all(other == idx for other in indices)
-    gin = saturate(MonomialIdeal.make(ctx.nvars, idx.monomials))
+    # The index is the degree-m slice of the generators of degree <= m, and
+    # saturation ignores truncation, so saturating them gives the same ideal.
+    low = frozenset(u for u in inM.min_gens if sum(u) <= m)
+    gin = saturate(MonomialIdeal(ctx.nvars, low))
     return GinResult(
         gin=gin,
         index=idx,
@@ -215,73 +213,23 @@ def weight_vector_for_order(ctx: RingContext, basis) -> WeightVector:
     return WeightVector(tuple(omega))
 
 
-def one_ps_limit_check(
-    ctx: RingContext,
-    I: Ideal,
-    m: int,
-    omega: WeightVector,
-    swap_radius: int = 1,
-    samples: int = 200,
-    seed: int = 0,
-    exhaustive_limit: int = 100_000,
-) -> bool:
-    """Witness that the torus limit of the degree-m Hilbert point is its initial subspace.
+def one_ps_limit_check(ctx: RingContext, I: Ideal, m: int, omega: WeightVector) -> bool:
+    """Exact test that the torus limit of the degree-m Hilbert point is its initial subspace.
 
-    True when the cell index has strictly maximal omega-weight among the
-    candidate indices with nonvanishing Plücker minor.  Candidates are all
-    indices when C(N, d) is small enough, otherwise pivot swap neighbourhoods
-    plus a seeded random sample.
+    The nonzero Plücker coordinates of the canonical matrix F are the bases of
+    its column matroid, and the limit under the weight omega is the pivot
+    index exactly when that basis is the unique one of maximal weight.  By
+    Brualdi's exchange bijection this holds iff every single exchange loses
+    weight.  In reduced echelon form, swapping pivot column p for column e
+    gives the minor +-F[row of p][e], so the test reads: every nonzero entry
+    of a pivot row outside the pivot columns has strictly smaller weight than
+    the row's pivot.  No determinant is taken; d == 0 is vacuously true.
     """
     F = hilbert_point(ctx, I, m)
-    d = F.d
-    if d == 0:
-        return True
-    pivot = F.pivots
-    star = schubert_cell_index(ctx, F)
-    w_star = index_weight(star, omega.omega)
-    n_cols = len(F.columns)
-
-    def weight_of(positions) -> int:
-        return sum(
-            sum(w * e for w, e in zip(omega.omega, F.columns[p])) for p in positions
-        )
-
-    def minor(positions) -> Fraction:
-        sub = [[row[c] for c in positions] for row in F.matrix]
-        return linalg.det(sub)
-
-    if comb(n_cols, d) <= exhaustive_limit:
-        from itertools import combinations
-
-        candidates = combinations(range(n_cols), d)
-    else:
-        candidates = _neighbourhood_candidates(pivot, n_cols, d, swap_radius, samples, seed)
-
-    for pos in candidates:
-        if pos == pivot:
-            continue
-        if weight_of(pos) >= w_star and minor(pos) != 0:
-            return False
-    return True
-
-
-def _neighbourhood_candidates(pivot, n_cols, d, radius, samples, seed):
-    from itertools import combinations
-
-    pivot_set = set(pivot)
-    others = [c for c in range(n_cols) if c not in pivot_set]
-    seen = set()
-    for r in range(1, min(radius, d, len(others)) + 1):
-        for removed in combinations(pivot, r):
-            base = pivot_set.difference(removed)
-            for added in combinations(others, r):
-                pos = tuple(sorted(base.union(added)))
-                if pos not in seen:
-                    seen.add(pos)
-                    yield pos
-    rng = random.Random(seed)
-    for _ in range(samples):
-        pos = tuple(sorted(rng.sample(range(n_cols), d)))
-        if pos not in seen:
-            seen.add(pos)
-            yield pos
+    w = [sum(a * e for a, e in zip(omega.omega, u)) for u in F.columns]
+    return all(
+        w[e] < w[p]
+        for row, p in zip(F.matrix, F.pivots)
+        for e, x in enumerate(row)
+        if x and e != p
+    )

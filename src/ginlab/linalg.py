@@ -31,9 +31,10 @@ def _primitive_int_row(row: Sequence, ncols: int) -> list[int]:
     return ints
 
 
-def _forward_eliminate(work: list[list[int]], ncols: int) -> list[int]:
-    """In-place fraction-free echelon reduction; returns pivot columns."""
+def _forward_eliminate(work: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """In-place fraction-free echelon reduction; returns pivot columns and swap sign."""
     pivots: list[int] = []
+    sign = 1
     prev = 1
     r = 0
     nrows = len(work)
@@ -43,7 +44,9 @@ def _forward_eliminate(work: list[list[int]], ncols: int) -> list[int]:
         p = next((i for i in range(r, nrows) if work[i][c]), None)
         if p is None:
             continue
-        work[r], work[p] = work[p], work[r]
+        if p != r:
+            work[r], work[p] = work[p], work[r]
+            sign = -sign
         piv_row = work[r]
         piv = piv_row[c]
         for i in range(r + 1, nrows):
@@ -53,7 +56,7 @@ def _forward_eliminate(work: list[list[int]], ncols: int) -> list[int]:
         prev = piv
         pivots.append(c)
         r += 1
-    return pivots
+    return pivots, sign
 
 
 def rref(rows: Iterable[Sequence], ncols: int) -> tuple[tuple[Row, ...], tuple[int, ...]]:
@@ -63,7 +66,7 @@ def rref(rows: Iterable[Sequence], ncols: int) -> tuple[tuple[Row, ...], tuple[i
     """
     work = [_primitive_int_row(r, ncols) for r in rows]
     work = [r for r in work if any(r)]
-    pivots = _forward_eliminate(work, ncols)
+    pivots, _ = _forward_eliminate(work, ncols)
     t = len(pivots)
     reduced = [[Fraction(x) for x in row] for row in work[:t]]
     for i in reversed(range(t)):
@@ -80,7 +83,7 @@ def rref(rows: Iterable[Sequence], ncols: int) -> tuple[tuple[Row, ...], tuple[i
 def rank(rows: Iterable[Sequence], ncols: int) -> int:
     work = [_primitive_int_row(r, ncols) for r in rows]
     work = [r for r in work if any(r)]
-    return len(_forward_eliminate(work, ncols))
+    return len(_forward_eliminate(work, ncols)[0])
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
@@ -99,22 +102,9 @@ def det(rows: Sequence[Sequence]) -> Fraction:
             den = den * x.denominator // gcd(den, x.denominator)
         work.append([int(x * den) for x in vals])
         scale *= den
-    sign = 1
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if work[i][k]), None)
-        if p is None:
-            return Fraction(0)
-        if p != k:
-            work[k], work[p] = work[p], work[k]
-            sign = -sign
-        piv_row = work[k]
-        piv = piv_row[k]
-        for i in range(k + 1, n):
-            row = work[i]
-            f = row[k]
-            work[i] = [(piv * row[j] - f * piv_row[j]) // prev for j in range(n)]
-        prev = piv
+    pivots, sign = _forward_eliminate(work, n)
+    if len(pivots) < n:
+        return Fraction(0)
     return Fraction(sign * work[n - 1][n - 1]) / scale
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .orders import Monomial, MonomialOrder, RingContext, divides, lcm, unit
 
@@ -84,12 +85,13 @@ def intersect(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:
 
 
 def saturate(M: MonomialIdeal) -> MonomialIdeal:
-    """(M : (x_0,...,x_n)^infinity) by iterating intersections of variable colons."""
-    current = M
-    while True:
-        step = colon_by_variable(current, 0)
-        for i in range(1, current.nvars):
-            step = intersect(step, colon_by_variable(current, i))
-        if step == current:
-            return current
-        current = step
+    """(M : (x_0,...,x_n)^infinity) as the intersection over i of (M : x_i^infinity).
+
+    Each (M : x_i^infinity) is M with the exponent of x_i dropped from every
+    generator.
+    """
+    colons = [
+        MonomialIdeal(M.nvars, minimalize(g[:i] + (0,) + g[i + 1:] for g in M.min_gens))
+        for i in range(M.nvars)
+    ]
+    return reduce(intersect, colons)

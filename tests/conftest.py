@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from ginlab.families import derive_seed, random_ideal, twisted_cubic_ideal
 from ginlab.groebner import Ideal
 from ginlab.hilbert import lex_segment_ideal, parse_hilbert_polynomial
 from ginlab.gin import random_linear_change
+from ginlab.linalg import det
 from ginlab.orders import GrevLex, RingContext
 from ginlab.poly import apply_change
 
@@ -49,3 +51,19 @@ def build_corpus():
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+def exhaustive_limit_oracle(F, omega) -> bool:
+    """The pivot index is the unique nonvanishing Plücker minor of maximal weight.
+
+    Enumerates every d-subset of columns, which is what the exchange test in
+    `one_ps_limit_check` avoids; kept here as its oracle.
+    """
+    w = [sum(a * e for a, e in zip(omega, u)) for u in F.columns]
+    w_star = sum(w[c] for c in F.pivots)
+    for pos in combinations(range(len(F.columns)), F.d):
+        if pos == F.pivots or sum(w[c] for c in pos) < w_star:
+            continue
+        if det([[row[c] for c in pos] for row in F.matrix]) != 0:
+            return False
+    return True

@@ -14,6 +14,13 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestGinCommand:
     def test_conic(self, capsys):
         code, report = run_json(
@@ -55,6 +62,18 @@ class TestGinCommand:
         code, report = run_json(capsys, "gin", "--n", "2", "--file", str(path))
         assert code == 0
         assert report["gin"] == ["x0^2"]
+
+    def test_plane_complete_intersection_of_tenth_powers(self, capsys):
+        # certification degree 100, where the Schubert index has about 5000 monomials
+        code, report = run_json(capsys, "gin", "--n", "2", "--ideal", "x0^10; x1^10")
+        assert code == 0
+        assert report["hilbert_polynomial"] == "100"
+        assert report["borel_fixed"] is True
+
+    def test_missing_file(self, capsys, tmp_path):
+        code = main(["gin", "--n", "2", "--file", str(tmp_path / "absent.txt")])
+        assert code == 2
+        assert_one_error_line(capsys)
 
     def test_non_homogeneous_rejected(self, capsys):
         code = main(["gin", "--n", "2", "--ideal", "x0 + x1^2"])
@@ -145,6 +164,12 @@ class TestStrataCommand:
         )
         assert code == 0
         assert report["family_size"] == 3
+
+    def test_missing_members_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.txt"
+        code = main(["strata", "--n", "2", "--members-file", str(path)])
+        assert code == 2
+        assert_one_error_line(capsys)
 
     def test_empty_family_rejected(self, capsys):
         code = main(["strata", "--n", "2", "--members", " "])
@@ -293,3 +318,9 @@ class TestReports:
             capsys, "hilb-info", "--n", "2", "--p", "2*m + 1", "--out", str(out)
         )
         assert out.read_text() == text
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        out = tmp_path / "absent" / "report.json"
+        code = main(["hilb-info", "--n", "2", "--p", "2*m + 1", "--out", str(out)])
+        assert code == 2
+        assert_one_error_line(capsys)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginlab.families import twisted_cubic_ideal
 from ginlab.gin import (
@@ -13,18 +15,21 @@ from ginlab.gin import (
     secondary_gin,
     weight_vector_for_order,
 )
-from ginlab.grassmann import schubert_cell_index, subspace_from_polynomials
+from ginlab.grassmann import hilbert_point, schubert_cell_index, subspace_from_polynomials
 from ginlab.groebner import Ideal, buchberger, ideal_of, initial_ideal
 from ginlab.hilbert import hilbert_function
-from ginlab.monideal import MonomialIdeal
+from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.parsing import parse_polynomial
 from ginlab.poly import (
     LOWER_TRIANGULAR,
     UNIPOTENT,
     LinearChange,
+    Polynomial,
     apply_change,
 )
+
+from conftest import exhaustive_limit_oracle
 
 CTX2 = RingContext(2, GrevLex())
 CTX3 = RingContext(3, GrevLex())
@@ -125,6 +130,8 @@ class TestGenericInitialIdeal:
 def test_gin_idempotence_on_corpus(corpus):
     for i, (label, ctx, I) in enumerate(corpus):
         first = generic_initial_ideal(ctx, I, trials=3, seed=1000 + i)
+        # oracle: saturating the whole Schubert index gives the same ideal
+        assert first.gin == saturate(MonomialIdeal.make(ctx.nvars, first.index.monomials)), label
         again = generic_initial_ideal(ctx, ideal_of(first.gin), trials=3, seed=2000 + i)
         assert again.gin == first.gin, label
 
@@ -250,8 +257,17 @@ class TestOnePsLimit:
         w = weight_vector_for_order(CTX2, buchberger(CTX2, conic()))
         assert one_ps_limit_check(CTX2, conic(), 3, w)
 
-    def test_sampled_mode_agrees(self):
-        w = weight_vector_for_order(CTX2, buchberger(CTX2, conic()))
-        assert one_ps_limit_check(
-            CTX2, conic(), 3, w, swap_radius=2, samples=50, exhaustive_limit=1
-        )
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_exchange_matches_exhaustive_minors(self, data):
+        n = data.draw(st.integers(1, 2))
+        m = data.draw(st.integers(1, 3))
+        ctx = RingContext(n, GrevLex())
+        mons = ctx.monomials(m)
+        term = st.tuples(st.sampled_from(mons), st.integers(-3, 3).filter(bool))
+        forms = data.draw(st.lists(st.lists(term, min_size=1, max_size=3), max_size=4))
+        I = Ideal([Polynomial(dict(f)) for f in forms])
+        omega = data.draw(st.tuples(*[st.integers(0, 4)] * ctx.nvars))
+        F = hilbert_point(ctx, I, m)
+        expected = exhaustive_limit_oracle(F, omega)
+        assert one_ps_limit_check(ctx, I, m, WeightVector(omega)) == expected

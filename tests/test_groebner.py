@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginlab.families import twisted_cubic_ideal
 from ginlab.groebner import (
@@ -202,6 +204,18 @@ class TestGradedPiece:
             graded_piece(CTX2, Ideal([p("x0")]), -1)
 
 
+def saturate_by_fixpoint(M):
+    """Oracle for saturate: intersect the single-variable colons until nothing moves."""
+    current = M
+    while True:
+        step = colon_by_variable(current, 0)
+        for i in range(1, current.nvars):
+            step = intersect(step, colon_by_variable(current, i))
+        if step == current:
+            return current
+        current = step
+
+
 class TestMonomialIdealOps:
     def test_colon_examples(self):
         assert colon_by_variable(mono_ideal(3, (2, 0, 0)), 0) == mono_ideal(3, (1, 0, 0))
@@ -238,6 +252,20 @@ class TestMonomialIdealOps:
             top = max(sum(g) for g in gens) + 4
             for m in range(top - 2, top + 1):
                 assert M.graded_monomials(CTX2, m) == S.graded_monomials(CTX2, m)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            # an empty list gives the zero ideal
+            lambda nv: st.lists(st.tuples(*[st.integers(0, 5)] * nv), max_size=8).map(
+                lambda gens: MonomialIdeal.make(nv, gens)
+            )
+        )
+    )
+    def test_saturate_matches_fixpoint_oracle(self, M):
+        S = saturate(M)
+        assert S == saturate_by_fixpoint(M)
+        assert saturate(S) == S
 
     def test_intersect_examples(self):
         A = mono_ideal(3, (1, 0, 0), (0, 1, 0))

@@ -117,6 +117,8 @@ def test_det_matches_permanent_expansion():
 def test_det_singular_and_identity():
     assert linalg.det([[1, 2], [2, 4]]) == 0
     assert linalg.det(linalg.identity(4)) == 1
+    assert linalg.det([[0, 1], [1, 0]]) == -1
+    assert linalg.det([[1, 0, 2], [3, 0, 4], [5, 0, 6]]) == 0
     with pytest.raises(ValueError):
         linalg.det([[1, 2, 3], [4, 5, 6]])
 
