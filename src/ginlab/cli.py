@@ -3,7 +3,9 @@
 Every command prints one JSON report (schema 1) to standard output and, with
 --out, writes the identical bytes to a file.  Exit codes: 0 success, 2 for
 parse or validation problems and for unreadable input or unwritable output
-files, 3 when an internal property check fails.
+files, 3 when an internal property check fails, 4 when the computation runs
+out of resources (`MemoryError`, `RecursionError`) or raises another
+`RuntimeError`.  Every error exit prints one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ SCHEMA = 1
 
 PARSE_ERROR = 2
 PROPERTY_FAILURE = 3
+RESOURCE_FAILURE = 4
 
 
 class CliError(Exception):
@@ -478,6 +481,10 @@ def main(argv=None) -> int:
     except (CliError, ParseError, NotAdmissible, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    except (RuntimeError, MemoryError) as exc:
+        detail = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        print(f"error: {detail}", file=sys.stderr)
+        return RESOURCE_FAILURE
     return code
 
 

@@ -273,7 +273,9 @@ def lex_segment_ideal(ctx: RingContext, P: HilbertPolynomial) -> Ideal:
         raise ValueError(f"{P} needs more variables than the ambient ring provides")
     lex_sorted = sorted(ctx.monomials(m0), key=Lex().key, reverse=True)
     segment = lex_sorted[:q]
-    M = saturate(MonomialIdeal.make(ctx.nvars, segment))
+    # Monomials of one degree divide each other only when equal, so the
+    # segment is already a minimal generating set and needs no minimalize.
+    M = saturate(MonomialIdeal(ctx.nvars, frozenset(segment)))
     check = hilbert_polynomial_of_monomial_ideal(ctx, M)
     if check != P:
         raise ValueError(f"{P} needs more variables than the ambient ring provides")

@@ -1,34 +1,42 @@
 """Exact linear algebra over the rationals with fraction-free elimination.
 
-Forward elimination follows Bareiss: rows are cleared to primitive integer
-vectors and the classic two-by-two update divided by the previous pivot keeps
-every intermediate entry an integer minor of the input.  Only the final
-normalisation to unit pivots reintroduces fractions.
+Entries are rationals (`int` or `Fraction`).  Each input row is scaled to a
+primitive integer vector, and from there all arithmetic is on Python ints.
+Forward elimination follows Bareiss: the two-by-two update divided by the
+previous pivot keeps every intermediate entry an integer minor of the input.
+Back-substitution stays fraction-free too: each echelon row, divided by its
+content, clears its pivot column from the rows above by integer
+cross-multiplication.  Fractions appear only when `rref` writes its output,
+one per nonzero entry, and when `det` applies the row scales.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Row = tuple[Fraction, ...]
 
+_ZERO = Fraction(0)
 
-def _primitive_int_row(row: Sequence, ncols: int) -> list[int]:
-    vals = [Fraction(x) for x in row]
-    if len(vals) != ncols:
+
+def _primitive_int_row(row: Sequence, ncols: int) -> tuple[list[int], Fraction]:
+    """A primitive integer row v and the scale s with row == s * v (s = 0 for a zero row)."""
+    if len(row) != ncols:
         raise ValueError("row length does not match column count")
-    den = 1
-    for x in vals:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vals]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    return ints
+    return ints, Fraction(g, den)
+
+
+def _integer_rows(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
+    """The nonzero rows as primitive integer vectors; they span the same space."""
+    work = [_primitive_int_row(r, ncols)[0] for r in rows]
+    return [r for r in work if any(r)]
 
 
 def _forward_eliminate(work: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -52,11 +60,38 @@ def _forward_eliminate(work: list[list[int]], ncols: int) -> tuple[list[int], in
         for i in range(r + 1, nrows):
             row = work[i]
             f = row[c]
-            work[i] = [(piv * row[k] - f * piv_row[k]) // prev for k in range(ncols)]
+            work[i] = [(piv * x - f * y) // prev for x, y in zip(row, piv_row)]
         prev = piv
         pivots.append(c)
         r += 1
     return pivots, sign
+
+
+def _back_substitute(work: list[list[int]], pivots: Sequence[int]) -> None:
+    """Integer Gauss-Jordan on echelon rows, in place, from the last pivot row up.
+
+    Afterwards row i is the primitive integer row with positive pivot on the
+    line of RREF row i, and is zero in every other pivot column.  When row i is
+    reached the rows below have cleared their pivot columns from it, so its
+    content division already gives that row; it then clears column c_i from
+    the rows above by cross-multiplication.
+    """
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        row = work[i]
+        g = gcd(*row)
+        if row[c] < 0:
+            g = -g
+        if g != 1:
+            row = work[i] = [v // g for v in row]
+        piv = row[c]
+        for j in range(i):
+            above = work[j]
+            f = above[c]
+            if f:
+                h = gcd(piv, f)
+                a, b = piv // h, f // h
+                work[j] = [a * x - b * y for x, y in zip(above, row)]
 
 
 def rref(rows: Iterable[Sequence], ncols: int) -> tuple[tuple[Row, ...], tuple[int, ...]]:
@@ -64,25 +99,18 @@ def rref(rows: Iterable[Sequence], ncols: int) -> tuple[tuple[Row, ...], tuple[i
 
     Zero rows are dropped; returns (rows, pivot column indices).
     """
-    work = [_primitive_int_row(r, ncols) for r in rows]
-    work = [r for r in work if any(r)]
+    work = _integer_rows(rows, ncols)
     pivots, _ = _forward_eliminate(work, ncols)
-    t = len(pivots)
-    reduced = [[Fraction(x) for x in row] for row in work[:t]]
-    for i in reversed(range(t)):
-        c = pivots[i]
-        piv = reduced[i][c]
-        reduced[i] = [x / piv for x in reduced[i]]
-        for j in range(i):
-            f = reduced[j][c]
-            if f:
-                reduced[j] = [a - f * b for a, b in zip(reduced[j], reduced[i])]
-    return tuple(tuple(r) for r in reduced), tuple(pivots)
+    _back_substitute(work, pivots)
+    reduced = tuple(
+        tuple(Fraction(v, row[c]) if v else _ZERO for v in row)
+        for row, c in zip(work, pivots)
+    )
+    return reduced, tuple(pivots)
 
 
 def rank(rows: Iterable[Sequence], ncols: int) -> int:
-    work = [_primitive_int_row(r, ncols) for r in rows]
-    work = [r for r in work if any(r)]
+    work = _integer_rows(rows, ncols)
     return len(_forward_eliminate(work, ncols)[0])
 
 
@@ -96,16 +124,13 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     scale = Fraction(1)
     work: list[list[int]] = []
     for row in rows:
-        vals = [Fraction(x) for x in row]
-        den = 1
-        for x in vals:
-            den = den * x.denominator // gcd(den, x.denominator)
-        work.append([int(x * den) for x in vals])
-        scale *= den
+        ints, s = _primitive_int_row(row, n)
+        work.append(ints)
+        scale *= s
     pivots, sign = _forward_eliminate(work, n)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * work[n - 1][n - 1]) / scale
+    return sign * work[n - 1][n - 1] * scale
 
 
 def kernel(rows: Iterable[Sequence], ncols: int) -> list[Row]:

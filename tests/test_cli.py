@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from ginlab import cli
 from ginlab.cli import main
 
 
@@ -318,6 +321,17 @@ class TestReports:
             capsys, "hilb-info", "--n", "2", "--p", "2*m + 1", "--out", str(out)
         )
         assert out.read_text() == text
+
+    @pytest.mark.parametrize(
+        "exc", [RuntimeError("budget"), RecursionError("too deep"), MemoryError()]
+    )
+    def test_runtime_and_memory_errors_exit_4(self, capsys, monkeypatch, exc):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "run_hilb_info", fail)
+        assert main(["hilb-info", "--n", "2", "--p", "2*m + 1"]) == 4
+        assert_one_error_line(capsys)
 
     def test_out_in_missing_directory(self, capsys, tmp_path):
         out = tmp_path / "absent" / "report.json"

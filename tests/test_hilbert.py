@@ -18,8 +18,8 @@ from ginlab.hilbert import (
     revlex_lemma_check,
     revlex_segment,
 )
-from ginlab.monideal import MonomialIdeal
-from ginlab.orders import GrevLex, RingContext
+from ginlab.monideal import MonomialIdeal, saturate
+from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.parsing import ParseError, parse_polynomial
 
 CTX2 = RingContext(2, GrevLex())
@@ -178,6 +178,21 @@ class TestLexSegmentIdeal:
                 break
             else:
                 pytest.fail(f"no ambient ring accommodated {P}")
+
+    @pytest.mark.parametrize(
+        "n, P",
+        [(n, HilbertPolynomial.constant(c)) for n in (2, 3) for c in (1, 2, 5, 9)]
+        + [(2, hp("2*m + 1")), (2, hp("3*m + 1")), (3, hp("4*m")), (3, hp("6*m - 3"))]
+        + [(3, hypersurface_hp(3, 3)), (4, hypersurface_hp(4, 2))],
+    )
+    def test_segment_matches_minimalized_path(self, n, P):
+        # oracle: the degree-m0 lex segment passed through MonomialIdeal.make
+        ctx = RingContext(n, GrevLex())
+        m0 = gotzmann_number(P)
+        q = ctx.dim(m0) - int(P(m0))
+        segment = sorted(ctx.monomials(m0), key=Lex().key, reverse=True)[:q]
+        want = saturate(MonomialIdeal.make(ctx.nvars, segment)).min_gens
+        assert self.gens(lex_segment_ideal(ctx, P)) == want
 
     def test_needs_more_variables(self):
         ctx1 = RingContext(1, GrevLex())

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginlab import linalg
 
@@ -104,6 +107,63 @@ def test_rref_is_canonical():
         for j in range(len(rows)):
             if j != i:
                 assert rows[j][c] == 0
+
+
+big_entries = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=60),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Dense or banded matrices up to 12 x 30 with zero and dependent rows.
+
+    Banded rows are shifted copies of one row, the shape of a graded piece
+    spanned by the monomial multiples of one form.
+    """
+    ncols = draw(st.integers(1, 30))
+    values = draw(st.sampled_from([st.integers(-3, 3), big_entries]))
+    if draw(st.booleans()):
+        width = draw(st.integers(1, ncols))
+        band = draw(st.lists(values, min_size=width, max_size=width))
+        shifts = range(min(ncols - width + 1, 10))
+        rows = [[0] * s + band + [0] * (ncols - width - s) for s in shifts]
+    else:
+        nrows = draw(st.integers(0, 10))
+        rows = [draw(st.lists(values, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for _ in range(draw(st.integers(0, 2))):
+        if rows and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            k = draw(st.fractions(-3, 3, max_denominator=4))
+            rows.append([a + k * b for a, b in zip(rows[i], rows[j])])
+        else:
+            rows.append([0] * ncols)
+    return draw(st.permutations(rows)), ncols
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_rref_matches_naive_gauss_property(case):
+    mat, ncols = case
+    reduced, pivots = linalg.rref(mat, ncols)
+    assert (reduced, pivots) == naive_rref(mat, ncols)
+
+    # The integer back-substitution leaves each RREF line as its primitive
+    # integer row with a positive pivot.
+    work = linalg._integer_rows(mat, ncols)
+    linalg._forward_eliminate(work, ncols)
+    linalg._back_substitute(work, pivots)
+    for row, c, want in zip(work, pivots, reduced):
+        assert row[c] > 0 and gcd(*row) == 1
+        assert tuple(Fraction(v, row[c]) for v in row) == want
+
+    basis = linalg.kernel(mat, ncols)
+    assert len(basis) == ncols - len(pivots)
+    for v in basis:
+        for row in mat:
+            assert sum(a * b for a, b in zip(row, v)) == 0
+    assert linalg.rank(basis, ncols) == len(basis)
 
 
 def test_det_matches_permanent_expansion():
