@@ -101,10 +101,6 @@ def _monomial_ideal_strings(ctx: RingContext, M: MonomialIdeal) -> list[str]:
     return [monomial_str(u) for u in M.gens_sorted(ctx.order)]
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def run_gin(ctx: RingContext, I: Ideal, trials: int, seed: int, bound: int):
     result = generic_initial_ideal(ctx, I, trials=trials, seed=seed, bound=bound)
     P = hilbert_polynomial(ctx, I)
@@ -124,7 +120,7 @@ def run_gin(ctx: RingContext, I: Ideal, trials: int, seed: int, bound: int):
         "borel_fixed": borel,
         "hilbert_polynomial": str(P),
         "gotzmann": gotzmann_number(P),
-        "witness": [[_fraction_str(x) for x in row] for row in result.witness.matrix],
+        "witness": [[str(x) for x in row] for row in result.witness.matrix],
     }
     return report, (0 if borel else PROPERTY_FAILURE)
 
@@ -184,7 +180,7 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
         "family_size": total,
         "strata": strata_json,
         "dominant_index": dominant["index"].as_strings(),
-        "dominant_share": _fraction_str(Fraction(len(dominant["members"]), total)),
+        "dominant_share": str(Fraction(len(dominant["members"]), total)),
     }
     covered = sum(s["count"] for s in strata_json)
     ok = borel_ok and covered == total

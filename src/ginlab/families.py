@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import linalg
 from .grassmann import SubspaceBasis, subspace_from_vectors
 from .groebner import Ideal
 from .orders import Monomial, RingContext
@@ -84,15 +85,18 @@ def _monomial_value(e: Monomial, point) -> Fraction:
 def points_hilbert_point(ctx: RingContext, points, m: int) -> SubspaceBasis:
     """Degree-m forms vanishing at the given points, as a canonical subspace.
 
-    Built directly from the evaluation conditions: the subspace is the kernel
-    of the point-evaluation matrix on the degree-m monomials.
+    The subspace is the kernel of the point-evaluation matrix on the degree-m
+    monomials.  With the columns reversed, the kernel vector of free column f
+    is 1 at f, 0 at the other free columns, and nonzero elsewhere only at
+    pivots left of f, since an RREF row is zero left of its pivot.  So in the
+    original column order each vector leads with the 1 at its free column,
+    and the vectors, last first, are already the canonical echelon rows.
     """
-    from . import linalg
-
     cols = ctx.monomials(m)
-    eval_rows = [[_monomial_value(e, p) for e in cols] for p in points]
-    kernel = linalg.kernel(eval_rows, len(cols))
-    return subspace_from_vectors(ctx, m, kernel)
+    flipped = [[_monomial_value(e, p) for e in reversed(cols)] for p in points]
+    matrix = tuple(v[::-1] for v in reversed(linalg.kernel(flipped, len(cols))))
+    pivots = tuple(next(k for k, x in enumerate(row) if x) for row in matrix)
+    return SubspaceBasis(m=m, columns=cols, matrix=matrix, pivots=pivots)
 
 
 def random_subspace(

@@ -13,7 +13,7 @@ from .grassmann import SchubertIndex, hilbert_point
 from .groebner import Ideal, initial_ideal
 from .hilbert import HilbertPolynomial, gotzmann_number, hilbert_polynomial
 from .monideal import MonomialIdeal, saturate
-from .orders import GrevLex, Lex, RingContext, WeightOrder
+from .orders import RingContext
 from .poly import GENERAL, LinearChange, apply_change
 
 
@@ -155,24 +155,6 @@ class WeightVector:
     omega: tuple[int, ...]
 
 
-def _order_matrix(ctx: RingContext) -> list[tuple[int, ...]]:
-    nv = ctx.nvars
-
-    def rows_for(order) -> list[tuple[int, ...]]:
-        if isinstance(order, Lex):
-            return [tuple(1 if j == i else 0 for j in range(nv)) for i in range(nv)]
-        if isinstance(order, GrevLex):
-            rows = [tuple([1] * nv)]
-            for i in range(nv - 1, 0, -1):
-                rows.append(tuple(-1 if j == i else 0 for j in range(nv)))
-            return rows
-        if isinstance(order, WeightOrder):
-            return [tuple(order.weights)] + rows_for(order.tiebreak)
-        raise TypeError(f"unsupported order {order!r}")
-
-    return rows_for(ctx.order)
-
-
 def weight_vector_for_order(ctx: RingContext, basis) -> WeightVector:
     """Nonnegative integer omega with omega . (lead - tail) > 0 for every basis element.
 
@@ -191,7 +173,7 @@ def weight_vector_for_order(ctx: RingContext, basis) -> WeightVector:
                 diffs.append(tuple(a - b for a, b in zip(lead, e)))
     if not diffs:
         return WeightVector((0,) * ctx.nvars)
-    rows = _order_matrix(ctx)
+    rows = ctx.order.rows(ctx.nvars)
     bound = max(abs(sum(r * v for r, v in zip(row, d))) for row in rows for d in diffs)
     t = bound + 2
     omega = [0] * ctx.nvars

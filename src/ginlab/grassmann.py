@@ -12,9 +12,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import linalg
-from .groebner import Ideal, graded_basis_matrix
-from .orders import Monomial, RingContext
-from .poly import Polynomial
+from .groebner import Ideal, coefficient_rows, graded_basis_matrix
+from .orders import Monomial, RingContext, unit
 
 EQUAL = "equal"
 ABOVE = "above"
@@ -79,31 +78,15 @@ def subspace_from_vectors(ctx: RingContext, m: int, vectors) -> SubspaceBasis:
 
 
 def subspace_from_polynomials(ctx: RingContext, m: int, polys) -> SubspaceBasis:
-    cols = ctx.monomials(m)
-    position = {mon: k for k, mon in enumerate(cols)}
-    rows = []
-    for f in polys:
-        vec = [Fraction(0)] * len(cols)
-        for e, c in f.terms.items():
-            if sum(e) != m:
-                raise ValueError("polynomial is not homogeneous of the right degree")
-            vec[position[e]] = c
-        rows.append(vec)
-    reduced, pivots = linalg.rref(rows, len(cols))
-    return SubspaceBasis(m=m, columns=cols, matrix=reduced, pivots=pivots)
+    """Canonicalize spanning degree-m forms; raises ValueError on a term of another degree."""
+    one = unit(ctx.nvars)
+    return subspace_from_vectors(ctx, m, coefficient_rows(ctx, m, ((one, f) for f in polys)))
 
 
 def hilbert_point(ctx: RingContext, I: Ideal, m: int) -> SubspaceBasis:
     """The degree-m slice of I as a canonical subspace of the degree-m forms."""
     reduced, pivots, cols = graded_basis_matrix(ctx, I, m)
     return SubspaceBasis(m=m, columns=cols, matrix=reduced, pivots=pivots)
-
-
-def basis_polynomials(F: SubspaceBasis) -> list[Polynomial]:
-    return [
-        Polynomial({F.columns[k]: c for k, c in enumerate(row) if c})
-        for row in F.matrix
-    ]
 
 
 def initial_subspace(ctx: RingContext, F: SubspaceBasis) -> SchubertIndex:

@@ -101,7 +101,7 @@ def s_polynomial(ctx: RingContext, f: Polynomial, g: Polynomial) -> Polynomial:
     mf, cf = f.leading(ctx.order)
     mg, cg = g.leading(ctx.order)
     l = lcm(mf, mg)
-    return f.mul_term(div(l, mf), 1 / cf) - g.mul_term(div(l, mg), 1 / cg)
+    return f.mul_term(div(l, mf), 1 / cf) + g.mul_term(div(l, mg), -1 / cg)
 
 
 def _normalized(ctx: RingContext, f: Polynomial) -> Polynomial:
@@ -198,6 +198,24 @@ def initial_ideal(ctx: RingContext, I: Ideal) -> MonomialIdeal:
     return MonomialIdeal.make(ctx.nvars, [g.leading(ctx.order)[0] for g in gb])
 
 
+def coefficient_rows(ctx: RingContext, m: int, shifted) -> list[list[Fraction]]:
+    """Coefficient rows over ``ctx.monomials(m)`` of the forms x^u * g, one per (u, g) pair.
+
+    Raises ValueError when a product term does not have degree m.
+    """
+    position = {mon: k for k, mon in enumerate(ctx.monomials(m))}
+    rows = []
+    for u, g in shifted:
+        vec = [_F0] * len(position)
+        for e, c in g.terms.items():
+            k = position.get(mul(u, e))
+            if k is None:
+                raise ValueError("polynomial is not homogeneous of the right degree")
+            vec[k] = c
+        rows.append(vec)
+    return rows
+
+
 def graded_basis_matrix(ctx: RingContext, I: Ideal, m: int):
     """Canonical RREF rows spanning the degree-m slice of I.
 
@@ -209,19 +227,13 @@ def graded_basis_matrix(ctx: RingContext, I: Ideal, m: int):
         raise ValueError("negative degree")
     if not I.homogeneous:
         raise ValueError("graded pieces require a homogeneous ideal")
-    cols = ctx.monomials(m)
-    position = {mon: k for k, mon in enumerate(cols)}
-    rows = []
+    shifted = []
     for g in I.generators:
         d = g.degree()
-        if d > m:
-            continue
-        for u in ctx.monomials(m - d):
-            vec = [_F0] * len(cols)
-            for e, c in g.terms.items():
-                vec[position[mul(u, e)]] = c
-            rows.append(vec)
-    reduced, pivots = linalg.rref(rows, len(cols))
+        if d <= m:
+            shifted.extend((u, g) for u in ctx.monomials(m - d))
+    cols = ctx.monomials(m)
+    reduced, pivots = linalg.rref(coefficient_rows(ctx, m, shifted), len(cols))
     return reduced, pivots, cols
 
 

@@ -15,6 +15,7 @@ from math import comb, factorial
 from .groebner import Ideal, initial_ideal
 from .monideal import MonomialIdeal, minimalize, saturate
 from .orders import GrevLex, Lex, Monomial, RingContext, mul
+from .parsing import ParseError, parse_expression
 from .poly import Polynomial
 
 _F0 = Fraction(0)
@@ -87,6 +88,12 @@ class HilbertPolynomial:
 
     __rmul__ = __mul__
 
+    def __pow__(self, k: int) -> "HilbertPolynomial":
+        out = HilbertPolynomial.constant(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
     def is_integer_valued_on(self, start: int, count: int) -> bool:
         return all(self(start + k).denominator == 1 for k in range(count))
 
@@ -117,9 +124,14 @@ def binomial_poly(shift: int, k: int) -> HilbertPolynomial:
     """C(m + shift, k) as a polynomial in m."""
     if k < 0:
         raise ValueError("binomial order must be nonnegative")
+    return _choose(HilbertPolynomial.make([shift, 1]), k)
+
+
+def _choose(top: HilbertPolynomial, k: int) -> HilbertPolynomial:
+    """C(top, k) = top (top - 1) ... (top - k + 1) / k!."""
     out = HilbertPolynomial.constant(1)
     for i in range(k):
-        out = out * (_M + HilbertPolynomial.constant(shift - i))
+        out = out * (top + HilbertPolynomial.constant(-i))
     return out * Fraction(1, factorial(k))
 
 
@@ -331,90 +343,23 @@ def revlex_lemma_check(ctx: RingContext, m: int, count: int, l: int) -> RevlexLe
     )
 
 
+def _read_binomial(sc, expr, start: int) -> HilbertPolynomial:
+    sc.expect("(")
+    top = expr()
+    sc.expect(",")
+    bottom = expr()
+    sc.expect(")")
+    # C(f, g) with either g a constant or f - g a constant (C(n+m, m) style)
+    order = bottom if bottom.is_zero() or bottom.degree == 0 else top - bottom
+    if not order.is_zero() and order.degree > 0:
+        raise ParseError("binomial C(f,g) needs g or f-g constant", start)
+    k = order(0)
+    if k.denominator != 1 or k < 0:
+        raise ParseError("binomial order must be a nonnegative integer", start)
+    return _choose(top, int(k))
+
+
 def parse_hilbert_polynomial(text: str) -> HilbertPolynomial:
     """Parse expressions like ``2*m + 1`` or ``C(m+2,2) - C(m,2)``."""
-    from .parsing import ParseError, _Scanner
-
-    sc = _Scanner(text)
-
-    def expr() -> HilbertPolynomial:
-        negate = sc.take("-")
-        if not negate:
-            sc.take("+")
-        total = term()
-        if negate:
-            total = -total
-        while True:
-            if sc.take("+"):
-                total = total + term()
-            elif sc.take("-"):
-                total = total - term()
-            else:
-                return total
-
-    def term() -> HilbertPolynomial:
-        product = factor()
-        while sc.take("*"):
-            product = product * factor()
-        return product
-
-    def factor() -> HilbertPolynomial:
-        base = atom()
-        if sc.take("^"):
-            exp = sc.integer()
-            out = HilbertPolynomial.constant(1)
-            for _ in range(exp):
-                out = out * base
-            return out
-        return base
-
-    def atom() -> HilbertPolynomial:
-        ch = sc.peek()
-        if ch == "(":
-            sc.expect("(")
-            inner = expr()
-            sc.expect(")")
-            return inner
-        if ch == "m":
-            sc.pos += 1
-            return _M
-        if ch == "C":
-            start = sc.pos
-            sc.pos += 1
-            sc.expect("(")
-            top = expr()
-            sc.expect(",")
-            bottom = expr()
-            sc.expect(")")
-            return _binomial_expression(top, bottom, start)
-        if ch.isdigit():
-            num = sc.integer()
-            if sc.take("/"):
-                den = sc.integer()
-                if den == 0:
-                    raise ParseError("zero denominator", sc.pos)
-                return HilbertPolynomial.constant(Fraction(num, den))
-            return HilbertPolynomial.constant(num)
-        raise ParseError("expected m, a number, C(...) or '('", sc.pos)
-
-    def _binomial_expression(top, bottom, start) -> HilbertPolynomial:
-        # C(f, g) with either g a constant or f - g a constant (C(n+m, m) style)
-        if bottom.is_zero() or (bottom.degree == 0):
-            k = bottom(0)
-        else:
-            diff = top - bottom
-            if not diff.is_zero() and diff.degree > 0:
-                raise ParseError("binomial C(f,g) needs g or f-g constant", start)
-            k = diff(0) if not diff.is_zero() else Fraction(0)
-        if k.denominator != 1 or k < 0:
-            raise ParseError("binomial order must be a nonnegative integer", start)
-        k = int(k)
-        out = HilbertPolynomial.constant(1)
-        for i in range(k):
-            out = out * (top - HilbertPolynomial.constant(i))
-        return out * Fraction(1, factorial(k))
-
-    result = expr()
-    if not sc.done():
-        raise ParseError("unexpected trailing input", sc.pos)
-    return result
+    atoms = {"m": lambda sc, expr, start: _M, "C": _read_binomial}
+    return parse_expression(text, HilbertPolynomial.constant, atoms, "m, a number, C(...) or '('")

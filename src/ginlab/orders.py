@@ -2,7 +2,10 @@
 
 A monomial is an exponent tuple over the variables x0..xn.  Orders expose a
 sort key so that ``max(terms, key=order.key)`` picks the leading monomial and
-``sorted(..., reverse=True)`` lists monomials in descending order.
+``sorted(..., reverse=True)`` lists monomials in descending order.  Each order
+is also an integer matrix, ``rows(nvars)``: a is above b exactly when rows . a
+is lexicographically larger than rows . b (Robbiano).  The keys stay written
+out by hand because Buchberger's algorithm calls them on its hot path.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ class Lex:
     def key(self, m: Monomial):
         return m
 
+    def rows(self, nvars: int) -> tuple[tuple[int, ...], ...]:
+        return tuple(variable(nvars, i) for i in range(nvars))
+
     def __str__(self) -> str:
         return "lex"
 
@@ -71,6 +77,12 @@ class GrevLex:
 
     def key(self, m: Monomial):
         return (sum(m), tuple(-e for e in reversed(m)))
+
+    def rows(self, nvars: int) -> tuple[tuple[int, ...], ...]:
+        # the degree row, then -e_n, ..., -e_1; -e_0 is left out because
+        # monomials that agree on all of these rows are equal
+        back = [tuple(-e for e in variable(nvars, i)) for i in reversed(range(1, nvars))]
+        return ((1,) * nvars, *back)
 
     def __str__(self) -> str:
         return "grevlex"
@@ -92,6 +104,9 @@ class WeightOrder:
             raise ValueError("monomial length does not match weight vector")
         w = sum(wi * ei for wi, ei in zip(self.weights, m))
         return (w, self.tiebreak.key(m))
+
+    def rows(self, nvars: int) -> tuple[tuple[int, ...], ...]:
+        return (self.weights, *self.tiebreak.rows(nvars))
 
     def __str__(self) -> str:
         return "weight:" + ",".join(str(w) for w in self.weights)

@@ -1,4 +1,7 @@
-"""Text grammar for polynomials: variables x0..xN, rationals p/q, operators + - * ^."""
+"""The one text grammar: rationals p/q, + - * ^, parentheses and the atoms of a ring.
+
+Polynomials have the atoms x0..xN, Hilbert polynomials (`ginlab.hilbert`) m and C(f,g).
+"""
 
 from __future__ import annotations
 
@@ -53,13 +56,88 @@ class _Scanner:
         return self.pos >= len(self.text)
 
 
-def parse_polynomial(text: str, nvars: int) -> Polynomial:
-    """Parse e.g. ``x0*x2 - 3/2*x1^2 + 5`` into a polynomial in `nvars` variables."""
+def parse_expression(text: str, constant, atoms, expected: str):
+    """Parse `text` with the one expression grammar over a ring given by the caller.
+
+        expr    := [+ | -] term {(+ | -) term}
+        term    := factor {* factor}
+        factor  := primary [^ integer]
+        primary := ( expr ) | integer [/ integer] | ring atom
+
+    `constant(c)` builds the ring element of a rational c.  `atoms` maps the
+    first character of each ring atom to its reader, called just past that
+    character as ``reader(scanner, expr, start)``, with `start` the atom's
+    offset.  `expected` names what may start a primary, for the error message.
+    """
     sc = _Scanner(text)
-    result = _expr(sc, nvars)
+
+    def expr():
+        negate = sc.take("-")
+        if not negate:
+            sc.take("+")
+        total = term()
+        if negate:
+            total = -total
+        while True:
+            if sc.take("+"):
+                total = total + term()
+            elif sc.take("-"):
+                total = total - term()
+            else:
+                return total
+
+    def term():
+        product = factor()
+        while sc.take("*"):
+            product = product * factor()
+        return product
+
+    def factor():
+        base = primary()
+        if sc.take("^"):
+            exp = sc.integer()
+            return constant(1) if exp == 0 else base**exp
+        return base
+
+    def primary():
+        ch = sc.peek()
+        if ch == "(":
+            sc.expect("(")
+            inner = expr()
+            sc.expect(")")
+            return inner
+        if ch.isdigit():
+            num = sc.integer()
+            if sc.take("/"):
+                den = sc.integer()
+                if den == 0:
+                    raise ParseError("zero denominator", sc.pos)
+                return constant(Fraction(num, den))
+            return constant(num)
+        if ch in atoms:
+            start = sc.pos
+            sc.pos += 1
+            return atoms[ch](sc, expr, start)
+        raise ParseError(f"expected {expected}", sc.pos)
+
+    result = expr()
     if not sc.done():
         raise ParseError("unexpected trailing input", sc.pos)
     return result
+
+
+def parse_polynomial(text: str, nvars: int) -> Polynomial:
+    """Parse e.g. ``x0*x2 - 3/2*x1^2 + 5`` into a polynomial in `nvars` variables."""
+
+    def variable(sc: _Scanner, expr, start: int) -> Polynomial:
+        idx = sc.integer()
+        if idx >= nvars:
+            raise ParseError(f"variable x{idx} exceeds x{nvars - 1}", start)
+        return Polynomial.variable(nvars, idx)
+
+    return parse_expression(
+        text, lambda c: Polynomial.constant(nvars, c), {"x": variable}, "a variable, number or '('"
+    )
 
 
 def parse_generators(text: str, nvars: int) -> list[Polynomial]:
@@ -69,66 +147,6 @@ def parse_generators(text: str, nvars: int) -> list[Polynomial]:
         if chunk.strip():
             gens.append(parse_polynomial(chunk, nvars))
     return gens
-
-
-def _expr(sc: _Scanner, nvars: int) -> Polynomial:
-    negate = False
-    if sc.take("-"):
-        negate = True
-    else:
-        sc.take("+")
-    total = _term(sc, nvars)
-    if negate:
-        total = -total
-    while True:
-        if sc.take("+"):
-            total = total + _term(sc, nvars)
-        elif sc.take("-"):
-            total = total - _term(sc, nvars)
-        else:
-            return total
-
-
-def _term(sc: _Scanner, nvars: int) -> Polynomial:
-    product = _factor(sc, nvars)
-    while sc.take("*"):
-        product = product * _factor(sc, nvars)
-    return product
-
-
-def _factor(sc: _Scanner, nvars: int) -> Polynomial:
-    base = _atom(sc, nvars)
-    if sc.take("^"):
-        exp = sc.integer()
-        if not base:
-            return Polynomial.constant(nvars, 1) if exp == 0 else base
-        base = base**exp
-    return base
-
-
-def _atom(sc: _Scanner, nvars: int) -> Polynomial:
-    ch = sc.peek()
-    if ch == "(":
-        sc.expect("(")
-        inner = _expr(sc, nvars)
-        sc.expect(")")
-        return inner
-    if ch == "x":
-        start = sc.pos
-        sc.pos += 1
-        idx = sc.integer()
-        if idx >= nvars:
-            raise ParseError(f"variable x{idx} exceeds x{nvars - 1}", start)
-        return Polynomial.variable(nvars, idx)
-    if ch.isdigit():
-        num = sc.integer()
-        if sc.take("/"):
-            den = sc.integer()
-            if den == 0:
-                raise ParseError("zero denominator", sc.pos)
-            return Polynomial.constant(nvars, Fraction(num, den))
-        return Polynomial.constant(nvars, num)
-    raise ParseError("expected a variable, number or '('", sc.pos)
 
 
 def monomial_str(e: Monomial) -> str:

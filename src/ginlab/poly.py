@@ -90,14 +90,7 @@ class Polynomial:
         return Polynomial._raw(out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, _F0) - c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return Polynomial._raw(out)
+        return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw({e: -c for e, c in self.terms.items()})
@@ -183,17 +176,6 @@ class Polynomial:
         if factor == 1:
             return self
         return Polynomial._raw({e: c * factor for e, c in self.terms.items()})
-
-    def evaluate(self, point) -> Fraction:
-        vals = [Fraction(v) for v in point]
-        total = _F0
-        for e, c in self.terms.items():
-            term = c
-            for ei, v in zip(e, vals):
-                if ei:
-                    term *= v**ei
-            total += term
-        return total
 
     def sorted_terms(self, order: MonomialOrder):
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)

@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ginlab.families import random_subspace
+from ginlab.families import points_hilbert_point, random_subspace
 from ginlab.grassmann import (
     ABOVE,
     EQUAL,
@@ -23,7 +25,7 @@ from ginlab.grassmann import (
     subspace_from_vectors,
 )
 from ginlab.groebner import Ideal, initial_ideal
-from ginlab.linalg import det, mat_mul
+from ginlab.linalg import det, kernel, mat_mul
 from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, RingContext
 from ginlab.parsing import parse_polynomial
@@ -60,6 +62,59 @@ class TestHilbertPoint:
         for m in (2, 3, 4, 5):
             F = hilbert_point(CTX2, conic(), m)
             assert F.d == CTX2.dim(m) - (2 * m + 1)
+
+
+class TestSubspaceFromPolynomials:
+    def test_rejects_a_form_of_another_degree(self):
+        with pytest.raises(ValueError):
+            subspace_from_polynomials(CTX2, 2, [p("x0^2"), p("x0^2*x1")])
+        with pytest.raises(ValueError):
+            subspace_from_polynomials(CTX2, 2, [p("x0^2 + x1")])
+
+
+def points_hilbert_point_oracle(ctx, points, m):
+    """Two eliminations: the kernel of the evaluation matrix, then its canonical basis."""
+    cols = ctx.monomials(m)
+    rows = []
+    for pt in points:
+        row = []
+        for e in cols:
+            v = Fraction(1)
+            for c, k in zip(pt, e):
+                v *= Fraction(c) ** k
+            row.append(v)
+        rows.append(row)
+    return subspace_from_vectors(ctx, m, kernel(rows, len(cols)))
+
+
+class TestPointsHilbertPoint:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_kernel_then_rref(self, data):
+        n = data.draw(st.sampled_from([2, 3]))
+        m = data.draw(st.integers(1, 4))
+        # combinations of `span` base points: 2 gives collinear sets, 3
+        # coplanar ones in P^3, n + 1 points in general position
+        span = data.draw(st.sampled_from(sorted({2, 3, n + 1})))
+        coord = st.integers(-4, 4)
+        base = data.draw(st.lists(st.tuples(*[coord] * (n + 1)), min_size=span, max_size=span))
+        combos = data.draw(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * span), min_size=1, max_size=8)
+        )
+        points = [
+            tuple(sum(c * b[j] for c, b in zip(combo, base)) for j in range(n + 1))
+            for combo in combos
+        ]
+        ctx = RingContext(n, GrevLex())
+        expected = points_hilbert_point_oracle(ctx, points, m)
+        assert points_hilbert_point(ctx, points, m) == expected
+
+    def test_collinear_points_in_the_plane(self):
+        # four points on x2 = 0 impose only three conditions on conics
+        points = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)]
+        F = points_hilbert_point(CTX2, points, 2)
+        assert F.d == 3
+        assert F == points_hilbert_point_oracle(CTX2, points, 2)
 
 
 class TestInitialSubspace:

@@ -3,6 +3,8 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginlab.orders import (
     GrevLex,
@@ -89,6 +91,25 @@ def test_order_axioms_on_samples(order):
     chain = sorted(mons, key=key)
     for x, y in zip(chain, chain[1:]):
         assert key(x) <= key(y)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=str)
+@settings(deadline=None)
+@given(mons=st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=2, max_size=12))
+def test_key_agrees_with_order_matrix(order, mons):
+    # monomials of mixed degree: the matrix must order them exactly as `key`
+    rows = order.rows(3)
+    for a in mons:
+        for b in mons:
+            ra = [sum(r * e for r, e in zip(row, a)) for row in rows]
+            rb = [sum(r * e for r, e in zip(row, b)) for row in rows]
+            assert (order.key(a) > order.key(b)) == (ra > rb)
+
+
+def test_order_matrices():
+    assert Lex().rows(3) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert GrevLex().rows(3) == ((1, 1, 1), (0, 0, -1), (0, -1, 0))
+    assert WeightOrder((3, 0, 1), Lex()).rows(3) == ((3, 0, 1), *Lex().rows(3))
 
 
 def test_monomial_enumeration_counts_and_descending():
