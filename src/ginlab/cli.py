@@ -33,7 +33,6 @@ from .hilbert import (
     gotzmann_number,
     hilbert_polynomial,
     hilbert_polynomial_of_monomial_ideal,
-    is_admissible,
     lex_segment_ideal,
     macaulay_rep,
     parse_hilbert_polynomial,
@@ -302,18 +301,20 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
 
 
 def run_hilb_info(ctx: RingContext, P: HilbertPolynomial, text: str):
-    admissible = is_admissible(P)
+    try:
+        rep = macaulay_rep(P)
+    except NotAdmissible:
+        rep = None
     report = {
         "schema": SCHEMA,
         "command": "hilb-info",
         "n": ctx.n,
         "input": text,
         "polynomial": str(P),
-        "admissible": admissible,
+        "admissible": rep is not None,
     }
-    if not admissible:
+    if rep is None:
         return report, 0
-    rep = macaulay_rep(P)
     report["gotzmann"] = rep.gotzmann
     report["macaulay_rep"] = str(rep)
     report["macaulay_exponents"] = list(rep.a)

@@ -3,18 +3,21 @@
 The binomial expansion P(m) = sum_i C(m + a_i - i + 1, a_i) with weakly
 decreasing a_i exists exactly for the Hilbert polynomials of graded ideals;
 its length is the Gotzmann number, the degree at which lex segments and
-Hilbert points become faithful.
+Hilbert points become faithful.  The saturated lex ideal L(P) comes in closed
+form from the a_i (Reeves–Stillman), checked by a numerator round trip.  A
+parsed power or binomial past `_MAX_INPUT_DEGREE` raises ValueError.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .groebner import Ideal, initial_ideal
-from .monideal import MonomialIdeal, minimalize, saturate
-from .orders import GrevLex, Lex, Monomial, RingContext, mul
+from .monideal import MonomialIdeal, minimalize
+from .orders import GrevLex, Monomial, RingContext, mul
 from .parsing import ParseError, parse_expression
 from .poly import Polynomial
 
@@ -33,7 +36,7 @@ class HilbertPolynomial:
 
     @classmethod
     def make(cls, coeffs) -> "HilbertPolynomial":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
@@ -84,18 +87,17 @@ class HilbertPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
             return HilbertPolynomial.make(out)
-        return HilbertPolynomial.make([c * Fraction(other) for c in self.coeffs])
+        scale = Fraction(other)
+        return HilbertPolynomial.make([c * scale for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "HilbertPolynomial":
+        _check_input_degree("exponent", k, self)
         out = HilbertPolynomial.constant(1)
         for _ in range(k):
             out = out * self
         return out
-
-    def is_integer_valued_on(self, start: int, count: int) -> bool:
-        return all(self(start + k).denominator == 1 for k in range(count))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -146,27 +148,30 @@ class MacaulayRep:
         return len(self.a)
 
     def to_polynomial(self) -> HilbertPolynomial:
-        total = HilbertPolynomial.zero()
-        for i, ai in enumerate(self.a, start=1):
-            total = total + binomial_poly(ai - i + 1, ai)
-        return total
+        terms = (binomial_poly(ai - i + 1, ai) for i, ai in enumerate(self.a, start=1))
+        return sum(terms, HilbertPolynomial.zero())
 
     def __str__(self) -> str:
-        if not self.a:
-            return "0"
         pieces = []
         for i, ai in enumerate(self.a, start=1):
             shift = ai - i + 1
-            if shift > 0:
-                pieces.append(f"C(m+{shift},{ai})")
-            elif shift == 0:
-                pieces.append(f"C(m,{ai})")
-            else:
-                pieces.append(f"C(m{shift},{ai})")
-        return " + ".join(pieces)
+            pieces.append(f"C(m{shift:+d},{ai})" if shift else f"C(m,{ai})")
+        return " + ".join(pieces) or "0"
 
 
 _MAX_EXPANSION_TERMS = 500_000
+
+# Parsed powers and binomials are built by repeated multiplication, so
+# ``m^20000`` would hang.  Every test and benchmark polynomial has degree <= 4
+# and ``C(m,100)`` parses in 0.07 s, so degree 100 bounds outside input.
+_MAX_INPUT_DEGREE = 100
+
+
+def _check_input_degree(what: str, k: int, base: HilbertPolynomial) -> None:
+    degree = 0 if base.is_zero() else base.degree
+    if k * max(degree, 1) > _MAX_INPUT_DEGREE:
+        raise ValueError(f"{what} {k} on a degree-{degree} polynomial exceeds "
+                         f"the input degree limit {_MAX_INPUT_DEGREE}")
 
 
 def macaulay_rep(P: HilbertPolynomial) -> MacaulayRep:
@@ -253,11 +258,9 @@ def hilbert_polynomial_of_monomial_ideal(ctx: RingContext, M: MonomialIdeal) -> 
     Each term K_j t^j / (1 - t)^(n+1) contributes K_j C(m - j + n, n) for
     large m.
     """
-    total = HilbertPolynomial.zero()
-    for j, c in enumerate(_numerator(M.min_gens)):
-        if c:
-            total = total + c * binomial_poly(ctx.n - j, ctx.n)
-    return total
+    K = _numerator(M.min_gens)
+    terms = (c * binomial_poly(ctx.n - j, ctx.n) for j, c in enumerate(K) if c)
+    return sum(terms, HilbertPolynomial.zero())
 
 
 def hilbert_polynomial(ctx: RingContext, I: Ideal) -> HilbertPolynomial:
@@ -268,28 +271,31 @@ def hilbert_polynomial(ctx: RingContext, I: Ideal) -> HilbertPolynomial:
 
 
 def lex_segment_ideal(ctx: RingContext, P: HilbertPolynomial) -> Ideal:
-    """Saturated lex-segment ideal with Hilbert polynomial P.
+    """Saturated lex ideal L(P) from the Gotzmann exponents (Reeves–Stillman 1997).
 
-    The segment is cut at the Gotzmann degree, saturated, and the resulting
-    Hilbert polynomial is verified by a round trip.
+    With d = a_1 and b_j = #{i : a_i = j}, L(P) is generated by x_0, ...,
+    x_{n-d-2}, x_{n-d-1}^(b_d + 1), x_{n-d-1}^b_d x_{n-d}^(b_{d-1} + 1), ...,
+    x_{n-d-1}^b_d ... x_{n-2}^b_1 x_{n-1}^b_0.  P = C(m + n, n) gives the zero
+    ideal, any other d >= n needs more variables; a round trip checks P.
     """
-    rep = macaulay_rep(P)
-    m0 = rep.gotzmann
-    if m0 == 0:
+    a = macaulay_rep(P).a
+    if not a:
         return Ideal([Polynomial.constant(ctx.nvars, 1)])
-    value = P(m0)
-    if value.denominator != 1:
-        raise NotAdmissible(f"{P} is not integer valued at {m0}")
-    q = ctx.dim(m0) - int(value)
-    if q < 0:
+    n, d = ctx.n, a[0]
+    if a == (n,):
+        gens = []
+    elif d >= n:
         raise ValueError(f"{P} needs more variables than the ambient ring provides")
-    lex_sorted = sorted(ctx.monomials(m0), key=Lex().key, reverse=True)
-    segment = lex_sorted[:q]
-    # Monomials of one degree divide each other only when equal, so the
-    # segment is already a minimal generating set and needs no minimalize.
-    M = saturate(MonomialIdeal(ctx.nvars, frozenset(segment)))
-    check = hilbert_polynomial_of_monomial_ideal(ctx, M)
-    if check != P:
+    else:
+        b = Counter(a)
+        gens = list(ctx.variables()[: n - d - 1])
+        u = [0] * ctx.nvars
+        for j in range(d, -1, -1):
+            u[n - 1 - j] = b[j] + (j > 0)
+            gens.append(tuple(u))
+            u[n - 1 - j] = b[j]
+    M = MonomialIdeal(ctx.nvars, minimalize(gens))
+    if hilbert_polynomial_of_monomial_ideal(ctx, M) != P:
         raise ValueError(f"{P} needs more variables than the ambient ring provides")
     return Ideal([Polynomial.monomial(g) for g in M.gens_sorted(ctx.order)])
 
@@ -356,6 +362,7 @@ def _read_binomial(sc, expr, start: int) -> HilbertPolynomial:
     k = order(0)
     if k.denominator != 1 or k < 0:
         raise ParseError("binomial order must be a nonnegative integer", start)
+    _check_input_degree("binomial order", int(k), top)
     return _choose(top, int(k))
 
 

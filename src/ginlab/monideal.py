@@ -37,11 +37,6 @@ class MonomialIdeal:
     def zero(cls, nvars: int) -> "MonomialIdeal":
         return cls(nvars, frozenset())
 
-    @classmethod
-    def irrelevant(cls, nvars: int) -> "MonomialIdeal":
-        gens = [tuple(1 if j == i else 0 for j in range(nvars)) for i in range(nvars)]
-        return cls(nvars, frozenset(gens))
-
     def is_zero(self) -> bool:
         return not self.min_gens
 
@@ -57,10 +52,6 @@ class MonomialIdeal:
     def graded_monomials(self, ctx: RingContext, m: int) -> tuple[Monomial, ...]:
         """Degree-m monomials inside the ideal, descending under ctx.order."""
         return tuple(u for u in ctx.monomials(m) if self.contains(u))
-
-    def standard_monomials(self, ctx: RingContext, m: int) -> tuple[Monomial, ...]:
-        """Degree-m monomials outside the ideal, descending under ctx.order."""
-        return tuple(u for u in ctx.monomials(m) if not self.contains(u))
 
 
 def colon_by_variable(M: MonomialIdeal, i: int) -> MonomialIdeal:

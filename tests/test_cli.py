@@ -307,6 +307,21 @@ class TestHilbInfoCommand:
     def test_needs_more_variables(self, capsys):
         assert main(["hilb-info", "--n", "1", "--p", "2*m + 1"]) == 2
 
+    @pytest.mark.parametrize(
+        "n, text, lex_ideal",
+        [("2", "2000", ["x0", "x1^2000"]), ("3", "6000", ["x0", "x1", "x2^6000"])],
+    )
+    def test_large_constants(self, capsys, n, text, lex_ideal):
+        code, report = run_json(capsys, "hilb-info", "--n", n, "--p", text)
+        assert code == 0
+        assert sorted(report["lex_ideal"]) == lex_ideal
+        assert report["round_trip_verified"] is True
+
+    @pytest.mark.parametrize("text", ["m^20000", "C(m,20000)"])
+    def test_input_over_the_degree_limit(self, capsys, text):
+        assert main(["hilb-info", "--n", "2", "--p", text]) == 2
+        assert_one_error_line(capsys)
+
 
 class TestReports:
     def test_reruns_are_byte_identical(self, capsys):

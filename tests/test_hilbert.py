@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from ginlab.groebner import Ideal
 from ginlab.hilbert import (
     HilbertPolynomial,
+    MacaulayRep,
     NotAdmissible,
     binomial_poly,
     gotzmann_number,
@@ -36,6 +37,37 @@ def hp(text):
 
 def hypersurface_hp(n, d):
     return binomial_poly(n, n) - binomial_poly(n - d, n)
+
+
+def segment_oracle(ctx, P):
+    """L(P) the long way: saturate the first q lex monomials of degree m0.
+
+    m0 is the Gotzmann number and q = dim S_m0 - P(m0); raises the same
+    "needs more variables" ValueError when q < 0 or the round trip fails.
+    """
+    m0 = gotzmann_number(P)
+    if m0 == 0:
+        return {(0,) * ctx.nvars}
+    q = ctx.dim(m0) - int(P(m0))
+    if q < 0:
+        raise ValueError(f"{P} needs more variables than the ambient ring provides")
+    segment = sorted(ctx.monomials(m0), key=Lex().key, reverse=True)[:q]
+    M = saturate(MonomialIdeal(ctx.nvars, frozenset(segment)))
+    if hilbert_polynomial_of_monomial_ideal(ctx, M) != P:
+        raise ValueError(f"{P} needs more variables than the ambient ring provides")
+    return set(M.min_gens)
+
+
+def closed_form(ctx, P):
+    return {g.leading(GrevLex())[0] for g in lex_segment_ideal(ctx, P).generators}
+
+
+def outcome(build, ctx, P):
+    """The generators build(ctx, P) returns, or the ValueError message it raises."""
+    try:
+        return build(ctx, P)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestHilbertFunction:
@@ -78,10 +110,6 @@ class TestHilbertPolynomial:
         assert hilbert_polynomial_of_monomial_ideal(CTX2, M) == HilbertPolynomial.constant(value)
         I = Ideal([p(f"x0^{a}"), p(f"x1^{b}")])
         assert hilbert_polynomial(CTX2, I) == HilbertPolynomial.constant(value)
-
-    def test_integer_valued_on_window(self):
-        P = hypersurface_hp(3, 2)
-        assert P.is_integer_valued_on(0, 10)
 
 
 def count_standard_monomials(ctx, M, m):
@@ -186,18 +214,35 @@ class TestLexSegmentIdeal:
         + [(3, hypersurface_hp(3, 3)), (4, hypersurface_hp(4, 2))],
     )
     def test_segment_matches_minimalized_path(self, n, P):
-        # oracle: the degree-m0 lex segment passed through MonomialIdeal.make
         ctx = RingContext(n, GrevLex())
-        m0 = gotzmann_number(P)
-        q = ctx.dim(m0) - int(P(m0))
-        segment = sorted(ctx.monomials(m0), key=Lex().key, reverse=True)[:q]
-        want = saturate(MonomialIdeal.make(ctx.nvars, segment)).min_gens
-        assert self.gens(lex_segment_ideal(ctx, P)) == want
+        assert closed_form(ctx, P) == segment_oracle(ctx, P)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        a=st.lists(st.integers(0, 3), max_size=8).map(lambda a: tuple(sorted(a, reverse=True))),
+    )
+    def test_closed_form_matches_segment_oracle(self, n, a):
+        ctx = RingContext(n, GrevLex())
+        P = MacaulayRep(a).to_polynomial()
+        assert macaulay_rep(P).a == a
+        assert outcome(closed_form, ctx, P) == outcome(segment_oracle, ctx, P)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full_ring_polynomial_is_the_zero_ideal(self, n):
+        ctx = RingContext(n, GrevLex())
+        P = binomial_poly(n, n)
+        assert macaulay_rep(P).a == (n,)
+        assert lex_segment_ideal(ctx, P).generators == ()
+        assert segment_oracle(ctx, P) == set()
 
     def test_needs_more_variables(self):
         ctx1 = RingContext(1, GrevLex())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs more variables"):
             lex_segment_ideal(ctx1, hp("2*m + 1"))
+        # a_1 = n with more than one term: C(m+2,2) + C(m+1,2) in P^2
+        with pytest.raises(ValueError, match="needs more variables"):
+            lex_segment_ideal(CTX2, MacaulayRep((2, 2)).to_polynomial())
 
 
 class TestRevlexSegments:
@@ -280,3 +325,19 @@ class TestHilbertExpressionParser:
         for text in ("2*m + 1", "3*m + 1", "1", "m^2 - m", "-m"):
             P = hp(text)
             assert hp(str(P)) == P
+
+    @pytest.mark.parametrize(
+        "text", ["m^101", "(m^2)^51", "2^101", "C(m,101)", "C(m^2,51)", "C(m+101,m)", "m^20000"]
+    )
+    def test_input_degree_limit(self, text):
+        with pytest.raises(ValueError, match="input degree limit 100"):
+            hp(text)
+
+    def test_input_degree_limit_is_inclusive(self):
+        assert hp("m^100").degree == 100
+        assert hp("(m^2)^50").degree == 100
+        assert hp("C(m,100)") == binomial_poly(0, 100)
+        assert hp("C(m^2,50)").degree == 100
+
+    def test_internal_binomials_are_not_limited(self):
+        assert binomial_poly(0, 150).degree == 150
