@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -23,16 +24,14 @@ from .families import (
     random_ideal,
     random_points,
 )
-from .gin import certification_degree, generic_initial_ideal, index_at_degree, is_borel_fixed
-from .grassmann import SchubertIndex, hilbert_point, max_index, pluecker_coordinate
-from .groebner import Ideal, initial_ideal
+from .gin import certified_initial_ideal, generic_initial_ideal, is_borel_fixed
+from .grassmann import SchubertIndex, hilbert_point, index_rank, max_index, pluecker_coordinate
+from .groebner import Ideal
 from .hilbert import (
     HilbertPolynomial,
     NotAdmissible,
     binomial_poly,
     gotzmann_number,
-    hilbert_polynomial,
-    hilbert_polynomial_of_monomial_ideal,
     lex_segment_ideal,
     macaulay_rep,
     parse_hilbert_polynomial,
@@ -41,7 +40,6 @@ from .hilbert import (
 from .monideal import MonomialIdeal
 from .orders import GrevLex, Lex, MonomialOrder, RingContext, WeightOrder
 from .parsing import ParseError, monomial_str, parse_generators, polynomial_str
-import random
 
 SCHEMA = 1
 
@@ -70,18 +68,19 @@ def parse_order(text: str, nvars: int) -> MonomialOrder:
     raise CliError(f"unknown order {text!r}; use lex, grevlex or weight:<w0,..,wn>")
 
 
+def _content_lines(path: str) -> list[str]:
+    """The lines of a text file with `#` comments and surrounding blanks stripped."""
+    return [line.split("#", 1)[0].strip() for line in Path(path).read_text().splitlines()]
+
+
 def _ideal_from_args(args, nvars: int) -> Ideal:
     if args.ideal and args.file:
         raise CliError("give either --ideal or --file, not both")
     if args.ideal:
         gens = parse_generators(args.ideal, nvars)
     elif args.file:
-        gens = []
-        text = Path(args.file).read_text()
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                gens.extend(parse_generators(line, nvars))
+        gens = [g for line in _content_lines(args.file) if line
+                for g in parse_generators(line, nvars)]
     else:
         raise CliError("an ideal is required: use --ideal or --file")
     if not gens:
@@ -102,7 +101,7 @@ def _monomial_ideal_strings(ctx: RingContext, M: MonomialIdeal) -> list[str]:
 
 def run_gin(ctx: RingContext, I: Ideal, trials: int, seed: int, bound: int):
     result = generic_initial_ideal(ctx, I, trials=trials, seed=seed, bound=bound)
-    P = hilbert_polynomial(ctx, I)
+    P = result.hilbert_polynomial
     borel = is_borel_fixed(ctx, result.gin)
     report = {
         "schema": SCHEMA,
@@ -130,7 +129,6 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
         raise CliError("the family is empty")
     if mode not in ("byGin", "byInitialIdeal"):
         raise CliError(f"unknown stratification mode {mode!r}")
-    key = ctx.order.key
     strata: dict = {}
     for member_id, I in enumerate(members):
         if mode == "byGin":
@@ -139,9 +137,8 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
             )
             ideal, index, m = result.gin, result.index, result.certification_degree
         else:
-            ideal = initial_ideal(ctx, I)
-            m, _ = certification_degree(ctx, I)
-            index = index_at_degree(ctx, ideal, m)
+            trial = certified_initial_ideal(ctx, I)
+            ideal, index, m = trial.initial, trial.index, trial.certification_degree
         bucket = strata.setdefault(
             ideal.min_gens,
             {"index": index, "degree": m, "ideal": ideal, "members": []},
@@ -149,7 +146,7 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
         bucket["members"].append(member_id)
 
     def stratum_rank(entry):
-        return (entry["degree"], tuple(key(u) for u in entry["index"].monomials))
+        return (entry["degree"], index_rank(ctx, entry["index"]))
 
     ordered = sorted(strata.values(), key=stratum_rank, reverse=True)
     total = len(members)
@@ -322,13 +319,10 @@ def run_hilb_info(ctx: RingContext, P: HilbertPolynomial, text: str):
         L = lex_segment_ideal(ctx, P)
     except ValueError as exc:
         raise CliError(str(exc))
-    M = MonomialIdeal.make(
-        ctx.nvars, [g.leading(ctx.order)[0] for g in L.generators]
-    )
-    round_trip = hilbert_polynomial_of_monomial_ideal(ctx, M) == P
-    report["lex_ideal"] = _monomial_ideal_strings(ctx, M)
-    report["round_trip_verified"] = round_trip
-    return report, (0 if round_trip else PROPERTY_FAILURE)
+    # lex_segment_ideal raises unless its own round trip reproduces P
+    report["lex_ideal"] = _ideal_strings(ctx, L.generators)
+    report["round_trip_verified"] = True
+    return report, 0
 
 
 def _parse_members(ctx: RingContext, args) -> tuple[list[Ideal], str]:
@@ -340,18 +334,13 @@ def _parse_members(ctx: RingContext, args) -> tuple[list[Ideal], str]:
         members = [Ideal(parse_generators(b, ctx.nvars)) for b in blocks]
         description = f"inline:{len(members)}"
     elif args.members_file:
-        text = Path(args.members_file).read_text()
         blocks, current = [], []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                if current:
-                    blocks.append(current)
-                    current = []
-                continue
-            current.append(line)
-        if current:
-            blocks.append(current)
+        for line in _content_lines(args.members_file) + [""]:
+            if line:
+                current.append(line)
+            elif current:
+                blocks.append(current)
+                current = []
         members = [
             Ideal([g for chunk in block for g in parse_generators(chunk, ctx.nvars)])
             for block in blocks

@@ -1,4 +1,10 @@
-"""Generic initial ideals, Borel fixedness, weight vectors, torus-limit checks."""
+"""Generic initial ideals, Borel fixedness, weight vectors, torus-limit checks.
+
+A secondary gin is in(g·I) for one change g, with its Schubert index at the
+certification degree; it is certified on the reduced basis of g·I alone.
+The generic initial ideal is the lex-maximal of `trials` secondary gins
+under seeded random changes, and carries their common Hilbert polynomial.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +15,9 @@ from math import gcd
 from typing import NamedTuple
 
 from . import linalg
-from .grassmann import SchubertIndex, hilbert_point
+from .grassmann import SchubertIndex, hilbert_point, index_rank
 from .groebner import Ideal, initial_ideal
-from .hilbert import HilbertPolynomial, gotzmann_number, hilbert_polynomial
+from .hilbert import HilbertPolynomial, binomial_poly, gotzmann_number, hilbert_polynomial
 from .monideal import MonomialIdeal, saturate
 from .orders import RingContext
 from .poly import GENERAL, LinearChange, apply_change
@@ -27,6 +33,16 @@ class GinResult:
     trials: int
     stable: bool
     certification_degree: int
+    hilbert_polynomial: HilbertPolynomial
+
+
+class SecondaryGin(NamedTuple):
+    """in(J) with its Schubert index at the degree that certifies J, and P of S/J."""
+
+    index: SchubertIndex
+    initial: MonomialIdeal
+    certification_degree: int
+    hilbert_polynomial: HilbertPolynomial
 
 
 def random_linear_change(ctx: RingContext, seed: int, bound: int = 100) -> LinearChange:
@@ -56,13 +72,39 @@ def index_at_degree(ctx: RingContext, M: MonomialIdeal, m: int) -> SchubertIndex
     return SchubertIndex(M.graded_monomials(ctx, m))
 
 
+def certified_initial_ideal(ctx: RingContext, J: Ideal) -> SecondaryGin:
+    """in(J), the certification degree m of J and the index of in(J) at m.
+
+    Everything is read from the reduced basis of J, which is cached on J, so
+    a trial runs Buchberger once.
+    """
+    inJ = initial_ideal(ctx, J)
+    m, P = certification_degree(ctx, J)
+    return SecondaryGin(index_at_degree(ctx, inJ, m), inJ, m, P)
+
+
+def secondary_gin(ctx: RingContext, I: Ideal, g: LinearChange) -> SecondaryGin:
+    """Initial ideal after the specific change g, with its Schubert index.
+
+    A change of coordinates keeps the Hilbert polynomial and the generator
+    degrees, so g·I has the certification degree of I.
+    """
+    if not I.homogeneous:
+        raise ValueError("secondary gins require a homogeneous ideal")
+    if I.is_zero():
+        return SecondaryGin(
+            SchubertIndex(()), MonomialIdeal.zero(ctx.nvars), 0, binomial_poly(ctx.n, ctx.n)
+        )
+    return certified_initial_ideal(ctx, Ideal([apply_change(ctx, g, f) for f in I.generators]))
+
+
 def generic_initial_ideal(
     ctx: RingContext, I: Ideal, trials: int = 5, seed: int = 0, bound: int = 100
 ) -> GinResult:
-    """Initial ideal after random coordinate changes, certified over several trials.
+    """The lex-maximal of `trials` secondary gins under seeded random changes.
 
-    Each trial applies an independent seeded change of variables; the reported
-    result is the trial whose Schubert index at the certification degree is
+    Each trial is certified on its own basis; the reported result is the
+    first trial whose Schubert index at the certification degree is
     lex-maximal, and `stable` records whether all trials agreed.  A sampled
     index can only fall below the generic one, never above it, so the maximal
     observed index is the generic index up to sampling failure.
@@ -79,33 +121,24 @@ def generic_initial_ideal(
             trials=trials,
             stable=True,
             certification_degree=0,
+            hilbert_polynomial=binomial_poly(ctx.n, ctx.n),
         )
-    m, _ = certification_degree(ctx, I)
-    key = ctx.order.key
-    best: tuple | None = None
-    indices = []
-    for t in range(trials):
-        g = random_linear_change(ctx, seed + t, bound)
-        moved = Ideal([apply_change(ctx, g, f) for f in I.generators])
-        inM = initial_ideal(ctx, moved)
-        idx = index_at_degree(ctx, inM, m)
-        indices.append(idx)
-        rank = tuple(key(u) for u in idx.monomials)
-        if best is None or rank > best[0]:
-            best = (rank, idx, g, inM)
-    _, idx, witness, inM = best
-    stable = all(other == idx for other in indices)
+    changes = [random_linear_change(ctx, seed + t, bound) for t in range(trials)]
+    runs = [secondary_gin(ctx, I, g) for g in changes]
+    best = max(range(trials), key=lambda t: index_rank(ctx, runs[t].index))
+    win = runs[best]
+    m = win.certification_degree
     # The index is the degree-m slice of the generators of degree <= m, and
     # saturation ignores truncation, so saturating them gives the same ideal.
-    low = frozenset(u for u in inM.min_gens if sum(u) <= m)
-    gin = saturate(MonomialIdeal(ctx.nvars, low))
+    low = frozenset(u for u in win.initial.min_gens if sum(u) <= m)
     return GinResult(
-        gin=gin,
-        index=idx,
-        witness=witness,
+        gin=saturate(MonomialIdeal(ctx.nvars, low)),
+        index=win.index,
+        witness=changes[best],
         trials=trials,
-        stable=stable,
+        stable=all(run.index == win.index for run in runs),
         certification_degree=m,
+        hilbert_polynomial=win.hilbert_polynomial,
     )
 
 
@@ -128,24 +161,6 @@ def is_borel_fixed(ctx: RingContext, M: MonomialIdeal) -> bool:
                 if not M.contains(moved):
                     return False
     return True
-
-
-class SecondaryGin(NamedTuple):
-    index: SchubertIndex
-    initial: MonomialIdeal
-    certification_degree: int
-
-
-def secondary_gin(ctx: RingContext, I: Ideal, g: LinearChange) -> SecondaryGin:
-    """Initial ideal after the specific change g, with its Schubert index."""
-    if not I.homogeneous:
-        raise ValueError("secondary gins require a homogeneous ideal")
-    if I.is_zero():
-        return SecondaryGin(SchubertIndex(()), MonomialIdeal.zero(ctx.nvars), 0)
-    moved = Ideal([apply_change(ctx, g, f) for f in I.generators])
-    inM = initial_ideal(ctx, moved)
-    m, _ = certification_degree(ctx, I)
-    return SecondaryGin(index_at_degree(ctx, inM, m), inM, m)
 
 
 @dataclass(frozen=True)

@@ -127,20 +127,17 @@ class IndexComparison(NamedTuple):
     partial: str  # componentwise: equal / above / below / incomparable
 
 
+def index_rank(ctx: RingContext, idx: SchubertIndex) -> tuple:
+    """Sort key of an index: the order keys of its monomials, so ranks compare lex."""
+    key = ctx.order.key
+    return tuple(key(u) for u in idx.monomials)
+
+
 def compare_indices(ctx: RingContext, a: SchubertIndex, b: SchubertIndex) -> IndexComparison:
     if a.d != b.d:
         raise ValueError("indices have different sizes")
-    key = ctx.order.key
-    lex = 0
-    for x, y in zip(a.monomials, b.monomials):
-        if x != y:
-            lex = 1 if key(x) > key(y) else -1
-            break
-    signs = set()
-    for x, y in zip(a.monomials, b.monomials):
-        if x == y:
-            continue
-        signs.add(1 if key(x) > key(y) else -1)
+    ra, rb = index_rank(ctx, a), index_rank(ctx, b)
+    signs = {(x > y) - (x < y) for x, y in zip(ra, rb)} - {0}
     if not signs:
         partial = EQUAL
     elif signs == {1}:
@@ -149,7 +146,7 @@ def compare_indices(ctx: RingContext, a: SchubertIndex, b: SchubertIndex) -> Ind
         partial = BELOW
     else:
         partial = INCOMPARABLE
-    return IndexComparison(lex, partial)
+    return IndexComparison((ra > rb) - (ra < rb), partial)
 
 
 def index_weight(idx: SchubertIndex, weights) -> int:

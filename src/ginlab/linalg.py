@@ -21,7 +21,7 @@ Row = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 
 
-def _primitive_int_row(row: Sequence, ncols: int) -> tuple[list[int], Fraction]:
+def primitive_int_row(row: Sequence, ncols: int) -> tuple[list[int], Fraction]:
     """A primitive integer row v and the scale s with row == s * v (s = 0 for a zero row)."""
     if len(row) != ncols:
         raise ValueError("row length does not match column count")
@@ -35,7 +35,7 @@ def _primitive_int_row(row: Sequence, ncols: int) -> tuple[list[int], Fraction]:
 
 def _integer_rows(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
     """The nonzero rows as primitive integer vectors; they span the same space."""
-    work = [_primitive_int_row(r, ncols)[0] for r in rows]
+    work = [primitive_int_row(r, ncols)[0] for r in rows]
     return [r for r in work if any(r)]
 
 
@@ -124,7 +124,7 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     scale = Fraction(1)
     work: list[list[int]] = []
     for row in rows:
-        ints, s = _primitive_int_row(row, n)
+        ints, s = primitive_int_row(row, n)
         work.append(ints)
         scale *= s
     pivots, sign = _forward_eliminate(work, n)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .orders import Monomial, MonomialOrder, RingContext, mul, unit
@@ -166,16 +165,10 @@ class Polynomial:
         """Clear denominators and divide by integer content."""
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(int(c * den)))
-        factor = Fraction(den, num)
-        if factor == 1:
+        ints, scale = linalg.primitive_int_row(tuple(self.terms.values()), len(self.terms))
+        if scale == 1:
             return self
-        return Polynomial._raw({e: c * factor for e, c in self.terms.items()})
+        return Polynomial._raw({e: Fraction(v) for e, v in zip(self.terms, ints)})
 
     def sorted_terms(self, order: MonomialOrder):
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)

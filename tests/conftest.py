@@ -4,10 +4,11 @@ from itertools import combinations
 import pytest
 
 from ginlab.families import derive_seed, random_ideal, twisted_cubic_ideal
-from ginlab.groebner import Ideal
+from ginlab.groebner import Ideal, initial_ideal
 from ginlab.hilbert import lex_segment_ideal, parse_hilbert_polynomial
-from ginlab.gin import random_linear_change
+from ginlab.gin import GinResult, certification_degree, index_at_degree, random_linear_change
 from ginlab.linalg import det
+from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, RingContext
 from ginlab.poly import apply_change
 
@@ -67,3 +68,36 @@ def exhaustive_limit_oracle(F, omega) -> bool:
         if det([[row[c] for c in pos] for row in F.matrix]) != 0:
             return False
     return True
+
+
+def oracle_generic_initial_ideal(ctx, I, trials, seed, bound=100) -> GinResult:
+    """The gin loop that certifies every trial at the degree read off I itself.
+
+    It runs Buchberger on I once more than `generic_initial_ideal`, whose
+    trials each certify themselves from the basis of g·I; kept here as its
+    oracle for nonzero homogeneous I.
+    """
+    m, P = certification_degree(ctx, I)
+    key = ctx.order.key
+    best = None
+    indices = []
+    for t in range(trials):
+        g = random_linear_change(ctx, seed + t, bound)
+        moved = Ideal([apply_change(ctx, g, f) for f in I.generators])
+        inM = initial_ideal(ctx, moved)
+        idx = index_at_degree(ctx, inM, m)
+        indices.append(idx)
+        rank = tuple(key(u) for u in idx.monomials)
+        if best is None or rank > best[0]:
+            best = (rank, idx, g, inM)
+    _, idx, witness, inM = best
+    low = frozenset(u for u in inM.min_gens if sum(u) <= m)
+    return GinResult(
+        gin=saturate(MonomialIdeal(ctx.nvars, low)),
+        index=idx,
+        witness=witness,
+        trials=trials,
+        stable=all(other == idx for other in indices),
+        certification_degree=m,
+        hilbert_polynomial=P,
+    )

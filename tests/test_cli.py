@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ginlab import cli
+from ginlab import cli, hilbert
 from ginlab.cli import main
 
 
@@ -321,6 +321,21 @@ class TestHilbInfoCommand:
     def test_input_over_the_degree_limit(self, capsys, text):
         assert main(["hilb-info", "--n", "2", "--p", text]) == 2
         assert_one_error_line(capsys)
+
+    def test_round_trip_runs_once(self, capsys, monkeypatch):
+        calls = []
+        real = hilbert.hilbert_polynomial_of_monomial_ideal
+
+        def counted(ctx, M):
+            calls.append(M)
+            return real(ctx, M)
+
+        # patch every binding, including one the cli module may import itself
+        monkeypatch.setattr(hilbert, "hilbert_polynomial_of_monomial_ideal", counted)
+        monkeypatch.setattr(cli, "hilbert_polynomial_of_monomial_ideal", counted, raising=False)
+        code, report = run_json(capsys, "hilb-info", "--n", "3", "--p", "3*m + 1")
+        assert code == 0 and report["round_trip_verified"] is True
+        assert len(calls) == 1
 
 
 class TestReports:

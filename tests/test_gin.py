@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ginlab.families import twisted_cubic_ideal
@@ -16,12 +16,15 @@ from ginlab.gin import (
     weight_vector_for_order,
 )
 from ginlab.grassmann import hilbert_point, schubert_cell_index, subspace_from_polynomials
+from ginlab import groebner
 from ginlab.groebner import Ideal, buchberger, ideal_of, initial_ideal
-from ginlab.hilbert import hilbert_function
+from ginlab.hilbert import hilbert_function, hilbert_polynomial
+from ginlab.linalg import det
 from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.parsing import parse_polynomial
 from ginlab.poly import (
+    GENERAL,
     LOWER_TRIANGULAR,
     UNIPOTENT,
     LinearChange,
@@ -29,7 +32,7 @@ from ginlab.poly import (
     apply_change,
 )
 
-from conftest import exhaustive_limit_oracle
+from conftest import exhaustive_limit_oracle, oracle_generic_initial_ideal
 
 CTX2 = RingContext(2, GrevLex())
 CTX3 = RingContext(3, GrevLex())
@@ -134,6 +137,56 @@ def test_gin_idempotence_on_corpus(corpus):
         assert first.gin == saturate(MonomialIdeal.make(ctx.nvars, first.index.monomials)), label
         again = generic_initial_ideal(ctx, ideal_of(first.gin), trials=3, seed=2000 + i)
         assert again.gin == first.gin, label
+
+
+@pytest.mark.parametrize("bound", [2, 100])
+def test_gin_matches_oracle_on_corpus(corpus, bound):
+    unstable = 0
+    for i, (label, ctx, I) in enumerate(corpus):
+        result = generic_initial_ideal(ctx, I, trials=3, seed=5000 + i, bound=bound)
+        assert result == oracle_generic_initial_ideal(ctx, I, 3, 5000 + i, bound), label
+        assert result.hilbert_polynomial == hilbert_polynomial(ctx, I), label
+        unstable += not result.stable
+    if bound == 2:
+        # small entries make some trials non-generic, so the winner is a real choice
+        assert unstable > 0
+
+
+def test_gin_runs_buchberger_once_per_trial(monkeypatch):
+    calls = []
+    real = groebner._buchberger
+
+    def counted(ctx, generators):
+        calls.append(ctx)
+        return real(ctx, generators)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    generic_initial_ideal(CTX3, twisted_cubic_ideal(), trials=3, seed=5)
+    assert len(calls) == 3
+
+
+SECONDARY_INPUTS = [
+    "x0*x2 - x1^2",
+    "x0^2; x1^2",
+    "x0^2 - x1*x2; x1^3 + x2^3 - x0*x1*x2",
+    "x0^2; x0*x1; x0*x2",  # not saturated: the generator degree beats Gotzmann
+    "x0^3; x0^2*x1; x1^4",
+    "x1^2 - x0*x2; x1*x2^2",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SECONDARY_INPUTS),
+    st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+)
+def test_secondary_gin_certifies_like_its_input(text, entries):
+    rows = [entries[0:3], entries[3:6], entries[6:9]]
+    assume(det(rows) != 0)
+    g = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows), GENERAL)
+    I = Ideal([p(t) for t in text.split(";")])
+    sec = secondary_gin(CTX2, I, g)
+    assert (sec.certification_degree, sec.hilbert_polynomial) == certification_degree(CTX2, I)
 
 
 class TestBorelFixed:

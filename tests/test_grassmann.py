@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ginlab.families import points_hilbert_point, random_subspace
 from ginlab.grassmann import (
     ABOVE,
+    BELOW,
     EQUAL,
     INCOMPARABLE,
     SchubertIndex,
@@ -27,7 +28,7 @@ from ginlab.grassmann import (
 from ginlab.groebner import Ideal, initial_ideal
 from ginlab.linalg import det, kernel, mat_mul
 from ginlab.monideal import MonomialIdeal, saturate
-from ginlab.orders import GrevLex, RingContext
+from ginlab.orders import GrevLex, Lex, RingContext, WeightOrder
 from ginlab.parsing import parse_polynomial
 
 CTX2 = RingContext(2, GrevLex())
@@ -235,6 +236,46 @@ class TestIndexComparisons:
     def test_strict_descent_enforced(self):
         with pytest.raises(ValueError):
             make_index(CTX2, [(0, 2, 0), (2, 0, 0)])
+
+
+def compare_indices_oracle(ctx, a, b):
+    """Position-by-position comparison loops, kept as the oracle of `compare_indices`."""
+    key = ctx.order.key
+    lex = 0
+    for x, y in zip(a.monomials, b.monomials):
+        if x != y:
+            lex = 1 if key(x) > key(y) else -1
+            break
+    signs = set()
+    for x, y in zip(a.monomials, b.monomials):
+        if x == y:
+            continue
+        signs.add(1 if key(x) > key(y) else -1)
+    if not signs:
+        partial = EQUAL
+    elif signs == {1}:
+        partial = ABOVE
+    elif signs == {-1}:
+        partial = BELOW
+    else:
+        partial = INCOMPARABLE
+    return lex, partial
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_compare_indices_matches_loop_oracle(data):
+    order = data.draw(st.sampled_from([GrevLex(), Lex(), WeightOrder((1, 3, 0))]))
+    ctx = RingContext(2, order)
+    cols = ctx.monomials(data.draw(st.integers(0, 3)))
+    d = data.draw(st.integers(0, len(cols)))
+
+    def draw_index():
+        picked = data.draw(st.sets(st.sampled_from(cols), min_size=d, max_size=d))
+        return make_index(ctx, sorted(picked, key=order.key, reverse=True))
+
+    a, b = draw_index(), draw_index()
+    assert compare_indices(ctx, a, b) == compare_indices_oracle(ctx, a, b)
 
 
 class TestIndexWeight:

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.parsing import ParseError, parse_polynomial, polynomial_str
@@ -149,3 +152,36 @@ def test_linear_change_validation():
     with pytest.raises(ValueError):
         LinearChange(((Fraction(2), Fraction(1)), (Fraction(0), Fraction(1))), UNIPOTENT)
     LinearChange(((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))), UNIPOTENT)
+
+
+def primitive_oracle(f):
+    """Denominator clearing in `Fraction` arithmetic, kept as the oracle of `primitive`."""
+    if not f.terms:
+        return f
+    den = 1
+    for c in f.terms.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    num = 0
+    for c in f.terms.values():
+        num = gcd(num, abs(int(c * den)))
+    factor = Fraction(den, num)
+    return Polynomial({e: c * factor for e, c in f.terms.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * 3),
+        st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+        max_size=6,
+    )
+)
+def test_primitive_matches_fraction_oracle(terms):
+    f = Polynomial(terms)
+    g = f.primitive()
+    assert g == primitive_oracle(f)
+    assert g.terms.keys() == f.terms.keys()
+    ratios = {g.terms[e] / c for e, c in f.terms.items()}
+    assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+    assert all(type(c) is Fraction and c.denominator == 1 for c in g.terms.values())
+    assert gcd(*(c.numerator for c in g.terms.values())) in (0, 1)
