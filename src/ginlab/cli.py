@@ -15,6 +15,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .families import (
@@ -257,8 +258,9 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
             F = points_hilbert_point(ctx, pts, m)
         if F.d != dim_expected:
             raise CliError(f"sample {s} has unexpected dimension {F.d} != {dim_expected}")
-        p_star = pluecker_coordinate(F, alpha_star)
-        if p_star == 0:
+        # the top coordinate of a canonical matrix is its minor on columns
+        # 0..d-1: 1 when those are the pivots, else 0 (the last row is zero there)
+        if F.pivots != tuple(range(dim_expected)):
             vanished += 1
         elif witness is None:
             witness = s
@@ -371,7 +373,9 @@ def _parse_members(ctx: RingContext, args) -> tuple[list[Ideal], str]:
     return members, description
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="ginlab",
         description="Exact computations with generic initial ideals, Hilbert points and Schubert cells.",

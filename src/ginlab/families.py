@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .grassmann import SubspaceBasis, subspace_from_vectors
@@ -49,7 +50,7 @@ def twisted_cubic_ideal() -> Ideal:
     ])
 
 
-def _proportional(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> bool:
+def _proportional(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
     # rank of the 2 x (n+1) matrix is < 2 iff all 2x2 minors vanish
     n = len(p)
     for i in range(n):
@@ -61,11 +62,11 @@ def _proportional(p: tuple[Fraction, ...], q: tuple[Fraction, ...]) -> bool:
 
 def random_points(
     ctx: RingContext, count: int, rng: random.Random, bound: int = 100
-) -> list[tuple[Fraction, ...]]:
-    """Pairwise distinct random rational points of the projective space."""
-    points: list[tuple[Fraction, ...]] = []
+) -> list[tuple[int, ...]]:
+    """Pairwise distinct random points of the projective space, in integer coordinates."""
+    points: list[tuple[int, ...]] = []
     while len(points) < count:
-        p = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(ctx.nvars))
+        p = tuple(rng.randint(-bound, bound) for _ in range(ctx.nvars))
         if all(c == 0 for c in p):
             continue
         if any(_proportional(p, q) for q in points):
@@ -74,12 +75,8 @@ def random_points(
     return points
 
 
-def _monomial_value(e: Monomial, point) -> Fraction:
-    v = Fraction(1)
-    for exp, c in zip(e, point):
-        if exp:
-            v *= c**exp
-    return v
+def _monomial_value(e: Monomial, point):
+    return prod(c**exp for exp, c in zip(e, point) if exp)
 
 
 def points_hilbert_point(ctx: RingContext, points, m: int) -> SubspaceBasis:

@@ -20,7 +20,7 @@ from .groebner import Ideal, initial_ideal
 from .hilbert import HilbertPolynomial, binomial_poly, gotzmann_number, hilbert_polynomial
 from .monideal import MonomialIdeal, saturate
 from .orders import RingContext
-from .poly import GENERAL, LinearChange, apply_change
+from .poly import LinearChange, apply_change
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def random_linear_change(ctx: RingContext, seed: int, bound: int = 100) -> Linea
     while True:
         rows = [[Fraction(rng.randint(-bound, bound)) for _ in range(nv)] for _ in range(nv)]
         if linalg.det(rows) != 0:
-            return LinearChange(tuple(tuple(r) for r in rows), GENERAL)
+            return LinearChange(tuple(tuple(r) for r in rows))
 
 
 def certification_degree(ctx: RingContext, I: Ideal) -> tuple[int, HilbertPolynomial]:

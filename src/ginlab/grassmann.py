@@ -166,7 +166,3 @@ def max_index(ctx: RingContext, m: int, d: int) -> SchubertIndex:
     if not 0 <= d <= len(chain):
         raise ValueError(f"index size {d} out of range 0..{len(chain)}")
     return SchubertIndex(tuple(chain[:d]))
-
-
-def index_from_positions(F: SubspaceBasis, positions) -> SchubertIndex:
-    return SchubertIndex(tuple(F.columns[p] for p in positions))

@@ -6,7 +6,7 @@ import heapq
 from fractions import Fraction
 
 from . import linalg
-from .monideal import MonomialIdeal
+from .monideal import MonomialIdeal, minimalize
 from .orders import Monomial, RingContext, coprime, div, divides, lcm, mul
 from .poly import Polynomial
 
@@ -54,20 +54,14 @@ def ideal_of(M: MonomialIdeal) -> Ideal:
 
 def reduce(ctx: RingContext, f: Polynomial, basis) -> Polynomial:
     """Normal form of f: no monomial of the result is divisible by a basis lead."""
-    return _reduce(ctx, f, list(basis), track=False)[0]
+    return _reduce(ctx, f, list(basis))
 
 
-def reduce_with_quotients(ctx: RingContext, f: Polynomial, basis):
-    """Normal form plus quotients q_i with f = sum q_i * basis_i + remainder."""
-    return _reduce(ctx, f, list(basis), track=True)
-
-
-def _reduce(ctx: RingContext, f: Polynomial, basis: list[Polynomial], track: bool):
+def _reduce(ctx: RingContext, f: Polynomial, basis: list[Polynomial]) -> Polynomial:
     if any(not g for g in basis):
         raise ValueError("division by a zero basis element")
     key = ctx.order.key
     leads = [g.leading(ctx.order) for g in basis]
-    quotients: list[dict[Monomial, Fraction]] = [{} for _ in basis]
     remainder: dict[Monomial, Fraction] = {}
     work = dict(f.terms)
     while work:
@@ -77,8 +71,6 @@ def _reduce(ctx: RingContext, f: Polynomial, basis: list[Polynomial], track: boo
             if divides(lm, m):
                 u = div(m, lm)
                 q = c / lc
-                if track:
-                    quotients[t][u] = quotients[t].get(u, _F0) + q
                 for e2, c2 in basis[t].terms.items():
                     if e2 == lm:
                         continue
@@ -91,10 +83,7 @@ def _reduce(ctx: RingContext, f: Polynomial, basis: list[Polynomial], track: boo
                 break
         else:
             remainder[m] = c
-    rem = Polynomial._raw(remainder)
-    if not track:
-        return rem, []
-    return rem, [Polynomial._raw(q) for q in quotients]
+    return Polynomial._raw(remainder)
 
 
 def s_polynomial(ctx: RingContext, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -117,7 +106,7 @@ def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
     for g in generators:
         if not g:
             continue
-        h = _reduce(ctx, g, basis, track=False)[0]
+        h = _reduce(ctx, g, basis)
         if h:
             basis.append(_normalized(ctx, h))
     if not basis:
@@ -159,7 +148,7 @@ def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
         if skip:
             continue
         s = s_polynomial(ctx, basis[i], basis[j])
-        h = _reduce(ctx, s, basis, track=False)[0]
+        h = _reduce(ctx, s, basis)
         if not h:
             continue
         h = _normalized(ctx, h)
@@ -169,19 +158,13 @@ def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
         leads.append(h.leading(ctx.order)[0])
         push_pairs(len(basis) - 1)
 
-    # minimalize: drop elements whose lead is divisible by another lead
-    keep: list[int] = []
-    for i, li in enumerate(leads):
-        redundant = any(
-            j != i and divides(leads[j], li) and (leads[j] != li or j < i)
-            for j in range(len(basis))
-        )
-        if not redundant:
-            keep.append(i)
+    # drop elements whose lead is divisible by another lead; of equal leads
+    # the first is kept, since list.index finds the first
+    keep = sorted(leads.index(u) for u in minimalize(leads))
     reduced = []
     for i in keep:
         others = [basis[j] for j in keep if j != i]
-        h = _reduce(ctx, basis[i], others, track=False)[0] if others else basis[i]
+        h = _reduce(ctx, basis[i], others) if others else basis[i]
         reduced.append(h.monic(ctx.order))
     reduced.sort(key=lambda g: key(g.leading(ctx.order)[0]), reverse=True)
     return tuple(reduced)
@@ -194,8 +177,9 @@ def buchberger(ctx: RingContext, I: Ideal) -> tuple[Polynomial, ...]:
 
 def initial_ideal(ctx: RingContext, I: Ideal) -> MonomialIdeal:
     """Monomial ideal of leading terms; generators come from the reduced basis."""
+    # the leads of a reduced basis are already minimal
     gb = buchberger(ctx, I)
-    return MonomialIdeal.make(ctx.nvars, [g.leading(ctx.order)[0] for g in gb])
+    return MonomialIdeal(ctx.nvars, frozenset(g.leading(ctx.order)[0] for g in gb))
 
 
 def coefficient_rows(ctx: RingContext, m: int, shifted) -> list[list[Fraction]]:

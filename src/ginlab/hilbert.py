@@ -203,14 +203,6 @@ def gotzmann_number(P: HilbertPolynomial) -> int:
     return macaulay_rep(P).gotzmann
 
 
-def is_admissible(P: HilbertPolynomial) -> bool:
-    try:
-        macaulay_rep(P)
-        return True
-    except NotAdmissible:
-        return False
-
-
 def _numerator(gens) -> list[int]:
     """Coefficients of K(t), where HS(S/M) = K(t) / (1 - t)^(n+1).
 
@@ -253,13 +245,15 @@ def hilbert_function(ctx: RingContext, M: MonomialIdeal, m: int) -> int:
 
 
 def hilbert_polynomial_of_monomial_ideal(ctx: RingContext, M: MonomialIdeal) -> HilbertPolynomial:
-    """Hilbert polynomial of S/M, read off the Hilbert series numerator.
+    """Hilbert polynomial of S/M, read off the h-vector of the Hilbert series numerator.
 
-    Each term K_j t^j / (1 - t)^(n+1) contributes K_j C(m - j + n, n) for
-    large m.
+    Writing K(t) = sum_i h_i (1 - t)^i with h_i = (-1)^i sum_j K_j C(j, i),
+    the term h_i / (1 - t)^(n+1-i) contributes h_i C(m + n - i, n - i) for
+    i <= n and a polynomial in t (nothing for large m) for i > n.
     """
     K = _numerator(M.min_gens)
-    terms = (c * binomial_poly(ctx.n - j, ctx.n) for j, c in enumerate(K) if c)
+    h = [(-1) ** i * sum(c * comb(j, i) for j, c in enumerate(K)) for i in range(ctx.n + 1)]
+    terms = (c * binomial_poly(ctx.n - i, ctx.n - i) for i, c in enumerate(h) if c)
     return sum(terms, HilbertPolynomial.zero())
 
 
@@ -302,7 +296,7 @@ def lex_segment_ideal(ctx: RingContext, P: HilbertPolynomial) -> Ideal:
 
 def revlex_segment(ctx: RingContext, m: int, count: int) -> tuple[Monomial, ...]:
     """The first `count` degree-m monomials in descending grevlex order."""
-    chain = sorted(ctx.monomials(m), key=GrevLex().key, reverse=True)
+    chain = RingContext(ctx.n, GrevLex()).monomials(m)
     if not 0 <= count <= len(chain):
         raise ValueError(f"segment size {count} out of range 0..{len(chain)}")
     return tuple(chain[:count])

@@ -134,7 +134,7 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def kernel(rows: Iterable[Sequence], ncols: int) -> list[Row]:
-    """Basis of the right null space, one vector per free column."""
+    """Basis of the right null space of an int or Fraction matrix, one vector per free column."""
     reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
     basis = []

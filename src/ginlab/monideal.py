@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .orders import Monomial, MonomialOrder, RingContext, divides, lcm, unit
+from .orders import Monomial, MonomialOrder, RingContext, divides, lcm
 
 
 def minimalize(gens) -> frozenset[Monomial]:
@@ -39,9 +39,6 @@ class MonomialIdeal:
 
     def is_zero(self) -> bool:
         return not self.min_gens
-
-    def is_unit(self) -> bool:
-        return unit(self.nvars) in self.min_gens
 
     def contains(self, m: Monomial) -> bool:
         return any(divides(g, m) for g in self.min_gens)

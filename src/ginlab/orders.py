@@ -18,10 +18,6 @@ from math import comb
 Monomial = tuple[int, ...]
 
 
-def degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -146,16 +142,6 @@ class RingContext:
 
     def variables(self) -> tuple[Monomial, ...]:
         return tuple(variable(self.nvars, i) for i in range(self.nvars))
-
-
-def cmp_monomials(ctx: RingContext, a: Monomial, b: Monomial) -> int:
-    """-1, 0 or +1 as a is below, equal to, or above b; Equal iff a == b."""
-    ctx.check(a)
-    ctx.check(b)
-    if a == b:
-        return 0
-    ka, kb = ctx.order.key(a), ctx.order.key(b)
-    return 1 if ka > kb else -1
 
 
 @lru_cache(maxsize=None)

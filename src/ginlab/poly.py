@@ -10,12 +10,6 @@ from .orders import Monomial, MonomialOrder, RingContext, mul, unit
 
 _F0 = Fraction(0)
 
-GENERAL = "general"
-UPPER_TRIANGULAR = "upper"
-LOWER_TRIANGULAR = "lower"
-UNIPOTENT = "unipotent"
-DIAGONAL = "diagonal"
-
 
 class Polynomial:
     """Map from exponent tuples to nonzero rational coefficients.
@@ -179,26 +173,15 @@ class Polynomial:
         return polynomial_str(self)
 
 
-def leading_term(ctx: RingContext, f: Polynomial) -> tuple[Monomial, Fraction]:
-    """Order-maximal monomial of f and its coefficient; f must be nonzero."""
-    if not f:
-        raise ValueError("leading term of the zero polynomial")
-    for e in f.terms:
-        ctx.check(e)
-        break
-    return f.leading(ctx.order)
-
-
 @dataclass(frozen=True)
 class LinearChange:
     """Invertible substitution x_i -> sum_j matrix[i][j] * x_j.
 
-    The `kind` tag records a matrix shape: the standard Borel for the variable
-    chain x0 > ... > xn is upper triangular, its opposite lower triangular.
+    The standard Borel for the variable chain x0 > ... > xn is upper
+    triangular, its opposite lower triangular; either is read off the matrix.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
-    kind: str = GENERAL
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -208,25 +191,6 @@ class LinearChange:
         object.__setattr__(self, "matrix", mat)
         if linalg.det(mat) == 0:
             raise ValueError("change of variables must be invertible")
-        self._check_kind()
-
-    def _check_kind(self):
-        mat = self.matrix
-        n = len(mat)
-        upper = all(mat[i][j] == 0 for i in range(n) for j in range(i))
-        lower = all(mat[i][j] == 0 for i in range(n) for j in range(i + 1, n))
-        unit_diag = all(mat[i][i] == 1 for i in range(n))
-        ok = {
-            GENERAL: True,
-            UPPER_TRIANGULAR: upper,
-            LOWER_TRIANGULAR: lower,
-            UNIPOTENT: upper and unit_diag,
-            DIAGONAL: upper and lower,
-        }
-        if self.kind not in ok:
-            raise ValueError(f"unknown change-of-variables kind {self.kind!r}")
-        if not ok[self.kind]:
-            raise ValueError(f"matrix shape is inconsistent with kind {self.kind!r}")
 
     @property
     def nvars(self) -> int:
@@ -234,7 +198,7 @@ class LinearChange:
 
     @classmethod
     def identity(cls, nvars: int) -> "LinearChange":
-        return cls(linalg.identity(nvars), DIAGONAL)
+        return cls(linalg.identity(nvars))
 
     def image(self, i: int) -> Polynomial:
         """The polynomial this change substitutes for x_i."""

@@ -21,8 +21,8 @@ from ginlab.gin import (
     weight_vector_for_order,
 )
 from ginlab.grassmann import (
+    SchubertIndex,
     hilbert_point,
-    index_from_positions,
     pluecker_coordinate,
     schubert_cell_index,
 )
@@ -204,11 +204,11 @@ def test_c7_schubert_cell_consistency():
             # everything scanned before it vanished
             first = None
             for pos in combinations(range(len(F.columns)), d):
-                if pluecker_coordinate(F, index_from_positions(F, pos)) != 0:
+                if pluecker_coordinate(F, SchubertIndex(tuple(F.columns[c] for c in pos))) != 0:
                     first = pos
                     break
             assert first is not None
-            assert index_from_positions(F, first) == fast
+            assert SchubertIndex(tuple(F.columns[c] for c in first)) == fast
             total += 1
     assert total >= 200
     print(f"\nACCEPTANCE 7 (Schubert cell vs Pluecker definition): PASS [{total} subspaces]")

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -362,6 +363,21 @@ class TestReports:
         monkeypatch.setattr(cli, "run_hilb_info", fail)
         assert main(["hilb-info", "--n", "2", "--p", "2*m + 1"]) == 4
         assert_one_error_line(capsys)
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        argv = ["hilb-info", "--n", "2", "--p", "2*m + 1"]
+        assert main(argv) == 0
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(argv) == 0 and main(argv) == 0
+        capsys.readouterr()
+        assert built == []
 
     def test_out_in_missing_directory(self, capsys, tmp_path):
         out = tmp_path / "absent" / "report.json"

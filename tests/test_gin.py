@@ -23,14 +23,7 @@ from ginlab.linalg import det
 from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.parsing import parse_polynomial
-from ginlab.poly import (
-    GENERAL,
-    LOWER_TRIANGULAR,
-    UNIPOTENT,
-    LinearChange,
-    Polynomial,
-    apply_change,
-)
+from ginlab.poly import LinearChange, Polynomial, apply_change
 
 from conftest import exhaustive_limit_oracle, oracle_generic_initial_ideal
 
@@ -183,7 +176,7 @@ SECONDARY_INPUTS = [
 def test_secondary_gin_certifies_like_its_input(text, entries):
     rows = [entries[0:3], entries[3:6], entries[6:9]]
     assume(det(rows) != 0)
-    g = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows), GENERAL)
+    g = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows))
     I = Ideal([p(t) for t in text.split(";")])
     sec = secondary_gin(CTX2, I, g)
     assert (sec.certification_degree, sec.hilbert_polynomial) == certification_degree(CTX2, I)
@@ -235,7 +228,7 @@ class TestSecondaryGin:
     def test_unipotent_fixes_borel_monomial_ideal(self):
         M = mono_ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))
         rows = [[1, 3, -2], [0, 1, 5], [0, 0, 1]]
-        g = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows), UNIPOTENT)
+        g = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows))
         sec = secondary_gin(CTX2, ideal_of(M), g)
         assert sec.initial == M
 
@@ -245,21 +238,21 @@ class TestBorelCellPush:
 
     def test_upper_keeps_conic_cell(self):
         rows = [[1, 2, 7], [0, 1, -3], [0, 0, 1]]
-        b = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows), UNIPOTENT)
+        b = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows))
         sec = secondary_gin(CTX2, conic(), b)
         assert sec.initial == mono_ideal(3, (0, 2, 0))
 
     def test_lower_pushes_conic_cell_up(self):
         rows = [[1, 0, 0], [2, 1, 0], [5, -1, 1]]
-        b = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows), LOWER_TRIANGULAR)
+        b = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows))
         sec = secondary_gin(CTX2, conic(), b)
         assert sec.initial == mono_ideal(3, (2, 0, 0))
 
     def test_monomial_span_push(self):
         ctx = RingContext(1, GrevLex())
         f = parse_polynomial("x0*x1", 2)
-        upper = LinearChange(((Fraction(1), Fraction(4)), (Fraction(0), Fraction(1))), UNIPOTENT)
-        lower = LinearChange(((Fraction(1), Fraction(0)), (Fraction(4), Fraction(1))), LOWER_TRIANGULAR)
+        upper = LinearChange(((Fraction(1), Fraction(4)), (Fraction(0), Fraction(1))))
+        lower = LinearChange(((Fraction(1), Fraction(0)), (Fraction(4), Fraction(1))))
         up = subspace_from_polynomials(ctx, 2, [apply_change(ctx, upper, f)])
         down = subspace_from_polynomials(ctx, 2, [apply_change(ctx, lower, f)])
         assert schubert_cell_index(ctx, up).monomials == ((1, 1),)

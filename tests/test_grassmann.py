@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab.families import points_hilbert_point, random_subspace
+from ginlab.families import points_hilbert_point, random_points, random_subspace
 from ginlab.grassmann import (
     ABOVE,
     BELOW,
@@ -15,7 +15,6 @@ from ginlab.grassmann import (
     SchubertIndex,
     compare_indices,
     hilbert_point,
-    index_from_positions,
     index_weight,
     initial_subspace,
     make_index,
@@ -89,6 +88,16 @@ def points_hilbert_point_oracle(ctx, points, m):
 
 
 class TestPointsHilbertPoint:
+    def test_points_are_integers_and_match_fractions(self):
+        rng = random.Random(31)
+        for n, count, m in [(2, 3, 2), (2, 5, 3), (3, 6, 2), (3, 8, 4)]:
+            ctx = RingContext(n, GrevLex())
+            points = random_points(ctx, count, rng, bound=20)
+            assert all(type(c) is int for pt in points for c in pt)
+            as_fractions = [tuple(Fraction(c) for c in pt) for pt in points]
+            F = points_hilbert_point(ctx, points, m)
+            assert F == points_hilbert_point(ctx, as_fractions, m)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_kernel_then_rref(self, data):
@@ -159,6 +168,22 @@ class TestPluecker:
             pluecker_coordinate(F, make_index(CTX2, [(2, 0, 0), (0, 2, 0)]))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_top_coordinate_is_nonzero_iff_pivots_lead(data):
+    # the degeneracy report counts a vanishing top coordinate by its pivots
+    n = data.draw(st.integers(1, 2))
+    m = data.draw(st.integers(1, 3))
+    ctx = RingContext(n, GrevLex())
+    d = data.draw(st.integers(0, ctx.dim(m)))
+    zero_lead = data.draw(st.integers(0, ctx.dim(m)))
+    F = random_subspace(ctx, m, d, random.Random(data.draw(st.integers(0, 10**6))))
+    rows = [[0] * zero_lead + list(row[zero_lead:]) for row in F.matrix]
+    F = subspace_from_vectors(ctx, m, rows)
+    top = pluecker_coordinate(F, max_index(ctx, m, F.d))
+    assert (top != 0) == (F.pivots == tuple(range(F.d)))
+
+
 class TestSchubertCellIndex:
     def test_agrees_with_initial_subspace(self):
         for m in (2, 3, 4):
@@ -185,12 +210,12 @@ class TestSchubertCellIndex:
                 F = random_subspace(ctx, m, d, rng)
                 first = None
                 for pos in combinations(range(len(F.columns)), d):
-                    idx = index_from_positions(F, pos)
+                    idx = SchubertIndex(tuple(F.columns[c] for c in pos))
                     if pluecker_coordinate(F, idx) != 0:
                         first = pos
                         break
                 assert first == F.pivots
-                assert index_from_positions(F, first) == schubert_cell_index(ctx, F)
+                assert idx == schubert_cell_index(ctx, F)
 
 
 class TestBasisInvariance:
