@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from . import linalg
 from .grassmann import SchubertIndex, hilbert_point, index_rank
 from .groebner import Ideal, initial_ideal
 from .hilbert import HilbertPolynomial, binomial_poly, gotzmann_number, hilbert_polynomial
@@ -53,8 +52,10 @@ def random_linear_change(ctx: RingContext, seed: int, bound: int = 100) -> Linea
     nv = ctx.nvars
     while True:
         rows = [[Fraction(rng.randint(-bound, bound)) for _ in range(nv)] for _ in range(nv)]
-        if linalg.det(rows) != 0:
+        try:
             return LinearChange(tuple(tuple(r) for r in rows))
+        except ValueError:  # singular: draw again
+            continue
 
 
 def certification_degree(ctx: RingContext, I: Ideal) -> tuple[int, HilbertPolynomial]:

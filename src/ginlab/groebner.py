@@ -1,9 +1,24 @@
-"""Multivariate division, Buchberger's algorithm, initial ideals, graded pieces."""
+"""Multivariate division, Buchberger's algorithm, initial ideals, graded pieces.
+
+Polynomials carry `Fraction` coefficients at the API, but division and
+Buchberger's algorithm run on Python ints.  A basis element is kept as its
+primitive integer multiple with positive leading coefficient, and division is
+fraction-free: the working polynomial is scaled by lc/gcd(c, lc) instead of
+dividing by lc, as in Bareiss elimination.  The next term to cancel comes off
+a heap of the working polynomial's monomials (Monagan and Pearce, "Sparse
+polynomial division using a heap", 2011) instead of a scan for the maximum.
+Each integer remainder is a positive multiple of the rational one, so the
+pair sequence and the reduced basis are those of rational arithmetic;
+`Fraction` is built only for the monic reduced basis and for `reduce`.
+"""
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
+from operator import mul as times, sub
 
 from . import linalg
 from .monideal import MonomialIdeal, minimalize
@@ -54,68 +69,133 @@ def ideal_of(M: MonomialIdeal) -> Ideal:
 
 def reduce(ctx: RingContext, f: Polynomial, basis) -> Polynomial:
     """Normal form of f: no monomial of the result is divisible by a basis lead."""
-    return _reduce(ctx, f, list(basis))
-
-
-def _reduce(ctx: RingContext, f: Polynomial, basis: list[Polynomial]) -> Polynomial:
+    basis = list(basis)
     if any(not g for g in basis):
         raise ValueError("division by a zero basis element")
-    key = ctx.order.key
-    leads = [g.leading(ctx.order) for g in basis]
-    remainder: dict[Monomial, Fraction] = {}
-    work = dict(f.terms)
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for t, (lm, lc) in enumerate(leads):
+    hkey = _heap_key(ctx)
+    divisors = [_divisor(hkey, _int_terms(g)[0]) for g in basis]
+    if not f:
+        return f
+    ints, scale = _int_terms(f)
+    rem, s = _reduce(hkey, ints, divisors)
+    num, den = scale.numerator, scale.denominator * s
+    return Polynomial._raw({e: Fraction(c * num, den) for e, c in rem.items()})
+
+
+def _int_terms(f: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
+    """A primitive integer polynomial and the scale that maps it back to f."""
+    ints, scale = linalg.primitive_int_row(tuple(f.terms.values()), len(f.terms))
+    return dict(zip(f.terms, ints)), scale
+
+
+def _divisor(hkey, f: dict[Monomial, int]):
+    """(lm, lc, tail) of the primitive multiple of f with lc > 0; the tail descends."""
+    terms = sorted(f.items(), key=lambda t: hkey(t[0]))
+    g = gcd(*f.values())
+    if terms[0][1] < 0:
+        g = -g
+    if g != 1:
+        terms = [(e, c // g) for e, c in terms]
+    (lm, lc), *tail = terms
+    return lm, lc, tail
+
+
+def _s_polynomial(fi, fj, l: Monomial) -> dict[Monomial, int]:
+    """(c_j/h) x^(l-l_i) f_i - (c_i/h) x^(l-l_j) f_j with h = gcd(c_i, c_j); leads cancel."""
+    (li, ci, ti), (lj, cj, tj) = fi, fj
+    h = gcd(ci, cj)
+    a, b = cj // h, ci // h
+    ui, uj = div(l, li), div(l, lj)
+    out = {mul(ui, e): a * c for e, c in ti}
+    for e, c in tj:
+        mm = mul(uj, e)
+        v = out.get(mm, 0) - b * c
+        if v:
+            out[mm] = v
+        else:
+            del out[mm]
+    return out
+
+
+def _heap_key(ctx: RingContext):
+    """Key whose smallest value is the largest monomial under ctx.order."""
+    rows = ctx.order.rows(ctx.nvars)
+    if any(len(row) != ctx.nvars for row in rows):
+        raise ValueError("monomial order does not match the number of variables")
+
+    @lru_cache(maxsize=None)
+    def key(m: Monomial) -> tuple[int, ...]:
+        return tuple([-sum(map(times, row, m)) for row in rows])
+
+    return key
+
+
+def _reduce(hkey, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, int], int]:
+    """Fraction-free division of an integer polynomial by (lm, lc, tail) divisors with lc > 0.
+
+    Returns (r, s) with s > 0 and s * work = r modulo the divisors, where no
+    monomial of r is divisible by a lead.  The top term c * x^m, taken from a
+    heap of the work's monomials, is cancelled by the first divisor whose lead
+    divides x^m: with h = gcd(c, lc) the work and the remainder are scaled by
+    lc/h, and (c/h) * x^(m - lm) * tail is subtracted.  Each step keeps work
+    and remainder s times their rational counterparts, so r / s is the
+    remainder of rational division.  Remainder terms are written in
+    descending order, each with the scale in force when it was written.
+    """
+    work = dict(work)
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
+    rem: list[tuple[Monomial, int, int]] = []
+    s = 1
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for lm, lc, tail in divisors:
             if divides(lm, m):
-                u = div(m, lm)
-                q = c / lc
-                for e2, c2 in basis[t].terms.items():
-                    if e2 == lm:
-                        continue
+                u = tuple(map(sub, m, lm))
+                h = gcd(c, lc)
+                a = lc // h
+                if a != 1:
+                    s *= a
+                    work = {e: v * a for e, v in work.items()}
+                b = c // h
+                for e2, c2 in tail:
                     mm = mul(u, e2)
-                    v = work.get(mm, _F0) - q * c2
-                    if v:
-                        work[mm] = v
-                    elif mm in work:
-                        del work[mm]
+                    v = work.get(mm)
+                    if v is None:
+                        work[mm] = -b * c2
+                        heapq.heappush(heap, (hkey(mm), mm))
+                    else:
+                        v -= b * c2
+                        if v:
+                            work[mm] = v
+                        else:
+                            del work[mm]
                 break
         else:
-            remainder[m] = c
-    return Polynomial._raw(remainder)
-
-
-def s_polynomial(ctx: RingContext, f: Polynomial, g: Polynomial) -> Polynomial:
-    mf, cf = f.leading(ctx.order)
-    mg, cg = g.leading(ctx.order)
-    l = lcm(mf, mg)
-    return f.mul_term(div(l, mf), 1 / cf) + g.mul_term(div(l, mg), -1 / cg)
-
-
-def _normalized(ctx: RingContext, f: Polynomial) -> Polynomial:
-    f = f.primitive()
-    if f.leading(ctx.order)[1] < 0:
-        f = -f
-    return f
+            rem.append((m, c, s))
+    return {m: c * (s // sm) for m, c, sm in rem}, s
 
 
 def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
     key = ctx.order.key
-    basis: list[Polynomial] = []
+    hkey = _heap_key(ctx)
+    divisors: list = []
     for g in generators:
         if not g:
             continue
-        h = _reduce(ctx, g, basis)
+        h, _ = _reduce(hkey, _int_terms(g)[0], divisors)
         if h:
-            basis.append(_normalized(ctx, h))
-    if not basis:
+            divisors.append(_divisor(hkey, h))
+    if not divisors:
         return ()
-    nv = basis[0].nvars()
-    if any(g.is_constant() for g in basis):
+    nv = ctx.nvars
+    if any(sum(lm) == 0 for lm, _, _ in divisors):
         return (Polynomial.constant(nv, 1),)
 
-    leads = [g.leading(ctx.order)[0] for g in basis]
+    leads = [lm for lm, _, _ in divisors]
     heap: list = []
 
     def push_pairs(j: int):
@@ -124,7 +204,7 @@ def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
             l = lcm(leads[i], lj)
             heapq.heappush(heap, (sum(l), key(l), i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(divisors)):
         push_pairs(j)
 
     done: set[tuple[int, int]] = set()
@@ -137,7 +217,7 @@ def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
         l = lcm(li, lj)
         # chain criterion: both flanking pairs already handled
         skip = False
-        for k in range(len(basis)):
+        for k in range(len(divisors)):
             if k in (i, j) or not divides(leads[k], l):
                 continue
             p1 = (i, k) if i < k else (k, i)
@@ -147,27 +227,28 @@ def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
                 break
         if skip:
             continue
-        s = s_polynomial(ctx, basis[i], basis[j])
-        h = _reduce(ctx, s, basis)
+        h, _ = _reduce(hkey, _s_polynomial(divisors[i], divisors[j], l), divisors)
         if not h:
             continue
-        h = _normalized(ctx, h)
-        if h.is_constant():
+        d = _divisor(hkey, h)
+        if sum(d[0]) == 0:
             return (Polynomial.constant(nv, 1),)
-        basis.append(h)
-        leads.append(h.leading(ctx.order)[0])
-        push_pairs(len(basis) - 1)
+        divisors.append(d)
+        leads.append(d[0])
+        push_pairs(len(divisors) - 1)
 
     # drop elements whose lead is divisible by another lead; of equal leads
     # the first is kept, since list.index finds the first
     keep = sorted(leads.index(u) for u in minimalize(leads))
     reduced = []
     for i in keep:
-        others = [basis[j] for j in keep if j != i]
-        h = _reduce(ctx, basis[i], others) if others else basis[i]
-        reduced.append(h.monic(ctx.order))
-    reduced.sort(key=lambda g: key(g.leading(ctx.order)[0]), reverse=True)
-    return tuple(reduced)
+        lm, lc, tail = divisors[i]
+        others = [divisors[j] for j in keep if j != i]
+        h, _ = _reduce(hkey, {lm: lc, **dict(tail)}, others)
+        lc = h[lm]
+        reduced.append((key(lm), Polynomial._raw({e: Fraction(c, lc) for e, c in h.items()})))
+    reduced.sort(key=lambda t: t[0], reverse=True)
+    return tuple(g for _, g in reduced)
 
 
 def buchberger(ctx: RingContext, I: Ideal) -> tuple[Polynomial, ...]:

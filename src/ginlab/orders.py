@@ -14,17 +14,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import add, le
 
 Monomial = tuple[int, ...]
 
 
 def mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def div(a: Monomial, b: Monomial) -> Monomial:

@@ -1,12 +1,18 @@
-"""Sparse multivariate polynomials over Q and linear changes of variables."""
+"""Sparse multivariate polynomials over Q and linear changes of variables.
+
+A `Polynomial` maps exponent tuples to `Fraction` coefficients.
+`apply_change` clears the denominators of the matrix and of the polynomial
+and expands on Python ints; it builds a `Fraction` only for its result.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .orders import Monomial, MonomialOrder, RingContext, mul, unit
+from .orders import Monomial, MonomialOrder, RingContext, mul, unit, variable
 
 _F0 = Fraction(0)
 
@@ -124,13 +130,6 @@ class Polynomial:
             k >>= 1
         return result
 
-    def mul_term(self, e: Monomial, c) -> "Polynomial":
-        """Multiply by the single term c * x^e."""
-        c = Fraction(c)
-        if not c:
-            return Polynomial.zero()
-        return Polynomial._raw({mul(e0, e): c0 * c for e0, c0 in self.terms.items()})
-
     def degree(self) -> int:
         if not self.terms:
             raise ValueError("degree of the zero polynomial")
@@ -200,13 +199,6 @@ class LinearChange:
     def identity(cls, nvars: int) -> "LinearChange":
         return cls(linalg.identity(nvars))
 
-    def image(self, i: int) -> Polynomial:
-        """The polynomial this change substitutes for x_i."""
-        row = self.matrix[i]
-        nv = self.nvars
-        return Polynomial({tuple(1 if j == k else 0 for j in range(nv)): c
-                           for k, c in enumerate(row) if c})
-
 
 def compose(g: LinearChange, h: LinearChange) -> LinearChange:
     """Change with apply_change(compose(g, h), f) == apply_change(g, apply_change(h, f))."""
@@ -216,31 +208,56 @@ def compose(g: LinearChange, h: LinearChange) -> LinearChange:
 
 
 def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial) -> Polynomial:
-    """Substitute g into f and expand; degree is preserved on homogeneous input."""
+    """Substitute g into f and expand; degree is preserved on homogeneous input.
+
+    The expansion runs on integers: with D the common denominator of the
+    matrix, x_i maps to y_i / D where y_i has integer coefficients, and with F
+    the common denominator of f, F * f has integer coefficients.  The product
+    y^e is built one factor at a time and cached for every prefix
+    (e_0, ..., e_k) of e, so terms of f share their common factors.  A term of
+    degree k is scaled by D^(top - k) for the top degree of f, so every term
+    is D^top times its true value; one division by F * D^top at the end gives
+    the result.
+    """
     nv = ctx.nvars
     if g.nvars != nv:
         raise ValueError("change of variables does not match the ring context")
-    images = [g.image(i) for i in range(nv)]
-    powers: dict[tuple[int, int], Polynomial] = {}
+    if not f:
+        return f
+    D = math.lcm(*(x.denominator for row in g.matrix for x in row))
+    images = [
+        {variable(nv, j): x.numerator * (D // x.denominator) for j, x in enumerate(row) if x}
+        for row in g.matrix
+    ]
+    products: dict[Monomial, dict[Monomial, int]] = {(): {unit(nv): 1}}
 
-    def power(i: int, e: int) -> Polynomial:
-        p = powers.get((i, e))
+    def product(e: Monomial) -> dict[Monomial, int]:
+        """y_0^e_0 * ... * y_k^e_k for a prefix e of length k + 1."""
+        p = products.get(e)
         if p is None:
-            p = images[i] if e == 1 else power(i, e - 1) * images[i]
-            powers[(i, e)] = p
+            if e[-1]:
+                p = _int_product(product(e[:-1] + (e[-1] - 1,)), images[len(e) - 1])
+            else:
+                p = product(e[:-1])
+            products[e] = p
         return p
 
-    out = Polynomial.zero()
+    F = math.lcm(*(c.denominator for c in f.terms.values()))
+    top = f.degree()
+    out: dict[Monomial, int] = {}
     for exps, c in f.terms.items():
         ctx.check(exps)
-        term = None
-        for i, ei in enumerate(exps):
-            if ei:
-                p = power(i, ei)
-                term = p if term is None else term * p
-        if term is None:
-            term = Polynomial.constant(nv, c)
-        else:
-            term = term * c
-        out = out + term
+        c = c.numerator * (F // c.denominator) * D ** (top - sum(exps))
+        for e, v in product(exps).items():
+            out[e] = out.get(e, 0) + c * v
+    den = F * D**top
+    return Polynomial._raw({e: Fraction(v, den) for e, v in out.items() if v})
+
+
+def _int_product(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
+    out: dict[Monomial, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = mul(e1, e2)
+            out[e] = out.get(e, 0) + c1 * c2
     return out

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ginlab import cli, hilbert
+from ginlab import cli, hilbert, linalg
 from ginlab.cli import main
 
 
@@ -104,6 +104,22 @@ class TestGinCommand:
 
     def test_weight_order_wrong_length(self, capsys):
         assert main(["gin", "--n", "2", "--order", "weight:1,1", "--ideal", "x0^2"]) == 2
+
+    def test_one_determinant_per_trial(self, capsys, monkeypatch):
+        # each sampled change is tested for invertibility once, by LinearChange
+        calls = []
+        real = linalg.det
+
+        def counted(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "det", counted)
+        code, report = run_json(
+            capsys, "gin", "--n", "3", "--ideal", "x0*x2 - x1^2; x1*x3 - x2^2", "--trials", "3"
+        )
+        assert code == 0 and report["borel_fixed"] is True
+        assert calls == [4, 4, 4]
 
 
 class TestStrataCommand:

@@ -1,10 +1,12 @@
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ginlab import groebner
 from ginlab.families import twisted_cubic_ideal
 from ginlab.groebner import (
     Ideal,
@@ -15,8 +17,18 @@ from ginlab.groebner import (
     initial_ideal,
     reduce,
 )
-from ginlab.monideal import MonomialIdeal, colon_by_variable, intersect, saturate
-from ginlab.orders import GrevLex, Lex, RingContext, WeightOrder, div, divides, mul
+from ginlab.monideal import MonomialIdeal, colon_by_variable, intersect, minimalize, saturate
+from ginlab.orders import (
+    GrevLex,
+    Lex,
+    RingContext,
+    WeightOrder,
+    coprime,
+    div,
+    divides,
+    lcm,
+    mul,
+)
 from ginlab.parsing import parse_polynomial
 from ginlab.poly import Polynomial
 
@@ -57,6 +69,92 @@ def divide_with_quotients(ctx, f, basis):
         else:
             remainder[m] = c
     return Polynomial(remainder), [Polynomial(q) for q in quotients]
+
+
+def fraction_buchberger(ctx, generators):
+    """Buchberger's algorithm in `Fraction` arithmetic, kept as the oracle of `buchberger`.
+
+    Same pair heap, coprime and chain criteria, normalization and final
+    interreduction as the integer kernel; division is `divide_with_quotients`.
+    """
+    key = ctx.order.key
+
+    def reduce_(f, basis):
+        return divide_with_quotients(ctx, f, basis)[0]
+
+    def s_polynomial(f, g):
+        mf, cf = f.leading(ctx.order)
+        mg, cg = g.leading(ctx.order)
+        l = lcm(mf, mg)
+        return f * Polynomial.monomial(div(l, mf), 1 / cf) - g * Polynomial.monomial(
+            div(l, mg), 1 / cg
+        )
+
+    def normalized(f):
+        f = f.primitive()
+        return -f if f.leading(ctx.order)[1] < 0 else f
+
+    basis = []
+    for g in generators:
+        if not g:
+            continue
+        h = reduce_(g, basis)
+        if h:
+            basis.append(normalized(h))
+    if not basis:
+        return ()
+    nv = basis[0].nvars()
+    if any(g.is_constant() for g in basis):
+        return (Polynomial.constant(nv, 1),)
+
+    leads = [g.leading(ctx.order)[0] for g in basis]
+    heap = []
+
+    def push_pairs(j):
+        for i in range(j):
+            l = lcm(leads[i], leads[j])
+            heapq.heappush(heap, (sum(l), key(l), i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+
+    done = set()
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        done.add((i, j))
+        li, lj = leads[i], leads[j]
+        if coprime(li, lj):
+            continue
+        l = lcm(li, lj)
+        skip = False
+        for k in range(len(basis)):
+            if k in (i, j) or not divides(leads[k], l):
+                continue
+            p1 = (i, k) if i < k else (k, i)
+            p2 = (j, k) if j < k else (k, j)
+            if p1 in done and p2 in done:
+                skip = True
+                break
+        if skip:
+            continue
+        h = reduce_(s_polynomial(basis[i], basis[j]), basis)
+        if not h:
+            continue
+        h = normalized(h)
+        if h.is_constant():
+            return (Polynomial.constant(nv, 1),)
+        basis.append(h)
+        leads.append(h.leading(ctx.order)[0])
+        push_pairs(len(basis) - 1)
+
+    keep = sorted(leads.index(u) for u in minimalize(leads))
+    reduced = []
+    for i in keep:
+        others = [basis[j] for j in keep if j != i]
+        h = reduce_(basis[i], others) if others else basis[i]
+        reduced.append(h.monic(ctx.order))
+    reduced.sort(key=lambda g: key(g.leading(ctx.order)[0]), reverse=True)
+    return tuple(reduced)
 
 
 def mono_ideal(nvars, *gens):
@@ -109,10 +207,18 @@ class TestReduce:
         with pytest.raises(ValueError):
             reduce(CTX2, p("x0"), [Polynomial.zero()])
 
+    def test_order_of_the_wrong_length_rejected(self):
+        ctx = RingContext(2, WeightOrder((1, 2)))
+        with pytest.raises(ValueError):
+            reduce(ctx, p("x0*x1 + x2^2"), [p("x0 - x2")])
+
 
 def polynomials(nvars, max_terms):
     exponents = st.tuples(*[st.integers(0, 3)] * nvars)
-    return st.dictionaries(exponents, st.integers(-6, 6), max_size=max_terms).map(Polynomial)
+    coefficients = st.one_of(
+        st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=9)
+    )
+    return st.dictionaries(exponents, coefficients, max_size=max_terms).map(Polynomial)
 
 
 @st.composite
@@ -222,6 +328,47 @@ class TestBuchberger:
     def test_unit_ideal(self):
         gb = buchberger(CTX2, Ideal([p("x0 + 1"), p("x0")]))
         assert gb == (Polynomial.constant(3, 1),)
+
+
+def test_divisors_are_primitive_with_positive_lead():
+    # basis elements are kept as primitive integer polynomials, lead first
+    hkey = groebner._heap_key(CTX2)
+    divisor = groebner._divisor(hkey, {(0, 0, 2): 10, (1, 0, 1): 4, (0, 2, 0): -6})
+    assert divisor == ((0, 2, 0), 3, [((1, 0, 1), -2), ((0, 0, 2), -5)])
+
+
+@st.composite
+def generator_sets(draw):
+    """Small ideals in 2-4 variables: homogeneous or not, rational coefficients of both signs."""
+    nvars = draw(st.integers(2, 4))
+    weights = tuple(draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)))
+    order = draw(st.sampled_from(
+        [Lex(), GrevLex(), WeightOrder(weights), WeightOrder(weights, Lex())]
+    ))
+    coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+    # with normal pair selection either kernel can run for minutes on a random
+    # zero-dimensional ideal (four quadrics in four variables under lex, three
+    # non-homogeneous cubics in three), so draws stay below those sizes
+    ring = RingContext(nvars - 1)
+    if draw(st.booleans()):
+        exponents = st.sampled_from(ring.monomials(draw(st.integers(1, 3))))
+    else:
+        exponents = st.sampled_from([e for d in range(3) for e in ring.monomials(d)])
+    terms = st.dictionaries(exponents, coefficients, min_size=1, max_size=3)
+    gens = draw(st.lists(terms.map(Polynomial), min_size=1, max_size=min(nvars, 3)))
+    return RingContext(nvars - 1, order), gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+@example((CTX2, []))  # the zero ideal
+@example((CTX2_LEX, [p("3/2*x0 + 1"), p("-2*x0")]))  # the unit ideal
+@example((CTX3, [p("x1^2 - 1/2*x0*x2", 4), p("-3/7*x1*x2 + x0*x3", 4), p("x2^2 - x1*x3", 4)]))
+def test_buchberger_matches_fraction_oracle(problem):
+    ctx, gens = problem
+    gb = buchberger(ctx, Ideal(gens))
+    assert gb == fraction_buchberger(ctx, gens)
+    assert all(type(c) is Fraction for g in gb for c in g.terms.values())
 
 
 class TestInitialIdeal:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ginlab.orders import GrevLex, Lex, RingContext
@@ -130,6 +130,52 @@ def test_borel_expansion_keeps_leading_monomial():
             lead, coeff = out.leading(ctx.order)
             assert lead == e
             assert coeff != 0
+
+
+def fraction_apply_change(ctx, g, f):
+    """Substitution in `Fraction` arithmetic, kept as the oracle of `apply_change`."""
+    nv = ctx.nvars
+    images = [
+        Polynomial({tuple(int(j == k) for j in range(nv)): c for k, c in enumerate(row)})
+        for row in g.matrix
+    ]
+    out = Polynomial.zero()
+    for exps, c in f.terms.items():
+        term = Polynomial.constant(nv, c)
+        for i, ei in enumerate(exps):
+            term = term * images[i] ** ei
+        out = out + term
+    return out
+
+
+@st.composite
+def changes_and_polynomials(draw):
+    nv = draw(st.integers(2, 4))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=8)
+    rows = draw(st.lists(st.lists(entries, min_size=nv, max_size=nv), min_size=nv, max_size=nv))
+    try:
+        g = LinearChange(tuple(tuple(r) for r in rows))
+    except ValueError:
+        assume(False)
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * nv), entries, max_size=5
+    ))
+    terms[(0,) * nv] = draw(entries.filter(bool))  # a constant term
+    return RingContext(nv - 1, GrevLex()), g, Polynomial(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(changes_and_polynomials())
+@example((
+    RingContext(2, GrevLex()),
+    LinearChange(((Fraction(1, 2), 1, 0), (0, Fraction(-3, 7), 1), (1, 0, 2))),
+    p("1/3*x0^2*x1 - 5/2*x2 + 7/4"),
+))
+def test_apply_change_matches_fraction_oracle(problem):
+    ctx, g, f = problem
+    out = apply_change(ctx, g, f)
+    assert out == fraction_apply_change(ctx, g, f)
+    assert all(type(c) is Fraction for c in out.terms.values())
 
 
 def test_linear_change_validation():
