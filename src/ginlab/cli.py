@@ -425,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilb-info", help="admissibility and lex ideal of a Hilbert polynomial")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", required=True, help="e.g. '2*m + 1' or 'C(m+2,2) - C(m,2)'")
-    p.add_argument("--order", default="grevlex")
     p.add_argument("--out")
 
     return parser
@@ -462,7 +461,7 @@ def main(argv=None) -> int:
                 d=args.d, count=args.count, bound=args.bound,
             )
         elif args.command == "hilb-info":
-            ctx = RingContext(args.n, parse_order(args.order, args.n + 1))
+            ctx = RingContext(args.n, GrevLex())
             P = parse_hilbert_polynomial(args.p)
             report, code = run_hilb_info(ctx, P, args.p)
         else:  # pragma: no cover - argparse enforces the choices

@@ -1,7 +1,7 @@
 """Generic initial ideals, Borel fixedness, weight vectors, torus-limit checks.
 
 A secondary gin is in(g·I) for one change g, with its Schubert index at the
-certification degree; it is certified on the reduced basis of g·I alone.
+certification degree; it is certified on its own Groebner basis of g·I.
 The generic initial ideal is the lex-maximal of `trials` secondary gins
 under seeded random changes, and carries their common Hilbert polynomial.
 """
@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 from .grassmann import SchubertIndex, hilbert_point, index_rank
 from .groebner import Ideal, initial_ideal
-from .hilbert import HilbertPolynomial, binomial_poly, gotzmann_number, hilbert_polynomial
+from .hilbert import HilbertPolynomial, binomial_poly, gotzmann_number
+from .hilbert import hilbert_polynomial_of_monomial_ideal
 from .monideal import MonomialIdeal, saturate
 from .orders import RingContext
 from .poly import LinearChange, apply_change
@@ -58,29 +59,32 @@ def random_linear_change(ctx: RingContext, seed: int, bound: int = 100) -> Linea
             continue
 
 
-def certification_degree(ctx: RingContext, I: Ideal) -> tuple[int, HilbertPolynomial]:
-    """Degree at which the Schubert index pins down the saturated initial ideal.
-
-    The Gotzmann number suffices for saturated inputs; taking the max with the
-    generator degrees guards inputs that are not saturated.
-    """
-    P = hilbert_polynomial(ctx, I)
-    return max(gotzmann_number(P), I.max_degree()), P
-
-
 def index_at_degree(ctx: RingContext, M: MonomialIdeal, m: int) -> SchubertIndex:
     """Schubert index of the degree-m slice of a monomial ideal."""
     return SchubertIndex(M.graded_monomials(ctx, m))
 
 
-def certified_initial_ideal(ctx: RingContext, J: Ideal) -> SecondaryGin:
-    """in(J), the certification degree m of J and the index of in(J) at m.
+def _certify(ctx: RingContext, J: Ideal) -> tuple[MonomialIdeal, int, HilbertPolynomial]:
+    """in(J) from one Groebner basis, P of S/J from in(J), and m from P.
 
-    Everything is read from the reduced basis of J, which is cached on J, so
-    a trial runs Buchberger once.
+    The Gotzmann number suffices for saturated inputs; taking the max with the
+    generator degrees guards inputs that are not saturated.
     """
+    if not J.homogeneous:
+        raise ValueError("Hilbert polynomials require a homogeneous ideal")
     inJ = initial_ideal(ctx, J)
-    m, P = certification_degree(ctx, J)
+    P = hilbert_polynomial_of_monomial_ideal(ctx, inJ)
+    return inJ, max(gotzmann_number(P), J.max_degree()), P
+
+
+def certification_degree(ctx: RingContext, I: Ideal) -> tuple[int, HilbertPolynomial]:
+    """Degree at which the Schubert index pins down the saturated initial ideal, and P."""
+    return _certify(ctx, I)[1:]
+
+
+def certified_initial_ideal(ctx: RingContext, J: Ideal) -> SecondaryGin:
+    """in(J), the certification degree m of J and the index of in(J) at m."""
+    inJ, m, P = _certify(ctx, J)
     return SecondaryGin(index_at_degree(ctx, inJ, m), inJ, m, P)
 
 
@@ -104,8 +108,8 @@ def generic_initial_ideal(
 ) -> GinResult:
     """The lex-maximal of `trials` secondary gins under seeded random changes.
 
-    Each trial is certified on its own basis; the reported result is the
-    first trial whose Schubert index at the certification degree is
+    Each trial is certified on its own Groebner basis; the reported result is
+    the first trial whose Schubert index at the certification degree is
     lex-maximal, and `stable` records whether all trials agreed.  A sampled
     index can only fall below the generic one, never above it, so the maximal
     observed index is the generic index up to sampling failure.

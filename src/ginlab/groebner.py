@@ -8,7 +8,8 @@ dividing by lc, as in Bareiss elimination.  The next term to cancel comes off
 a heap of the working polynomial's monomials (Monagan and Pearce, "Sparse
 polynomial division using a heap", 2011) instead of a scan for the maximum.
 Each integer remainder is a positive multiple of the rational one, so the
-pair sequence and the reduced basis are those of rational arithmetic;
+pair sequence and the reduced basis are those of rational arithmetic.
+`initial_ideal` reads the minimal leads of the unreduced integer basis, and
 `Fraction` is built only for the monic reduced basis and for `reduce`.
 """
 
@@ -22,16 +23,16 @@ from operator import mul as times, sub
 
 from . import linalg
 from .monideal import MonomialIdeal, minimalize
-from .orders import Monomial, RingContext, coprime, div, divides, lcm, mul
+from .orders import Monomial, RingContext, coprime, div, divides, lcm, mul, unit
 from .poly import Polynomial
 
 _F0 = Fraction(0)
 
 
 class Ideal:
-    """Homogeneous-or-not ideal with a per-order cache of reduced Groebner bases."""
+    """An immutable ideal given by its nonzero generators, homogeneous or not."""
 
-    __slots__ = ("generators", "homogeneous", "_gb")
+    __slots__ = ("generators", "homogeneous")
 
     def __init__(self, generators):
         gens = tuple(g for g in generators if g)
@@ -40,7 +41,6 @@ class Ideal:
             raise ValueError("generators live in different rings")
         self.generators = gens
         self.homogeneous = all(g.is_homogeneous() for g in gens)
-        self._gb: dict = {}
 
     def nvars(self) -> int | None:
         return self.generators[0].nvars() if self.generators else None
@@ -50,13 +50,6 @@ class Ideal:
 
     def max_degree(self) -> int:
         return max((g.degree() for g in self.generators), default=0)
-
-    def groebner_basis(self, ctx: RingContext) -> tuple[Polynomial, ...]:
-        cached = self._gb.get(ctx.order)
-        if cached is None:
-            cached = _buchberger(ctx, self.generators)
-            self._gb[ctx.order] = cached
-        return cached
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(g) for g in self.generators)
@@ -179,7 +172,11 @@ def _reduce(hkey, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, i
     return {m: c * (s // sm) for m, c, sm in rem}, s
 
 
-def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
+def _buchberger(ctx: RingContext, generators) -> list:
+    """A Groebner basis of the generators as (lm, lc, tail) divisors, not reduced.
+
+    [] for the zero ideal and [(unit, 1, [])] for the unit ideal.
+    """
     key = ctx.order.key
     hkey = _heap_key(ctx)
     divisors: list = []
@@ -189,11 +186,9 @@ def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
         h, _ = _reduce(hkey, _int_terms(g)[0], divisors)
         if h:
             divisors.append(_divisor(hkey, h))
-    if not divisors:
-        return ()
-    nv = ctx.nvars
+    unit_basis = [(unit(ctx.nvars), 1, [])]
     if any(sum(lm) == 0 for lm, _, _ in divisors):
-        return (Polynomial.constant(nv, 1),)
+        return unit_basis
 
     leads = [lm for lm, _, _ in divisors]
     heap: list = []
@@ -232,13 +227,20 @@ def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
             continue
         d = _divisor(hkey, h)
         if sum(d[0]) == 0:
-            return (Polynomial.constant(nv, 1),)
+            return unit_basis
         divisors.append(d)
         leads.append(d[0])
         push_pairs(len(divisors) - 1)
+    return divisors
 
+
+def buchberger(ctx: RingContext, I: Ideal) -> tuple[Polynomial, ...]:
+    """The unique reduced Groebner basis of I for ctx.order, leads descending."""
+    divisors = _buchberger(ctx, I.generators)
+    key, hkey = ctx.order.key, _heap_key(ctx)
     # drop elements whose lead is divisible by another lead; of equal leads
     # the first is kept, since list.index finds the first
+    leads = [lm for lm, _, _ in divisors]
     keep = sorted(leads.index(u) for u in minimalize(leads))
     reduced = []
     for i in keep:
@@ -251,16 +253,9 @@ def _buchberger(ctx: RingContext, generators) -> tuple[Polynomial, ...]:
     return tuple(g for _, g in reduced)
 
 
-def buchberger(ctx: RingContext, I: Ideal) -> tuple[Polynomial, ...]:
-    """The unique reduced Groebner basis of I for ctx.order (cached on I)."""
-    return I.groebner_basis(ctx)
-
-
 def initial_ideal(ctx: RingContext, I: Ideal) -> MonomialIdeal:
-    """Monomial ideal of leading terms; generators come from the reduced basis."""
-    # the leads of a reduced basis are already minimal
-    gb = buchberger(ctx, I)
-    return MonomialIdeal(ctx.nvars, frozenset(g.leading(ctx.order)[0] for g in gb))
+    """Monomial ideal of leading terms: the minimal leads of any Groebner basis of I."""
+    return MonomialIdeal(ctx.nvars, minimalize(lm for lm, _, _ in _buchberger(ctx, I.generators)))
 
 
 def coefficient_rows(ctx: RingContext, m: int, shifted) -> list[list[Fraction]]:

@@ -324,6 +324,12 @@ class TestHilbInfoCommand:
     def test_needs_more_variables(self, capsys):
         assert main(["hilb-info", "--n", "1", "--p", "2*m + 1"]) == 2
 
+    def test_takes_no_order(self, capsys):
+        # L(P) is one monomial ideal whatever the order, so hilb-info has no --order
+        with pytest.raises(SystemExit) as exc:
+            main(["hilb-info", "--n", "2", "--p", "2*m + 1", "--order", "lex"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize(
         "n, text, lex_ideal",
         [("2", "2000", ["x0", "x1^2000"]), ("3", "6000", ["x0", "x1", "x2^6000"])],

@@ -8,6 +8,7 @@ from ginlab.families import twisted_cubic_ideal
 from ginlab.gin import (
     WeightVector,
     certification_degree,
+    certified_initial_ideal,
     generic_initial_ideal,
     is_borel_fixed,
     one_ps_limit_check,
@@ -118,6 +119,13 @@ class TestGenericInitialIdeal:
         with pytest.raises(ValueError):
             generic_initial_ideal(CTX2, Ideal([p("x0 + 1")]), trials=2, seed=0)
 
+    def test_certification_requires_homogeneous(self):
+        I = Ideal([p("x0 + 1")])
+        with pytest.raises(ValueError, match="homogeneous"):
+            certified_initial_ideal(CTX2, I)
+        with pytest.raises(ValueError, match="homogeneous"):
+            certification_degree(CTX2, I)
+
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
             generic_initial_ideal(CTX2, conic(), trials=1, seed=0)
@@ -147,15 +155,26 @@ def test_gin_matches_oracle_on_corpus(corpus, bound):
 
 def test_gin_runs_buchberger_once_per_trial(monkeypatch):
     calls = []
+    reduced = []
     real = groebner._buchberger
+    real_reduced = groebner.buchberger
 
     def counted(ctx, generators):
         calls.append(ctx)
         return real(ctx, generators)
 
+    def counted_reduced(ctx, I):
+        reduced.append(ctx)
+        return real_reduced(ctx, I)
+
     monkeypatch.setattr(groebner, "_buchberger", counted)
+    monkeypatch.setattr(groebner, "buchberger", counted_reduced)
     generic_initial_ideal(CTX3, twisted_cubic_ideal(), trials=3, seed=5)
     assert len(calls) == 3
+    # a trial reads in(J) off the unreduced basis: no reduced basis is built
+    assert reduced == []
+    # and an ideal is a plain value with no per-order basis cache
+    assert Ideal.__slots__ == ("generators", "homogeneous")
 
 
 SECONDARY_INPUTS = [

@@ -369,6 +369,9 @@ def test_buchberger_matches_fraction_oracle(problem):
     gb = buchberger(ctx, Ideal(gens))
     assert gb == fraction_buchberger(ctx, gens)
     assert all(type(c) is Fraction for g in gb for c in g.terms.values())
+    # in(J) read off the unreduced basis has the leads of the reduced one
+    leads = frozenset(g.leading(ctx.order)[0] for g in gb)
+    assert initial_ideal(ctx, Ideal(gens)).min_gens == leads
 
 
 class TestInitialIdeal:
