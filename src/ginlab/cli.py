@@ -6,6 +6,10 @@ parse or validation problems and for unreadable input or unwritable output
 files, 3 when an internal property check fails, 4 when the computation runs
 out of resources (`MemoryError`, `RecursionError`) or raises another
 `RuntimeError`.  Every error exit prints one `error:` line on stderr.
+
+`degeneracy` reads each sample's top Plücker coordinate without a canonical
+matrix: off lm(f) * S_(m-d) for a hypersurface f, and off one count x count
+minor of the evaluation matrix for a set of points.
 """
 
 from __future__ import annotations
@@ -16,18 +20,14 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
+from math import prod
 from pathlib import Path
 
-from .families import (
-    derive_seed,
-    points_hilbert_point,
-    random_form,
-    random_ideal,
-    random_points,
-)
+from . import linalg
+from .families import derive_seed, random_form, random_ideal, random_points
 from .gin import certified_initial_ideal, generic_initial_ideal, is_borel_fixed
-from .grassmann import SchubertIndex, hilbert_point, index_rank, max_index, pluecker_coordinate
-from .groebner import Ideal
+from .grassmann import index_rank
+from .groebner import Ideal, coefficient_rows
 from .hilbert import (
     HilbertPolynomial,
     NotAdmissible,
@@ -39,7 +39,7 @@ from .hilbert import (
     revlex_lemma_check,
 )
 from .monideal import MonomialIdeal
-from .orders import GrevLex, Lex, MonomialOrder, RingContext, WeightOrder
+from .orders import GrevLex, Lex, MonomialOrder, RingContext, WeightOrder, mul
 from .parsing import ParseError, monomial_str, parse_generators, polynomial_str
 
 SCHEMA = 1
@@ -185,8 +185,8 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
 
 
 def run_revlex_lemma(n: int, m_max: int, l_max: int):
-    if n > 4 or m_max > 6:
-        raise CliError("enumeration guard: require n <= 4 and m_max <= 6")
+    if n > 4 or m_max > 6 or l_max > 6:
+        raise CliError("enumeration guard: require n <= 4, m_max <= 6 and l_max <= 6")
     if n < 1 or m_max < 0 or l_max < 0:
         raise CliError("n must be >= 1 and the bounds nonnegative")
     ctx = RingContext(n, GrevLex())
@@ -235,37 +235,50 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
     dim_expected = ctx.dim(m) - int(value)
     if dim_expected < 0 or dim_expected > ctx.dim(m):
         raise CliError(f"no subspace of codimension P({m}) in degree {m}")
-    alpha_star = max_index(ctx, m, dim_expected)
-    nonconstant = not P.is_zero() and P.degree >= 1
-    applicable = nonconstant and m > m0
+    if m < 0:
+        raise CliError("negative degree")
+    cols = ctx.monomials(m)
+    alpha_star = cols[:dim_expected]
+    applicable = not P.is_zero() and P.degree >= 1 and m > m0
 
     explicit = None
     if kind == "hypersurface" and m == d + 1:
-        free = [u for u in ctx.monomials(m) if u[ctx.n] == 0]
+        free = [k for k, u in enumerate(cols) if u[ctx.n] == 0]
         if len(free) >= dim_expected:
-            explicit = SchubertIndex(tuple(free[:dim_expected]))
+            explicit = free[:dim_expected]
 
+    # p_alpha* is nonzero exactly when in(I)_m is the top segment alpha*
+    top = set(alpha_star)
+    shifts = ctx.monomials(m - d) if kind == "hypersurface" else ()
     vanished = 0
     witness = None
     explicit_vanished = 0
     for s in range(samples):
         rng = random.Random(derive_seed(seed, s))
         if kind == "hypersurface":
+            # I_m = f * S_(m-d), so in(I)_m = lm(f) * S_(m-d)
             f = random_form(ctx, d, rng, bound)
-            F = hilbert_point(ctx, Ideal([f]), m)
+            lead, _ = f.leading(ctx.order)
+            dim = len(shifts)
+            nonzero = {mul(lead, u) for u in shifts} == top
         else:
-            pts = random_points(ctx, count, rng, bound)
-            F = points_hilbert_point(ctx, pts, m)
-        if F.d != dim_expected:
-            raise CliError(f"sample {s} has unexpected dimension {F.d} != {dim_expected}")
-        # the top coordinate of a canonical matrix is its minor on columns
-        # 0..d-1: 1 when those are the pivots, else 0 (the last row is zero there)
-        if F.pivots != tuple(range(dim_expected)):
+            # I_m = ker E for the evaluation matrix E; by Plücker duality
+            # p_alpha*(ker E) = +-det E[:, last count columns]
+            E = [[prod(c**k for k, c in zip(u, pt) if k) for u in cols]
+                 for pt in random_points(ctx, count, rng, bound)]
+            dim = len(cols) - linalg.rank(E, len(cols))
+            nonzero = linalg.det([row[dim_expected:] for row in E]) != 0
+        if dim != dim_expected:
+            raise CliError(f"sample {s} has unexpected dimension {dim} != {dim_expected}")
+        if not nonzero:
             vanished += 1
         elif witness is None:
             witness = s
-        if explicit is not None and pluecker_coordinate(F, explicit) == 0:
-            explicit_vanished += 1
+        if explicit is not None:
+            # the rows x_i * f are a basis of I_m; take their minor on the explicit columns
+            rows = coefficient_rows(ctx, m, ((u, f) for u in shifts))
+            if linalg.det([[row[k] for k in explicit] for row in rows]) == 0:
+                explicit_vanished += 1
     all_vanished = vanished == samples
     report = {
         "schema": SCHEMA,
@@ -279,7 +292,7 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
         "gotzmann": m0,
         "theorem_applicable": applicable,
         "subspace_dimension": dim_expected,
-        "alpha_star": [monomial_str(u) for u in alpha_star.monomials],
+        "alpha_star": [monomial_str(u) for u in alpha_star],
         "vanished_count": vanished,
         "all_vanished": all_vanished,
         "witness": witness,
@@ -287,7 +300,7 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
     if kind == "hypersurface":
         report["d"] = d
         if explicit is not None:
-            report["explicit_index"] = explicit.as_strings()
+            report["explicit_index"] = [monomial_str(cols[k]) for k in explicit]
             report["explicit_all_vanished"] = explicit_vanished == samples
     if kind == "points":
         report["count"] = count

@@ -1,15 +1,13 @@
-"""Seeded random ideal families and point configurations for experiments."""
+"""Seeded random forms, ideal families, integer point sets and subspaces for experiments."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
 
-from . import linalg
 from .grassmann import SubspaceBasis, subspace_from_vectors
 from .groebner import Ideal
-from .orders import Monomial, RingContext
+from .orders import RingContext
 from .poly import Polynomial
 
 _MASK = (1 << 63) - 1
@@ -73,27 +71,6 @@ def random_points(
             continue
         points.append(p)
     return points
-
-
-def _monomial_value(e: Monomial, point):
-    return prod(c**exp for exp, c in zip(e, point) if exp)
-
-
-def points_hilbert_point(ctx: RingContext, points, m: int) -> SubspaceBasis:
-    """Degree-m forms vanishing at the given points, as a canonical subspace.
-
-    The subspace is the kernel of the point-evaluation matrix on the degree-m
-    monomials.  With the columns reversed, the kernel vector of free column f
-    is 1 at f, 0 at the other free columns, and nonzero elsewhere only at
-    pivots left of f, since an RREF row is zero left of its pivot.  So in the
-    original column order each vector leads with the 1 at its free column,
-    and the vectors, last first, are already the canonical echelon rows.
-    """
-    cols = ctx.monomials(m)
-    flipped = [[_monomial_value(e, p) for e in reversed(cols)] for p in points]
-    matrix = tuple(v[::-1] for v in reversed(linalg.kernel(flipped, len(cols))))
-    pivots = tuple(next(k for k, x in enumerate(row) if x) for row in matrix)
-    return SubspaceBasis(m=m, columns=cols, matrix=matrix, pivots=pivots)
 
 
 def random_subspace(

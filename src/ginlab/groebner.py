@@ -175,17 +175,23 @@ def _reduce(hkey, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, i
 def _buchberger(ctx: RingContext, generators) -> list:
     """A Groebner basis of the generators as (lm, lc, tail) divisors, not reduced.
 
-    [] for the zero ideal and [(unit, 1, [])] for the unit ideal.
+    [] for the zero ideal and [(unit, 1, [])] for the unit ideal.  Pairs are
+    taken by sugar (Giovini et al., "One sugar cube, please", 1991): a
+    generator's sugar is its degree, a pair's is the larger sugar of its two
+    multiples x^(l - lm) * f, and a new element takes its pair's.  For
+    homogeneous input the sugar is deg l, so this is the normal strategy.
     """
     key = ctx.order.key
     hkey = _heap_key(ctx)
     divisors: list = []
+    sugars: list[int] = []
     for g in generators:
         if not g:
             continue
         h, _ = _reduce(hkey, _int_terms(g)[0], divisors)
         if h:
             divisors.append(_divisor(hkey, h))
+            sugars.append(g.degree())
     unit_basis = [(unit(ctx.nvars), 1, [])]
     if any(sum(lm) == 0 for lm, _, _ in divisors):
         return unit_basis
@@ -197,14 +203,15 @@ def _buchberger(ctx: RingContext, generators) -> list:
         lj = leads[j]
         for i in range(j):
             l = lcm(leads[i], lj)
-            heapq.heappush(heap, (sum(l), key(l), i, j))
+            sugar = sum(l) + max(sugars[i] - sum(leads[i]), sugars[j] - sum(lj))
+            heapq.heappush(heap, (sugar, key(l), i, j))
 
     for j in range(len(divisors)):
         push_pairs(j)
 
     done: set[tuple[int, int]] = set()
     while heap:
-        _, _, i, j = heapq.heappop(heap)
+        sugar, _, i, j = heapq.heappop(heap)
         done.add((i, j))
         li, lj = leads[i], leads[j]
         if coprime(li, lj):
@@ -230,6 +237,7 @@ def _buchberger(ctx: RingContext, generators) -> list:
             return unit_basis
         divisors.append(d)
         leads.append(d[0])
+        sugars.append(sugar)
         push_pairs(len(divisors) - 1)
     return divisors
 

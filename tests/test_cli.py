@@ -216,6 +216,7 @@ class TestRevlexLemmaCommand:
     def test_guard_rails(self, capsys):
         assert main(["revlex-lemma", "--n", "5", "--m-max", "2", "--l-max", "1"]) == 2
         assert main(["revlex-lemma", "--n", "2", "--m-max", "7", "--l-max", "1"]) == 2
+        assert main(["revlex-lemma", "--n", "4", "--m-max", "6", "--l-max", "12"]) == 2
 
 
 class TestDegeneracyCommand:
@@ -289,6 +290,12 @@ class TestDegeneracyCommand:
 
     def test_bad_parameters(self, capsys):
         assert main(["degeneracy", "--kind", "hypersurface", "--n", "2", "--m", "3"]) == 2
+
+    def test_sample_dimension_refused(self, capsys):
+        # P(1) = 0 for a plane quintic, but no linear form is a multiple of it
+        argv = ["degeneracy", "--kind", "hypersurface", "--n", "2", "--d", "5", "--m", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: sample 0 has unexpected dimension 0 != 3\n"
 
 
 class TestHilbInfoCommand:

@@ -11,7 +11,7 @@ sympy = pytest.importorskip("sympy")
 from ginlab.grassmann import hilbert_point, initial_subspace
 from ginlab.groebner import Ideal, buchberger
 from ginlab.orders import GrevLex, Lex, RingContext
-from ginlab.parsing import parse_polynomial
+from ginlab.parsing import parse_generators, parse_polynomial
 from ginlab.poly import Polynomial
 
 
@@ -73,6 +73,21 @@ def test_twisted_cubic_matches_sympy():
     ours = set(buchberger(ctx, Ideal(polys)))
     reference = sympy.groebner([to_sympy(f, gens) for f in polys], *gens, order="grevlex")
     assert ours == {from_sympy(e, gens).monic(GrevLex()) for e in reference.exprs}
+
+
+def test_non_homogeneous_lex_basis_matches_sympy():
+    # zero-dimensional and non-homogeneous: normal pair selection ran for
+    # minutes here, sugar selection takes hundredths of a second
+    ctx = RingContext(3, Lex())
+    gens = sympy.symbols("x0:4")
+    polys = parse_generators(
+        "11/2*x0*x2 + 9/2*x0*x3 + 17/5*x3^2; 27/4*x1*x2 - 4/5*x0; "
+        "-6*x1^2 + 8*x2^2; 5/3*x0^2 - 6*x0*x1 - 19/5*x2",
+        4,
+    )
+    ours = set(buchberger(ctx, Ideal(polys)))
+    reference = sympy.groebner([to_sympy(f, gens) for f in polys], *gens, order="lex")
+    assert ours == {from_sympy(e, gens).monic(Lex()) for e in reference.exprs}
 
 
 def test_initial_subspace_is_span_of_leading_terms():

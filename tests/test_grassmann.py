@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab.families import points_hilbert_point, random_points, random_subspace
+from ginlab import cli
+from ginlab.families import random_points, random_subspace
 from ginlab.grassmann import (
     ABOVE,
     BELOW,
@@ -25,10 +27,11 @@ from ginlab.grassmann import (
     subspace_from_vectors,
 )
 from ginlab.groebner import Ideal, initial_ideal
-from ginlab.linalg import det, kernel, mat_mul
+from ginlab.linalg import det, kernel, mat_mul, rank
 from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, Lex, RingContext, WeightOrder
 from ginlab.parsing import parse_polynomial
+from ginlab.poly import Polynomial
 
 CTX2 = RingContext(2, GrevLex())
 
@@ -87,22 +90,50 @@ def points_hilbert_point_oracle(ctx, points, m):
     return subspace_from_vectors(ctx, m, kernel(rows, len(cols)))
 
 
-class TestPointsHilbertPoint:
-    def test_points_are_integers_and_match_fractions(self):
-        rng = random.Random(31)
-        for n, count, m in [(2, 3, 2), (2, 5, 3), (3, 6, 2), (3, 8, 4)]:
-            ctx = RingContext(n, GrevLex())
-            points = random_points(ctx, count, rng, bound=20)
-            assert all(type(c) is int for pt in points for c in pt)
-            as_fractions = [tuple(Fraction(c) for c in pt) for pt in points]
-            F = points_hilbert_point(ctx, points, m)
-            assert F == points_hilbert_point(ctx, as_fractions, m)
+def one_sample_reading(kind, n, m, sample, **size):
+    """`run_degeneracy` on the one given sample (a form or a point list).
+
+    Returns (top coordinate nonzero, explicit_all_vanished or None), or None
+    when the command refuses the sample's dimension.
+    """
+    source = "random_form" if kind == "hypersurface" else "random_points"
+    with mock.patch.object(cli, source, lambda *args: sample):
+        try:
+            report, _ = cli.run_degeneracy(kind, n, m, 1, 0, **size)
+        except cli.CliError:
+            return None
+    return report["vanished_count"] == 0, report.get("explicit_all_vanished")
+
+
+class TestDegeneracyReadings:
+    """The closed-form readings of `degeneracy` against canonical matrices."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_matches_kernel_then_rref(self, data):
+    def test_hypersurface_reading_matches_hilbert_point(self, data):
         n = data.draw(st.sampled_from([2, 3]))
-        m = data.draw(st.integers(1, 4))
+        d = data.draw(st.integers(1, 3))
+        # m < d and m = d + 1 included; below d - n the dimension check refuses
+        m = data.draw(st.integers(max(0, d - n), d + 2))
+        ctx = RingContext(n, GrevLex())
+        coefficient = st.integers(-3, 3).filter(bool).map(Fraction)
+        terms = data.draw(st.dictionaries(st.sampled_from(ctx.monomials(d)), coefficient,
+                                          min_size=1, max_size=4))
+        f = Polynomial(terms)
+        F = hilbert_point(ctx, Ideal([f]), m)
+        top, explicit_vanished = one_sample_reading("hypersurface", n, m, f, d=d)
+        assert top == (F.pivots == tuple(range(F.d)))
+        if m == d + 1:
+            free = [u for u in ctx.monomials(m) if u[n] == 0][: F.d]
+            assert explicit_vanished == (pluecker_coordinate(F, SchubertIndex(tuple(free))) == 0)
+        else:
+            assert explicit_vanished is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_points_reading_matches_kernel_then_rref(self, data):
+        n = data.draw(st.sampled_from([2, 3]))
+        m = data.draw(st.integers(0, 4))
         # combinations of `span` base points: 2 gives collinear sets, 3
         # coplanar ones in P^3, n + 1 points in general position
         span = data.draw(st.sampled_from(sorted({2, 3, n + 1})))
@@ -116,15 +147,29 @@ class TestPointsHilbertPoint:
             for combo in combos
         ]
         ctx = RingContext(n, GrevLex())
-        expected = points_hilbert_point_oracle(ctx, points, m)
-        assert points_hilbert_point(ctx, points, m) == expected
+        F = points_hilbert_point_oracle(ctx, points, m)
+        reading = one_sample_reading("points", n, m, points, count=len(points))
+        if F.d != ctx.dim(m) - len(points):
+            assert reading is None
+        else:
+            assert reading == (F.pivots == tuple(range(F.d)), None)
 
     def test_collinear_points_in_the_plane(self):
         # four points on x2 = 0 impose only three conditions on conics
         points = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)]
-        F = points_hilbert_point(CTX2, points, 2)
-        assert F.d == 3
-        assert F == points_hilbert_point_oracle(CTX2, points, 2)
+        assert points_hilbert_point_oracle(CTX2, points, 2).d == 3
+        assert one_sample_reading("points", 2, 2, points, count=4) is None
+
+
+def test_random_points_are_distinct_integer_points():
+    rng = random.Random(31)
+    for n, count in [(2, 3), (2, 5), (3, 6), (3, 8)]:
+        ctx = RingContext(n, GrevLex())
+        points = random_points(ctx, count, rng, bound=2)
+        assert all(type(c) is int for pt in points for c in pt)
+        assert all(any(pt) for pt in points)
+        for a, b in combinations(points, 2):
+            assert rank([a, b], n + 1) == 2
 
 
 class TestInitialSubspace:

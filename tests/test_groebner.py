@@ -74,8 +74,10 @@ def divide_with_quotients(ctx, f, basis):
 def fraction_buchberger(ctx, generators):
     """Buchberger's algorithm in `Fraction` arithmetic, kept as the oracle of `buchberger`.
 
-    Same pair heap, coprime and chain criteria, normalization and final
-    interreduction as the integer kernel; division is `divide_with_quotients`.
+    Same coprime and chain criteria, normalization and final interreduction as
+    the integer kernel; division is `divide_with_quotients`.  Pairs are taken
+    by lcm degree (normal selection), which is the kernel's sugar order on
+    homogeneous input only.
     """
     key = ctx.order.key
 
@@ -346,7 +348,8 @@ def generator_sets(draw):
         [Lex(), GrevLex(), WeightOrder(weights), WeightOrder(weights, Lex())]
     ))
     coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
-    # with normal pair selection either kernel can run for minutes on a random
+    # `buchberger` selects pairs by sugar, but the `fraction_buchberger` oracle
+    # keeps normal selection, which can run for minutes on a random
     # zero-dimensional ideal (four quadrics in four variables under lex, three
     # non-homogeneous cubics in three), so draws stay below those sizes
     ring = RingContext(nvars - 1)
