@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
+from . import linalg
 from .grassmann import SubspaceBasis, subspace_from_vectors
 from .groebner import Ideal
 from .orders import RingContext
@@ -71,6 +73,13 @@ def random_points(
             continue
         points.append(p)
     return points
+
+
+def points_hilbert_point(ctx: RingContext, points, m: int) -> SubspaceBasis:
+    """Degree-m forms vanishing at the points: the kernel of the evaluation matrix, canonicalized."""
+    cols = ctx.monomials(m)
+    values = [[prod(c**k for k, c in zip(u, pt)) for u in cols] for pt in points]
+    return subspace_from_vectors(ctx, m, linalg.kernel(values, len(cols)))
 
 
 def random_subspace(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginlab import cli
-from ginlab.families import random_points, random_subspace
+from ginlab.families import points_hilbert_point, random_points, random_subspace
 from ginlab.grassmann import (
     ABOVE,
     BELOW,
@@ -27,7 +27,7 @@ from ginlab.grassmann import (
     subspace_from_vectors,
 )
 from ginlab.groebner import Ideal, initial_ideal
-from ginlab.linalg import det, kernel, mat_mul, rank
+from ginlab.linalg import det, mat_mul, rank
 from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, Lex, RingContext, WeightOrder
 from ginlab.parsing import parse_polynomial
@@ -73,21 +73,6 @@ class TestSubspaceFromPolynomials:
             subspace_from_polynomials(CTX2, 2, [p("x0^2"), p("x0^2*x1")])
         with pytest.raises(ValueError):
             subspace_from_polynomials(CTX2, 2, [p("x0^2 + x1")])
-
-
-def points_hilbert_point_oracle(ctx, points, m):
-    """Two eliminations: the kernel of the evaluation matrix, then its canonical basis."""
-    cols = ctx.monomials(m)
-    rows = []
-    for pt in points:
-        row = []
-        for e in cols:
-            v = Fraction(1)
-            for c, k in zip(pt, e):
-                v *= Fraction(c) ** k
-            row.append(v)
-        rows.append(row)
-    return subspace_from_vectors(ctx, m, kernel(rows, len(cols)))
 
 
 def one_sample_reading(kind, n, m, sample, **size):
@@ -147,7 +132,7 @@ class TestDegeneracyReadings:
             for combo in combos
         ]
         ctx = RingContext(n, GrevLex())
-        F = points_hilbert_point_oracle(ctx, points, m)
+        F = points_hilbert_point(ctx, points, m)
         reading = one_sample_reading("points", n, m, points, count=len(points))
         if F.d != ctx.dim(m) - len(points):
             assert reading is None
@@ -157,7 +142,7 @@ class TestDegeneracyReadings:
     def test_collinear_points_in_the_plane(self):
         # four points on x2 = 0 impose only three conditions on conics
         points = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)]
-        assert points_hilbert_point_oracle(CTX2, points, 2).d == 3
+        assert points_hilbert_point(CTX2, points, 2).d == 3
         assert one_sample_reading("points", 2, 2, points, count=4) is None
 
 
