@@ -11,6 +11,14 @@ Each integer remainder is a positive multiple of the rational one, so the
 pair sequence and the reduced basis are those of rational arithmetic.
 `initial_ideal` reads the minimal leads of the unreduced integer basis, and
 `Fraction` is built only for the monic reduced basis and for `reduce`.
+
+Buchberger's algorithm skips the S-pairs that must reduce to zero by
+Traverso's Hilbert-driven criterion ("Hilbert functions and the Buchberger
+algorithm", JSC 1996).  For r <= n + 1 homogeneous generators of degrees d_i,
+the Hilbert function of a regular sequence of those degrees, the coefficient
+of t^d in prod(1 - t^d_i) / (1 - t)^(n+1), is a lower bound for HF(S/I)_d.
+Once the leads found so far meet it in degree d they span in(I)_d, and every
+remaining pair of degree d reduces to zero.
 """
 
 from __future__ import annotations
@@ -172,6 +180,50 @@ def _reduce(hkey, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, i
     return {m: c * (s // sm) for m, c, sm in rem}, s
 
 
+def _regular_sequence_bound(ctx: RingContext, generators):
+    """d -> a lower bound for HF(S/I)_d, or None when no bound applies.
+
+    For r <= n + 1 homogeneous nonzero generators of degrees d_i the bound is
+    the coefficient of t^d in prod(1 - t^d_i) / (1 - t)^(n+1), that is
+    sum_j K_j C(d - j + n, n) with K = prod(1 - t^d_i).  dim I_d is the rank
+    of a Macaulay matrix in the coefficients, which is largest for generic
+    coefficients, so HF(S/I)_d is at least its value for generic forms of the
+    same degrees; those form a regular sequence, with this Hilbert function.
+    """
+    if len(generators) > ctx.nvars or not all(g.is_homogeneous() for g in generators):
+        return None
+    K = [1]
+    for g in generators:
+        d = g.degree()
+        K = [a - b for a, b in zip(K + [0] * d, [0] * d + K)]
+    return lambda d: sum(c * ctx.dim(d - j) for j, c in enumerate(K))
+
+
+def _quotient_dim(ctx: RingContext, leads, d: int) -> int:
+    """HF(S/<leads>)_d: dim S_d minus the number of distinct degree-d multiples of the leads.
+
+    Exponents are packed into one int, d.bit_length() bits each: a field
+    holds every exponent up to d, so the product of two monomials of total
+    degree <= d is the sum of their packs, without carries.  A lead of degree
+    above d has no such multiple, as ``ctx.monomials`` of a negative degree is
+    empty.
+    """
+    w = d.bit_length()
+    multiples: set[int] = set()
+    for u in leads:
+        multiples.update(map(_pack(u, w).__add__, _packed_monomials(ctx, d - sum(u), w)))
+    return ctx.dim(d) - len(multiples)
+
+
+def _pack(m: Monomial, w: int) -> int:
+    return sum(e << (w * i) for i, e in enumerate(m))
+
+
+@lru_cache(maxsize=None)
+def _packed_monomials(ctx: RingContext, k: int, w: int) -> tuple[int, ...]:
+    return tuple(_pack(m, w) for m in ctx.monomials(k))
+
+
 def _buchberger(ctx: RingContext, generators) -> list:
     """A Groebner basis of the generators as (lm, lc, tail) divisors, not reduced.
 
@@ -180,14 +232,22 @@ def _buchberger(ctx: RingContext, generators) -> list:
     generator's sugar is its degree, a pair's is the larger sugar of its two
     multiples x^(l - lm) * f, and a new element takes its pair's.  For
     homogeneous input the sugar is deg l, so this is the normal strategy.
+
+    Pairs that survive the coprime and chain criteria then meet Traverso's
+    Hilbert-driven criterion (JSC 1996), when `_regular_sequence_bound`
+    applies.  At the first such pair of degree d the deficit
+    HF(S/<leads>)_d - bound_d is counted; each new element of degree d lowers
+    it by one, since its lead lies outside <leads>_d, and while it is 0 the
+    leads span in(I)_d, so the pair's remainder would be 0 and it is skipped.
+    Skipped pairs count as done for the chain criterion, as reduced ones do,
+    so the basis and the pair order are those of the plain algorithm.
     """
     key = ctx.order.key
     hkey = _heap_key(ctx)
     divisors: list = []
     sugars: list[int] = []
+    generators = [g for g in generators if g]
     for g in generators:
-        if not g:
-            continue
         h, _ = _reduce(hkey, _int_terms(g)[0], divisors)
         if h:
             divisors.append(_divisor(hkey, h))
@@ -197,6 +257,8 @@ def _buchberger(ctx: RingContext, generators) -> list:
         return unit_basis
 
     leads = [lm for lm, _, _ in divisors]
+    bound = _regular_sequence_bound(ctx, generators)
+    deficit_degree = deficit = -1
     heap: list = []
 
     def push_pairs(j: int):
@@ -229,12 +291,20 @@ def _buchberger(ctx: RingContext, generators) -> list:
                 break
         if skip:
             continue
+        if bound is not None:
+            # homogeneous input: the sugar is deg l, and pairs come by degree
+            if sugar != deficit_degree:
+                deficit_degree = sugar
+                deficit = _quotient_dim(ctx, leads, sugar) - bound(sugar)
+            if not deficit:
+                continue
         h, _ = _reduce(hkey, _s_polynomial(divisors[i], divisors[j], l), divisors)
         if not h:
             continue
         d = _divisor(hkey, h)
         if sum(d[0]) == 0:
             return unit_basis
+        deficit -= 1
         divisors.append(d)
         leads.append(d[0])
         sugars.append(sugar)

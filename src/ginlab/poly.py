@@ -96,6 +96,10 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
+            if len(self.terms) == 1 == len(other.terms):
+                # the parser builds every term as a product of one-term polynomials
+                ((e1, c1),), ((e2, c2),) = self.terms.items(), other.terms.items()
+                return Polynomial._raw({mul(e1, e2): c1 * c2})
             out: dict[Monomial, Fraction] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
@@ -121,6 +125,9 @@ class Polynomial:
             if k == 0:
                 raise ValueError("0**0 of a polynomial with unknown arity")
             return Polynomial.zero()
+        if k and len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return Polynomial._raw({tuple(k * x for x in e): c**k})
         result = Polynomial.constant(nv, 1)
         base = self
         while k:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ginlab import groebner
-from ginlab.families import twisted_cubic_ideal
+from ginlab.families import random_ideal, twisted_cubic_ideal
 from ginlab.groebner import (
     Ideal,
     buchberger,
@@ -17,6 +17,7 @@ from ginlab.groebner import (
     initial_ideal,
     reduce,
 )
+from ginlab.hilbert import hilbert_function
 from ginlab.monideal import MonomialIdeal, colon_by_variable, intersect, minimalize, saturate
 from ginlab.orders import (
     GrevLex,
@@ -374,7 +375,106 @@ def test_buchberger_matches_fraction_oracle(problem):
     assert all(type(c) is Fraction for g in gb for c in g.terms.values())
     # in(J) read off the unreduced basis has the leads of the reduced one
     leads = frozenset(g.leading(ctx.order)[0] for g in gb)
+    M = initial_ideal(ctx, Ideal(gens))
+    assert M.min_gens == leads
+    # the Hilbert criterion's bound is a lower bound for HF(S/J) = HF(S/in(J))
+    bound = groebner._regular_sequence_bound(ctx, gens)
+    if bound is not None:
+        top = max((g.degree() for g in gens if g), default=0)
+        assert all(bound(d) <= hilbert_function(ctx, M, d) for d in range(top + 4))
+
+
+def rational_normal_quartic():
+    """The six 2x2 minors of [[x0, x1, x2, x3], [x1, x2, x3, x4]]."""
+    x = [Polynomial.variable(5, i) for i in range(5)]
+    return [x[i] * x[j + 1] - x[j] * x[i + 1] for i in range(4) for j in range(i + 1, 4)]
+
+
+def dense_ci(n, degrees, seed):
+    return list(random_ideal(RingContext(n), degrees, random.Random(seed), bound=9).generators)
+
+
+# (ring, generators, whether the regular-sequence bound applies)
+HILBERT_CRITERION_CASES = {
+    # the bound is not attained: it is met in degree 2 and falls short in degree 3
+    "x0*x1, x0*x2 lex": (CTX2_LEX, [p("x0*x1"), p("x0*x2")], True),
+    "x0*x1, x0*x2 grevlex": (CTX2, [p("x0*x1"), p("x0*x2")], True),
+    "twisted cubic grevlex": (CTX3, list(twisted_cubic_ideal().generators), True),
+    "twisted cubic lex": (RingContext(3, Lex()), list(twisted_cubic_ideal().generators), True),
+    # more than n + 1 generators: no bound
+    "four quadrics in P^2": (CTX2_LEX, dense_ci(2, (2, 2, 2, 2), 1), False),
+    "rational normal quartic": (RingContext(4, GrevLex()), rational_normal_quartic(), False),
+    # dense complete intersections, where pairs are skipped
+    "ci(2,2) P^2 lex": (CTX2_LEX, dense_ci(2, (2, 2), 2), True),
+    "ci(2,2) P^2 grevlex": (CTX2, dense_ci(2, (2, 2), 3), True),
+    "ci(2,3) P^2 lex": (CTX2_LEX, dense_ci(2, (2, 3), 4), True),
+    "ci(2,3) P^2 grevlex": (CTX2, dense_ci(2, (2, 3), 5), True),
+    "ci(2,2) P^3 lex": (RingContext(3, Lex()), dense_ci(3, (2, 2), 6), True),
+    "ci(2,2) P^3 grevlex": (CTX3, dense_ci(3, (2, 2), 7), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HILBERT_CRITERION_CASES))
+def test_hilbert_criterion_matches_fraction_oracle(name):
+    ctx, gens, has_bound = HILBERT_CRITERION_CASES[name]
+    assert (groebner._regular_sequence_bound(ctx, gens) is not None) == has_bound
+    gb = buchberger(ctx, Ideal(gens))
+    assert gb == fraction_buchberger(ctx, gens)
+    leads = frozenset(g.leading(ctx.order)[0] for g in gb)
     assert initial_ideal(ctx, Ideal(gens)).min_gens == leads
+
+
+@pytest.mark.parametrize(
+    "ctx, gens, values",
+    [
+        # (d, bound, HF(S/I)_d)
+        (CTX2, [p("x0*x1"), p("x0*x2")], [(1, 3, 3), (2, 4, 4), (3, 4, 5), (4, 4, 6)]),
+        (CTX3, list(twisted_cubic_ideal().generators), [(2, 7, 7), (3, 8, 10), (4, 8, 13)]),
+    ],
+)
+def test_regular_sequence_bound_where_it_is_not_attained(ctx, gens, values):
+    bound = groebner._regular_sequence_bound(ctx, gens)
+    M = initial_ideal(ctx, Ideal(gens))
+    assert [(d, bound(d), hilbert_function(ctx, M, d)) for d, _, _ in values] == values
+
+
+CI_23_P3 = [
+    p(
+        "-2*x3^2 + 9*x2*x3 - 4*x2^2 - 9*x1*x3 + 8*x1*x2 + x1^2 - 2*x0*x3 - 2*x0*x2"
+        " - x0*x1 + 6*x0^2",
+        4,
+    ),
+    p(
+        "-7*x3^3 - 6*x2*x3^2 + 7*x2^2*x3 + 6*x2^3 - 9*x1*x3^2 - 5*x1*x2*x3 - 3*x1*x2^2"
+        " - x1^2*x3 - 6*x1^2*x2 + 7*x1^3 - 7*x0*x3^2 - 2*x0*x2*x3 - 9*x0*x2^2 - 7*x0*x1*x3"
+        " - 7*x0*x1*x2 + 9*x0*x1^2 + 4*x0^2*x3 + x0^2*x2 - 7*x0^2*x1 - 3*x0^3",
+        4,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "ctx, gens, nonzero",
+    [
+        # dense ci(2,3) in P^3 under lex: 2 generator reductions and 5 S-pairs,
+        # each a new basis element; without the criterion 7 more pairs reduce to zero
+        (RingContext(3, Lex()), CI_23_P3, [True] * 7),
+        # the bound falls short in degree 3, so the one pair there is reduced, to zero
+        (CTX2, [p("x0*x1"), p("x0*x2")], [True, True, False]),
+    ],
+)
+def test_reductions_inside_buchberger(monkeypatch, ctx, gens, nonzero):
+    results = []
+    real = groebner._reduce
+
+    def counted(*args):
+        r, s = real(*args)
+        results.append(bool(r))
+        return r, s
+
+    monkeypatch.setattr(groebner, "_reduce", counted)
+    groebner._buchberger(ctx, gens)
+    assert results == nonzero
 
 
 class TestInitialIdeal:

@@ -217,3 +217,39 @@ def test_primitive_matches_fraction_oracle(terms):
     assert len(ratios) <= 1 and all(r > 0 for r in ratios)
     assert all(type(c) is Fraction and c.denominator == 1 for c in g.terms.values())
     assert gcd(*(c.numerator for c in g.terms.values())) in (0, 1)
+
+
+def general_product(f, g):
+    """The double loop of `Polynomial.__mul__`, kept as the oracle of its one-term path."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return Polynomial(out)
+
+
+# zero, constants, one-term and two-term polynomials, coefficients of both signs
+few_terms = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.fractions(min_value=-6, max_value=6, max_denominator=9),
+    max_size=2,
+).map(Polynomial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(few_terms, few_terms, st.integers(0, 4))
+@example(Polynomial.zero(), p("-3/2*x1"), 0)
+@example(p("-2"), p("5*x0^2*x2"), 3)
+def test_one_term_products_match_general_product(f, g, k):
+    assert f * g == general_product(f, g)
+    assert all(type(c) is Fraction for c in (f * g).terms.values())
+    if not f:
+        if k:
+            assert f**k == Polynomial.zero()
+        return
+    power = Polynomial.constant(3, 1)
+    for _ in range(k):
+        power = general_product(power, f)
+    assert f**k == power
+    assert all(type(c) is Fraction for c in (f**k).terms.values())
