@@ -39,7 +39,7 @@ from .hilbert import (
     revlex_lemma_check,
 )
 from .monideal import MonomialIdeal
-from .orders import GrevLex, Lex, MonomialOrder, RingContext, WeightOrder, mul
+from .orders import GrevLex, Lex, MonomialOrder, RingContext, WeightOrder
 from .parsing import ParseError, monomial_str, parse_generators, polynomial_str
 
 SCHEMA = 1
@@ -193,8 +193,7 @@ def run_revlex_lemma(n: int, m_max: int, l_max: int):
     cases = 0
     counterexamples = []
     for m in range(1, m_max + 1):
-        top = ctx.dim(m)
-        for count in range(top + 1):
+        for count in range(ctx.dim(m) + 1):
             for l in range(1, l_max + 1):
                 report = revlex_lemma_check(ctx, m, count, l)
                 cases += 1
@@ -248,7 +247,6 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
             explicit = free[:dim_expected]
 
     # p_alpha* is nonzero exactly when in(I)_m is the top segment alpha*
-    top = set(alpha_star)
     shifts = ctx.monomials(m - d) if kind == "hypersurface" else ()
     vanished = 0
     witness = None
@@ -258,9 +256,9 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
         if kind == "hypersurface":
             # I_m = f * S_(m-d), so in(I)_m = lm(f) * S_(m-d)
             f = random_form(ctx, d, rng, bound)
-            lead, _ = f.leading(ctx.order)
+            lead_ideal = MonomialIdeal(ctx.nvars, frozenset([f.leading(ctx.order)[0]]))
             dim = len(shifts)
-            nonzero = {mul(lead, u) for u in shifts} == top
+            nonzero = lead_ideal.graded_monomials(ctx, m) == alpha_star
         else:
             # I_m = ker E for the evaluation matrix E; by Plücker duality
             # p_alpha*(ker E) = +-det E[:, last count columns]

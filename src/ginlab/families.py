@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from . import linalg
 from .grassmann import SubspaceBasis, subspace_from_vectors
@@ -25,15 +25,13 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 def random_form(ctx: RingContext, degree: int, rng: random.Random, bound: int = 100) -> Polynomial:
     """Dense random form with integer coefficients in [-bound, bound], never zero."""
+    if bound < 1:
+        raise ValueError("coefficient bound must be at least 1")
     monomials = ctx.monomials(degree)
     while True:
-        terms = {}
-        for e in monomials:
-            c = rng.randint(-bound, bound)
-            if c:
-                terms[e] = Fraction(c)
-        if terms:
-            return Polynomial(terms)
+        f = Polynomial({e: rng.randint(-bound, bound) for e in monomials})
+        if f:
+            return f
 
 
 def random_ideal(ctx: RingContext, degrees, rng: random.Random, bound: int = 100) -> Ideal:
@@ -50,29 +48,43 @@ def twisted_cubic_ideal() -> Ideal:
     ])
 
 
-def _proportional(p: tuple[int, ...], q: tuple[int, ...]) -> bool:
-    # rank of the 2 x (n+1) matrix is < 2 iff all 2x2 minors vanish
-    n = len(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if p[i] * q[j] != p[j] * q[i]:
-                return False
-    return True
-
-
 def random_points(
     ctx: RingContext, count: int, rng: random.Random, bound: int = 100
 ) -> list[tuple[int, ...]]:
-    """Pairwise distinct random points of the projective space, in integer coordinates."""
+    """Pairwise distinct random points of the projective space, in integer coordinates.
+
+    Raises ValueError when bound < 1 or when fewer than `count` points have
+    coordinates in [-bound, bound]; the (2 bound + 1)^n points (1, a_1, ..., a_n)
+    are among them, so the exact number is needed only above that.
+    """
+    if bound < 1:
+        raise ValueError("coordinate bound must be at least 1")
+    if count > (2 * bound + 1) ** ctx.n and count > (total := _point_count(ctx.n, bound)):
+        raise ValueError(f"P^{ctx.n} has only {total} points with |coordinates| <= {bound}")
     points: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()  # primitive representatives, first nonzero entry > 0
     while len(points) < count:
         p = tuple(rng.randint(-bound, bound) for _ in range(ctx.nvars))
-        if all(c == 0 for c in p):
+        if not any(p):
             continue
-        if any(_proportional(p, q) for q in points):
-            continue
-        points.append(p)
+        g = gcd(*p) if next(c for c in p if c) > 0 else -gcd(*p)
+        q = tuple(c // g for c in p)
+        if q not in seen:
+            seen.add(q)
+            points.append(p)
     return points
+
+
+def _point_count(n: int, b: int) -> int:
+    """Points of P^n with coordinates in [-b, b], by Möbius inversion over their gcd k.
+
+    (1/2) sum_{k=1..b} mu(k) ((2 floor(b/k) + 1)^(n+1) - 1)
+    """
+    mu = [0, 1] + [0] * (b - 1)  # from sum_{d | k} mu(d) = 0 for k > 1
+    for k in range(1, b + 1):
+        for j in range(2 * k, b + 1, k):
+            mu[j] -= mu[k]
+    return sum(mu[k] * ((2 * (b // k) + 1) ** (n + 1) - 1) for k in range(1, b + 1)) // 2
 
 
 def points_hilbert_point(ctx: RingContext, points, m: int) -> SubspaceBasis:

@@ -202,9 +202,7 @@ def weight_vector_for_order(ctx: RingContext, basis) -> WeightVector:
         for j, r in enumerate(row):
             omega[j] += scale * r
         scale //= t
-    g = 0
-    for w in omega:
-        g = gcd(g, w)
+    g = gcd(*omega)
     if g > 1:
         omega = [w // g for w in omega]
     if any(w < 0 for w in omega):

@@ -14,11 +14,13 @@ pair sequence and the reduced basis are those of rational arithmetic.
 
 Buchberger's algorithm skips the S-pairs that must reduce to zero by
 Traverso's Hilbert-driven criterion ("Hilbert functions and the Buchberger
-algorithm", JSC 1996).  For r <= n + 1 homogeneous generators of degrees d_i,
-the Hilbert function of a regular sequence of those degrees, the coefficient
-of t^d in prod(1 - t^d_i) / (1 - t)^(n+1), is a lower bound for HF(S/I)_d.
-Once the leads found so far meet it in degree d they span in(I)_d, and every
-remaining pair of degree d reduces to zero.
+algorithm", JSC 1996).  Let I have r <= n + 1 homogeneous generators of
+degrees d_i.  dim I_d is the rank of a Macaulay matrix in their coefficients,
+largest for generic ones, which form a regular sequence; every regular
+sequence of these degrees, the powers x_i^(d_i) among them, has one Hilbert
+function.  So HF(S/<leads>)_d >= HF(S/I)_d >= HF(S/<x_i^(d_i)>)_d, and once
+|degree_part(leads, d)| reaches |degree_part(powers, d)| the leads span
+in(I)_d and every remaining pair of degree d reduces to zero.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from math import gcd
 from operator import mul as times, sub
 
 from . import linalg
-from .monideal import MonomialIdeal, minimalize
-from .orders import Monomial, RingContext, coprime, div, divides, lcm, mul, unit
+from .monideal import MonomialIdeal, degree_part, minimalize
+from .orders import Monomial, RingContext, coprime, div, divides, lcm, mul, unit, variable
 from .poly import Polynomial
 
 _F0 = Fraction(0)
@@ -180,48 +182,11 @@ def _reduce(hkey, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, i
     return {m: c * (s // sm) for m, c, sm in rem}, s
 
 
-def _regular_sequence_bound(ctx: RingContext, generators):
-    """d -> a lower bound for HF(S/I)_d, or None when no bound applies.
-
-    For r <= n + 1 homogeneous nonzero generators of degrees d_i the bound is
-    the coefficient of t^d in prod(1 - t^d_i) / (1 - t)^(n+1), that is
-    sum_j K_j C(d - j + n, n) with K = prod(1 - t^d_i).  dim I_d is the rank
-    of a Macaulay matrix in the coefficients, which is largest for generic
-    coefficients, so HF(S/I)_d is at least its value for generic forms of the
-    same degrees; those form a regular sequence, with this Hilbert function.
-    """
+def _regular_sequence_powers(ctx: RingContext, generators) -> list[Monomial] | None:
+    """x_i^(d_i) for the generator degrees d_i; None for over n + 1 or inhomogeneous generators."""
     if len(generators) > ctx.nvars or not all(g.is_homogeneous() for g in generators):
         return None
-    K = [1]
-    for g in generators:
-        d = g.degree()
-        K = [a - b for a, b in zip(K + [0] * d, [0] * d + K)]
-    return lambda d: sum(c * ctx.dim(d - j) for j, c in enumerate(K))
-
-
-def _quotient_dim(ctx: RingContext, leads, d: int) -> int:
-    """HF(S/<leads>)_d: dim S_d minus the number of distinct degree-d multiples of the leads.
-
-    Exponents are packed into one int, d.bit_length() bits each: a field
-    holds every exponent up to d, so the product of two monomials of total
-    degree <= d is the sum of their packs, without carries.  A lead of degree
-    above d has no such multiple, as ``ctx.monomials`` of a negative degree is
-    empty.
-    """
-    w = d.bit_length()
-    multiples: set[int] = set()
-    for u in leads:
-        multiples.update(map(_pack(u, w).__add__, _packed_monomials(ctx, d - sum(u), w)))
-    return ctx.dim(d) - len(multiples)
-
-
-def _pack(m: Monomial, w: int) -> int:
-    return sum(e << (w * i) for i, e in enumerate(m))
-
-
-@lru_cache(maxsize=None)
-def _packed_monomials(ctx: RingContext, k: int, w: int) -> tuple[int, ...]:
-    return tuple(_pack(m, w) for m in ctx.monomials(k))
+    return [tuple(g.degree() * e for e in variable(ctx.nvars, i)) for i, g in enumerate(generators)]
 
 
 def _buchberger(ctx: RingContext, generators) -> list:
@@ -234,11 +199,11 @@ def _buchberger(ctx: RingContext, generators) -> list:
     homogeneous input the sugar is deg l, so this is the normal strategy.
 
     Pairs that survive the coprime and chain criteria then meet Traverso's
-    Hilbert-driven criterion (JSC 1996), when `_regular_sequence_bound`
-    applies.  At the first such pair of degree d the deficit
-    HF(S/<leads>)_d - bound_d is counted; each new element of degree d lowers
-    it by one, since its lead lies outside <leads>_d, and while it is 0 the
-    leads span in(I)_d, so the pair's remainder would be 0 and it is skipped.
+    Hilbert-driven criterion (see the module docstring), when
+    `_regular_sequence_powers` applies.  At the first such pair of degree d
+    the deficit is counted; each new element of degree d lowers it by one,
+    since its lead lies outside <leads>_d, and while it is 0 the pair's
+    remainder would be 0 and it is skipped.
     Skipped pairs count as done for the chain criterion, as reduced ones do,
     so the basis and the pair order are those of the plain algorithm.
     """
@@ -257,7 +222,7 @@ def _buchberger(ctx: RingContext, generators) -> list:
         return unit_basis
 
     leads = [lm for lm, _, _ in divisors]
-    bound = _regular_sequence_bound(ctx, generators)
+    powers = _regular_sequence_powers(ctx, generators)
     deficit_degree = deficit = -1
     heap: list = []
 
@@ -291,11 +256,12 @@ def _buchberger(ctx: RingContext, generators) -> list:
                 break
         if skip:
             continue
-        if bound is not None:
+        if powers is not None:
             # homogeneous input: the sugar is deg l, and pairs come by degree
             if sugar != deficit_degree:
                 deficit_degree = sugar
-                deficit = _quotient_dim(ctx, leads, sugar) - bound(sugar)
+                deficit = (len(degree_part(ctx, powers, sugar))
+                           - len(degree_part(ctx, leads, sugar)))
             if not deficit:
                 continue
         h, _ = _reduce(hkey, _s_polynomial(divisors[i], divisors[j], l), divisors)

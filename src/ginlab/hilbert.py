@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from .grassmann import max_index
 from .groebner import Ideal, initial_ideal
 from .monideal import MonomialIdeal, minimalize
-from .orders import GrevLex, Monomial, RingContext, mul
+from .orders import GrevLex, Monomial, RingContext
 from .parsing import ParseError, parse_expression
 from .poly import Polynomial
 
@@ -296,10 +297,7 @@ def lex_segment_ideal(ctx: RingContext, P: HilbertPolynomial) -> Ideal:
 
 def revlex_segment(ctx: RingContext, m: int, count: int) -> tuple[Monomial, ...]:
     """The first `count` degree-m monomials in descending grevlex order."""
-    chain = RingContext(ctx.n, GrevLex()).monomials(m)
-    if not 0 <= count <= len(chain):
-        raise ValueError(f"segment size {count} out of range 0..{len(chain)}")
-    return tuple(chain[:count])
+    return max_index(RingContext(ctx.n, GrevLex()), m, count).monomials
 
 
 @dataclass(frozen=True)
@@ -323,11 +321,12 @@ def revlex_lemma_check(ctx: RingContext, m: int, count: int, l: int) -> RevlexLe
         raise ValueError("l must be at least 1")
     segment = revlex_segment(ctx, m, count)
     corner = tuple(m if i == ctx.n - 1 else 0 for i in range(ctx.nvars))
-    contains_corner = corner in set(segment)
+    contains_corner = corner in segment
 
-    products = {mul(u, v) for u in ctx.monomials(l) for v in segment}
-    top = set(revlex_segment(ctx, m + l, len(products)))
-    is_segment_after = products == top
+    # S_l * segment, descending in grevlex; one degree never divides another
+    grevlex = RingContext(ctx.n, GrevLex())
+    products = MonomialIdeal(ctx.nvars, frozenset(segment)).graded_monomials(grevlex, m + l)
+    is_segment_after = products == revlex_segment(ctx, m + l, len(products))
 
     codim_before = ctx.dim(m) - count
     codim_after = ctx.dim(m + l) - len(products)

@@ -4,8 +4,9 @@ A monomial is an exponent tuple over the variables x0..xn.  Orders expose a
 sort key so that ``max(terms, key=order.key)`` picks the leading monomial and
 ``sorted(..., reverse=True)`` lists monomials in descending order.  Each order
 is also an integer matrix, ``rows(nvars)``: a is above b exactly when rows . a
-is lexicographically larger than rows . b (Robbiano).  The keys stay written
-out by hand because Buchberger's algorithm calls them on its hot path.
+is lexicographically larger than rows . b (Robbiano).  Division orders terms
+by the matrix (`groebner._heap_key`); the hand-written keys serve pair order,
+sorting and printing.
 """
 
 from __future__ import annotations

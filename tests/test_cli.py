@@ -291,6 +291,23 @@ class TestDegeneracyCommand:
     def test_bad_parameters(self, capsys):
         assert main(["degeneracy", "--kind", "hypersurface", "--n", "2", "--m", "3"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        "degeneracy --kind hypersurface --n 2 --d 2 --m 3 --bound 0 --samples 1",
+        "degeneracy --kind points --n 2 --count 2 --m 2 --bound 0 --samples 1",
+        # P^1 has 4 points with coordinates in [-1, 1]
+        "degeneracy --kind points --n 1 --count 5 --m 4 --bound 1 --samples 1",
+        "strata --n 2 --family random:2 --samples 2 --bound 0",
+    ])
+    def test_bounds_without_enough_samples_refused(self, capsys, argv):
+        assert main(argv.split()) == 2
+        assert_one_error_line(capsys)
+
+    def test_every_point_of_the_box(self, capsys):
+        argv = "degeneracy --kind points --n 1 --count 4 --m 4 --bound 1 --samples 2"
+        code, report = run_json(capsys, *argv.split())
+        assert code == 0
+        assert report["subspace_dimension"] == 1
+
     def test_sample_dimension_refused(self, capsys):
         # P(1) = 0 for a plane quintic, but no linear form is a multiple of it
         argv = ["degeneracy", "--kind", "hypersurface", "--n", "2", "--d", "5", "--m", "1"]

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ginlab import cli
+from ginlab import cli, families
 from ginlab.families import points_hilbert_point, random_points, random_subspace
 from ginlab.grassmann import (
     ABOVE,
@@ -155,6 +156,34 @@ def test_random_points_are_distinct_integer_points():
         assert all(any(pt) for pt in points)
         for a, b in combinations(points, 2):
             assert rank([a, b], n + 1) == 2
+
+
+def point_count_by_enumeration(n, b):
+    """Points of P^n with coordinates in [-b, b], as primitive vectors with a positive first entry."""
+    seen = set()
+    for v in product(range(-b, b + 1), repeat=n + 1):
+        if any(v):
+            g = gcd(*v)
+            g = g if next(c for c in v if c) > 0 else -g
+            seen.add(tuple(c // g for c in v))
+    return len(seen)
+
+
+@pytest.mark.parametrize("n, b", [(n, b) for n in (1, 2, 3) for b in (1, 2, 3, 4, 6)])
+def test_point_count_matches_enumeration(n, b):
+    assert families._point_count(n, b) == point_count_by_enumeration(n, b)
+
+
+def test_random_points_take_every_point_of_the_box():
+    ctx = RingContext(1, GrevLex())
+    points = random_points(ctx, 4, random.Random(5), bound=1)
+    assert all(rank([a, b], 2) == 2 for a, b in combinations(points, 2))
+    with pytest.raises(ValueError, match="only 4 points"):
+        random_points(ctx, 5, random.Random(5), bound=1)
+    with pytest.raises(ValueError):
+        random_points(ctx, 1, random.Random(5), bound=0)
+    with pytest.raises(ValueError):
+        families.random_form(ctx, 2, random.Random(5), bound=0)
 
 
 class TestInitialSubspace:

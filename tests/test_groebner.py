@@ -18,7 +18,14 @@ from ginlab.groebner import (
     reduce,
 )
 from ginlab.hilbert import hilbert_function
-from ginlab.monideal import MonomialIdeal, colon_by_variable, intersect, minimalize, saturate
+from ginlab.monideal import (
+    MonomialIdeal,
+    colon_by_variable,
+    degree_part,
+    intersect,
+    minimalize,
+    saturate,
+)
 from ginlab.orders import (
     GrevLex,
     Lex,
@@ -29,6 +36,7 @@ from ginlab.orders import (
     divides,
     lcm,
     mul,
+    unit,
 )
 from ginlab.parsing import parse_polynomial
 from ginlab.poly import Polynomial
@@ -378,10 +386,31 @@ def test_buchberger_matches_fraction_oracle(problem):
     M = initial_ideal(ctx, Ideal(gens))
     assert M.min_gens == leads
     # the Hilbert criterion's bound is a lower bound for HF(S/J) = HF(S/in(J))
-    bound = groebner._regular_sequence_bound(ctx, gens)
-    if bound is not None:
+    powers = groebner._regular_sequence_powers(ctx, gens)
+    if powers is not None:
         top = max((g.degree() for g in gens if g), default=0)
-        assert all(bound(d) <= hilbert_function(ctx, M, d) for d in range(top + 4))
+        assert all(regular_sequence_hf(ctx, powers, d) <= hilbert_function(ctx, M, d)
+                   for d in range(top + 4))
+
+
+def regular_sequence_hf(ctx, powers, d):
+    """HF(S/<x_i^(d_i)>)_d, the bound the Hilbert criterion counts against."""
+    return ctx.dim(d) - len(degree_part(ctx, powers, d))
+
+
+def regular_sequence_bound(ctx, gens):
+    """The replaced K-product form of the bound, kept as its oracle.
+
+    d -> sum_j K_j C(d - j + n, n) with K = prod(1 - t^d_i), or None for more
+    than n + 1 generators or a generator that is not homogeneous.
+    """
+    if len(gens) > ctx.nvars or not all(g.is_homogeneous() for g in gens):
+        return None
+    K = [1]
+    for g in gens:
+        d = g.degree()
+        K = [a - b for a, b in zip(K + [0] * d, [0] * d + K)]
+    return lambda d: sum(c * ctx.dim(d - j) for j, c in enumerate(K))
 
 
 def rational_normal_quartic():
@@ -417,7 +446,7 @@ HILBERT_CRITERION_CASES = {
 @pytest.mark.parametrize("name", sorted(HILBERT_CRITERION_CASES))
 def test_hilbert_criterion_matches_fraction_oracle(name):
     ctx, gens, has_bound = HILBERT_CRITERION_CASES[name]
-    assert (groebner._regular_sequence_bound(ctx, gens) is not None) == has_bound
+    assert (groebner._regular_sequence_powers(ctx, gens) is not None) == has_bound
     gb = buchberger(ctx, Ideal(gens))
     assert gb == fraction_buchberger(ctx, gens)
     leads = frozenset(g.leading(ctx.order)[0] for g in gb)
@@ -433,9 +462,34 @@ def test_hilbert_criterion_matches_fraction_oracle(name):
     ],
 )
 def test_regular_sequence_bound_where_it_is_not_attained(ctx, gens, values):
-    bound = groebner._regular_sequence_bound(ctx, gens)
+    powers = groebner._regular_sequence_powers(ctx, gens)
     M = initial_ideal(ctx, Ideal(gens))
-    assert [(d, bound(d), hilbert_function(ctx, M, d)) for d, _, _ in values] == values
+    got = [(d, regular_sequence_hf(ctx, powers, d), hilbert_function(ctx, M, d))
+           for d, _, _ in values]
+    assert got == values
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, 5), max_size=n + 1))))
+def test_regular_sequence_powers_match_k_product(problem):
+    # the powers x_i^(d_i) have the Hilbert function prod(1 - t^d_i) / (1 - t)^(n+1)
+    n, degrees = problem
+    ctx = RingContext(n, GrevLex())
+    gens = [Polynomial.variable(n + 1, 0) ** d for d in degrees]
+    powers = groebner._regular_sequence_powers(ctx, gens)
+    assert sorted(map(sum, powers)) == sorted(degrees)
+    bound = regular_sequence_bound(ctx, gens)
+    M = MonomialIdeal.make(n + 1, powers)
+    for d in range(sum(degrees) + 3):
+        assert bound(d) == regular_sequence_hf(ctx, powers, d) == hilbert_function(ctx, M, d)
+
+
+def test_regular_sequence_powers_not_applicable():
+    assert groebner._regular_sequence_powers(CTX2, [p("x0")] * 4) is None
+    assert groebner._regular_sequence_powers(CTX2, [p("x0^2 + x1")]) is None
+    assert regular_sequence_bound(CTX2, [p("x0")] * 4) is None
+    assert groebner._regular_sequence_powers(CTX2, []) == []
 
 
 CI_23_P3 = [
@@ -529,6 +583,17 @@ def saturate_by_fixpoint(M):
         current = step
 
 
+@st.composite
+def sliced_ideals(draw):
+    """(ring, monomial ideal, degree): 2-5 variables, up to 8 generators, lex, grevlex or weights."""
+    nv = draw(st.integers(2, 5))
+    weights = tuple(draw(st.lists(st.integers(0, 3), min_size=nv, max_size=nv)))
+    order = draw(st.sampled_from([Lex(), GrevLex(), WeightOrder(weights)]))
+    # an empty list gives the zero ideal, a zero tuple the unit ideal
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 5)] * nv), max_size=8))
+    return RingContext(nv - 1, order), MonomialIdeal.make(nv, gens), draw(st.integers(0, 10))
+
+
 class TestMonomialIdealOps:
     def test_colon_examples(self):
         assert colon_by_variable(mono_ideal(3, (2, 0, 0)), 0) == mono_ideal(3, (1, 0, 0))
@@ -579,6 +644,15 @@ class TestMonomialIdealOps:
         S = saturate(M)
         assert S == saturate_by_fixpoint(M)
         assert saturate(S) == S
+
+    @settings(deadline=None)
+    @given(sliced_ideals())
+    @example((RingContext(2, Lex()), MonomialIdeal.zero(3), 4))  # the zero ideal
+    @example((RingContext(3, GrevLex()), MonomialIdeal.make(4, [(0, 0, 0, 0)]), 0))  # unit
+    @example((RingContext(4, WeightOrder((1, 0, 2, 0, 1))), MonomialIdeal.make(5, [unit(5)]), 10))
+    def test_graded_monomials_match_contains_scan(self, problem):
+        ctx, M, m = problem
+        assert M.graded_monomials(ctx, m) == tuple(u for u in ctx.monomials(m) if M.contains(u))
 
     def test_intersect_examples(self):
         A = mono_ideal(3, (1, 0, 0), (0, 1, 0))

@@ -8,6 +8,7 @@ from ginlab.hilbert import (
     _numerator,
     MacaulayRep,
     NotAdmissible,
+    RevlexLemmaReport,
     binomial_poly,
     gotzmann_number,
     hilbert_function,
@@ -20,7 +21,7 @@ from ginlab.hilbert import (
     revlex_segment,
 )
 from ginlab.monideal import MonomialIdeal, saturate
-from ginlab.orders import GrevLex, Lex, RingContext
+from ginlab.orders import GrevLex, Lex, RingContext, mul
 from ginlab.parsing import ParseError, parse_polynomial
 
 CTX2 = RingContext(2, GrevLex())
@@ -261,6 +262,25 @@ class TestLexSegmentIdeal:
             lex_segment_ideal(CTX2, MacaulayRep((2, 2)).to_polynomial())
 
 
+def revlex_lemma_by_products(ctx, m, count, l):
+    """The replaced product-set form of `revlex_lemma_check`, kept as its oracle."""
+    segment = revlex_segment(ctx, m, count)
+    corner = tuple(m if i == ctx.n - 1 else 0 for i in range(ctx.nvars))
+    contains_corner = corner in set(segment)
+    products = {mul(u, v) for u in ctx.monomials(l) for v in segment}
+    is_segment_after = products == set(revlex_segment(ctx, m + l, len(products)))
+    codim_before = ctx.dim(m) - count
+    codim_after = ctx.dim(m + l) - len(products)
+    return RevlexLemmaReport(
+        is_segment_after=is_segment_after,
+        codim_before=codim_before,
+        codim_after=codim_after,
+        contains_corner=contains_corner,
+        lemma_consistent=(count == 0 or is_segment_after == contains_corner)
+        and (not contains_corner or codim_before == codim_after),
+    )
+
+
 class TestRevlexSegments:
     def test_basic_segment(self):
         assert revlex_segment(CTX2, 2, 3) == ((2, 0, 0), (1, 1, 0), (0, 2, 0))
@@ -298,6 +318,17 @@ class TestRevlexSegments:
                 for count in range(ctx.dim(m) + 1):
                     for l in (1, 2):
                         assert revlex_lemma_check(ctx, m, count, l).lemma_consistent
+
+    @pytest.mark.parametrize("order", [GrevLex(), Lex()])
+    def test_matches_product_set_oracle(self, order):
+        # every segment for n <= 3, m <= 4, l <= 3
+        for n in (1, 2, 3):
+            ctx = RingContext(n, order)
+            for m in range(5):
+                for count in range(ctx.dim(m) + 1):
+                    for l in (1, 2, 3):
+                        expected = revlex_lemma_by_products(ctx, m, count, l)
+                        assert revlex_lemma_check(ctx, m, count, l) == expected
 
     def test_constant_codimension_corollary(self):
         # segments containing the corner power keep their codimension at l = 0, 1, 2
