@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .orders import Monomial, MonomialOrder, RingContext, divides, lcm
+from .orders import Monomial, MonomialOrder, RingContext, divides, lcm, pack, pack_width
 
 
 def minimalize(gens) -> frozenset[Monomial]:
@@ -49,31 +49,27 @@ class MonomialIdeal:
     def graded_monomials(self, ctx: RingContext, m: int) -> tuple[Monomial, ...]:
         """Degree-m monomials inside the ideal, descending under ctx.order."""
         part = degree_part(ctx, self.min_gens, m)
-        packs = _packed_monomials(ctx, m, m.bit_length())
+        packs = _packed_monomials(ctx, m, pack_width(m))
         return tuple(u for u, c in zip(ctx.monomials(m), packs) if c in part)
 
 
 def degree_part(ctx: RingContext, gens, m: int) -> set[int]:
     """The degree-m monomials of the ideal generated by the monomials `gens`, packed.
 
-    A pack holds each exponent in m.bit_length() bits, so multiplying monomials
-    of total degree <= m adds their packs without carries.  A generator of
-    degree above m has no multiples, as ``ctx.monomials(m - deg)`` is empty.
+    Packs have width pack_width(m), so a generator times a monomial is the sum
+    of their packs.  A generator of degree above m has no multiples, as
+    ``ctx.monomials(m - deg)`` is empty.
     """
-    w = m.bit_length()
+    w = pack_width(m)
     part: set[int] = set()
     for u in gens:
-        part.update(map(_pack(u, w).__add__, _packed_monomials(ctx, m - sum(u), w)))
+        part.update(map(pack(u, w).__add__, _packed_monomials(ctx, m - sum(u), w)))
     return part
-
-
-def _pack(m: Monomial, w: int) -> int:
-    return sum(e << (w * i) for i, e in enumerate(m))
 
 
 @lru_cache(maxsize=None)
 def _packed_monomials(ctx: RingContext, k: int, w: int) -> tuple[int, ...]:
-    return tuple(_pack(m, w) for m in ctx.monomials(k))
+    return tuple(pack(m, w) for m in ctx.monomials(k))
 
 
 def colon_by_variable(M: MonomialIdeal, i: int) -> MonomialIdeal:

@@ -24,6 +24,27 @@ def mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
 
+def pack_width(degree: int) -> int:
+    """Bits per exponent in the pack of a monomial of total degree <= `degree`."""
+    return max(1, degree.bit_length())
+
+
+def pack(m: Monomial, w: int) -> int:
+    """x^m as one int, exponent i at bit w*i.
+
+    With w = pack_width(d), monomials whose product has total degree <= d
+    multiply by adding their packs: no exponent carries into the next
+    (Monagan and Pearce, "Sparse polynomial division using a heap", 2011).
+    """
+    return sum(e << (w * i) for i, e in enumerate(m))
+
+
+def unpack(p: int, w: int, nvars: int) -> Monomial:
+    """The exponent tuple of a pack of width w; inverse of `pack`."""
+    mask = (1 << w) - 1
+    return tuple(p >> (w * i) & mask for i in range(nvars))
+
+
 def divides(a: Monomial, b: Monomial) -> bool:
     """True when x^a divides x^b."""
     return all(map(le, a, b))

@@ -2,7 +2,9 @@
 
 A `Polynomial` maps exponent tuples to `Fraction` coefficients.
 `apply_change` clears the denominators of the matrix and of the polynomial
-and expands on Python ints; it builds a `Fraction` only for its result.
+and expands on Python ints over packed monomials, reusing the products that
+earlier calls with the same `LinearChange` expanded; it builds a `Fraction`
+only for its result.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .orders import Monomial, MonomialOrder, RingContext, mul, unit, variable
+from .orders import Monomial, MonomialOrder, RingContext, mul, pack, pack_width, unit, unpack
 
 _F0 = Fraction(0)
 
@@ -185,6 +187,12 @@ class LinearChange:
 
     The standard Borel for the variable chain x0 > ... > xn is upper
     triangular, its opposite lower triangular; either is read off the matrix.
+
+    A change also keeps, for each pack width, the table of products y^e that
+    `apply_change` has expanded, so the generators of an ideal share them.
+    The table is not a field: equality, hashing and repr see only the matrix.
+    It holds pure functions of the matrix, so concurrent calls that fill it
+    write equal values.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -197,6 +205,8 @@ class LinearChange:
         object.__setattr__(self, "matrix", mat)
         if linalg.det(mat) == 0:
             raise ValueError("change of variables must be invertible")
+        # pack width -> {prefix e: packed y^e}, filled by apply_change
+        object.__setattr__(self, "_products", {})
 
     @property
     def nvars(self) -> int:
@@ -219,26 +229,33 @@ def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial) -> Polynomial
 
     The expansion runs on integers: with D the common denominator of the
     matrix, x_i maps to y_i / D where y_i has integer coefficients, and with F
-    the common denominator of f, F * f has integer coefficients.  The product
-    y^e is built one factor at a time and cached for every prefix
-    (e_0, ..., e_k) of e, so terms of f share their common factors.  A term of
+    the common denominator of f, F * f has integer coefficients.  A term of
     degree k is scaled by D^(top - k) for the top degree of f, so every term
     is D^top times its true value; one division by F * D^top at the end gives
     the result.
+
+    Monomials are packed (`orders.pack`) at width pack_width(top), so a
+    product of monomials is one int addition.  The product y^e is built one
+    factor at a time and kept in g's table for that width for every prefix
+    (e_0, ..., e_k) of e, so the terms of f, and every later polynomial
+    changed by g, share their common factors.
     """
     nv = ctx.nvars
     if g.nvars != nv:
         raise ValueError("change of variables does not match the ring context")
     if not f:
         return f
+    top = f.degree()
+    w = pack_width(top)
     D = math.lcm(*(x.denominator for row in g.matrix for x in row))
+    xs = [pack(v, w) for v in ctx.variables()]
     images = [
-        {variable(nv, j): x.numerator * (D // x.denominator) for j, x in enumerate(row) if x}
+        {xs[j]: x.numerator * (D // x.denominator) for j, x in enumerate(row) if x}
         for row in g.matrix
     ]
-    products: dict[Monomial, dict[Monomial, int]] = {(): {unit(nv): 1}}
+    products = g._products.setdefault(w, {(): {0: 1}})
 
-    def product(e: Monomial) -> dict[Monomial, int]:
+    def product(e: Monomial) -> dict[int, int]:
         """y_0^e_0 * ... * y_k^e_k for a prefix e of length k + 1."""
         p = products.get(e)
         if p is None:
@@ -250,21 +267,22 @@ def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial) -> Polynomial
         return p
 
     F = math.lcm(*(c.denominator for c in f.terms.values()))
-    top = f.degree()
-    out: dict[Monomial, int] = {}
+    out: dict[int, int] = {}
     for exps, c in f.terms.items():
         ctx.check(exps)
         c = c.numerator * (F // c.denominator) * D ** (top - sum(exps))
         for e, v in product(exps).items():
             out[e] = out.get(e, 0) + c * v
     den = F * D**top
-    return Polynomial._raw({e: Fraction(v, den) for e, v in out.items() if v})
+    if den == 1:
+        return Polynomial._raw({unpack(e, w, nv): Fraction(v) for e, v in out.items() if v})
+    return Polynomial._raw({unpack(e, w, nv): Fraction(v, den) for e, v in out.items() if v})
 
 
-def _int_product(a: dict[Monomial, int], b: dict[Monomial, int]) -> dict[Monomial, int]:
-    out: dict[Monomial, int] = {}
+def _int_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = mul(e1, e2)
+            e = e1 + e2
             out[e] = out.get(e, 0) + c1 * c2
     return out

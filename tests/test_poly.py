@@ -150,6 +150,7 @@ def fraction_apply_change(ctx, g, f):
 
 @st.composite
 def changes_and_polynomials(draw):
+    """A change and 1-3 polynomials of degree 0-8, so packs take 1 to 4 bits."""
     nv = draw(st.integers(2, 4))
     entries = st.fractions(min_value=-5, max_value=5, max_denominator=8)
     rows = draw(st.lists(st.lists(entries, min_size=nv, max_size=nv), min_size=nv, max_size=nv))
@@ -157,11 +158,22 @@ def changes_and_polynomials(draw):
         g = LinearChange(tuple(tuple(r) for r in rows))
     except ValueError:
         assume(False)
-    terms = draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 2)] * nv), entries, max_size=5
-    ))
-    terms[(0,) * nv] = draw(entries.filter(bool))  # a constant term
-    return RingContext(nv - 1, GrevLex()), g, Polynomial(terms)
+
+    def monomial(indices):
+        return tuple(indices.count(i) for i in range(nv))
+
+    fs = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.integers(0, 8))
+        below = st.lists(st.integers(0, nv - 1), max_size=top).map(monomial)
+        terms = draw(st.dictionaries(below, entries, max_size=4))
+        # a term of degree top, and on request a constant term (non-homogeneous input)
+        lead = draw(st.lists(st.integers(0, nv - 1), min_size=top, max_size=top).map(monomial))
+        terms[lead] = draw(entries.filter(bool))
+        if draw(st.booleans()):
+            terms[(0,) * nv] = draw(entries.filter(bool))
+        fs.append(Polynomial(terms))
+    return RingContext(nv - 1, GrevLex()), g, fs
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,13 +181,17 @@ def changes_and_polynomials(draw):
 @example((
     RingContext(2, GrevLex()),
     LinearChange(((Fraction(1, 2), 1, 0), (0, Fraction(-3, 7), 1), (1, 0, 2))),
-    p("1/3*x0^2*x1 - 5/2*x2 + 7/4"),
+    [p("1/3*x0^2*x1 - 5/2*x2 + 7/4"), p("-2/3"), p("x0^8 - x1^4*x2 + 3*x2^2"), p("x1^3 + x2")],
 ))
 def test_apply_change_matches_fraction_oracle(problem):
-    ctx, g, f = problem
-    out = apply_change(ctx, g, f)
-    assert out == fraction_apply_change(ctx, g, f)
-    assert all(type(c) is Fraction for c in out.terms.values())
+    ctx, g, fs = problem
+    outs = [apply_change(ctx, g, f) for f in fs]  # in sequence, through one change
+    for f, out in zip(fs, outs):
+        assert out == fraction_apply_change(ctx, g, f)
+        assert all(type(c) is Fraction for c in out.terms.values())
+    fresh = LinearChange(g.matrix)
+    assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)
+    assert [apply_change(ctx, fresh, f) for f in reversed(fs)] == outs[::-1]
 
 
 def test_linear_change_validation():
