@@ -102,7 +102,6 @@ def _monomial_ideal_strings(ctx: RingContext, M: MonomialIdeal) -> list[str]:
 
 def run_gin(ctx: RingContext, I: Ideal, trials: int, seed: int, bound: int):
     result = generic_initial_ideal(ctx, I, trials=trials, seed=seed, bound=bound)
-    P = result.hilbert_polynomial
     borel = is_borel_fixed(ctx, result.gin)
     report = {
         "schema": SCHEMA,
@@ -117,8 +116,8 @@ def run_gin(ctx: RingContext, I: Ideal, trials: int, seed: int, bound: int):
         "certification_degree": result.certification_degree,
         "stable": result.stable,
         "borel_fixed": borel,
-        "hilbert_polynomial": str(P),
-        "gotzmann": gotzmann_number(P),
+        "hilbert_polynomial": str(result.hilbert_polynomial),
+        "gotzmann": result.gotzmann,
         "witness": [[str(x) for x in row] for row in result.witness.matrix],
     }
     return report, (0 if borel else PROPERTY_FAILURE)

@@ -1,16 +1,16 @@
 """Generic initial ideals, Borel fixedness, weight vectors, torus-limit checks.
 
-A secondary gin is in(g·I) for one change g, with its Schubert index at the
-certification degree; it is certified on its own Groebner basis of g·I.
-The generic initial ideal is the lex-maximal of `trials` secondary gins
-under seeded random changes, and carries their common Hilbert polynomial.
+A secondary gin is in(g·I) for one change g.  A change of coordinates keeps
+the Hilbert polynomial P and the generator degrees, so P, its Gotzmann number
+and the certification degree belong to I and are read once per gin, off the
+first trial.  The generic initial ideal is the trial whose Schubert index at
+the certification degree is lex-maximal among `trials` seeded random changes.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -34,15 +34,15 @@ class GinResult:
     stable: bool
     certification_degree: int
     hilbert_polynomial: HilbertPolynomial
+    gotzmann: int
 
 
 class SecondaryGin(NamedTuple):
-    """in(J) with its Schubert index at the degree that certifies J, and P of S/J."""
+    """in(J) with its Schubert index at the degree that certifies J."""
 
     index: SchubertIndex
     initial: MonomialIdeal
     certification_degree: int
-    hilbert_polynomial: HilbertPolynomial
 
 
 def random_linear_change(ctx: RingContext, seed: int, bound: int = 100) -> LinearChange:
@@ -52,7 +52,7 @@ def random_linear_change(ctx: RingContext, seed: int, bound: int = 100) -> Linea
     rng = random.Random(seed)
     nv = ctx.nvars
     while True:
-        rows = [[Fraction(rng.randint(-bound, bound)) for _ in range(nv)] for _ in range(nv)]
+        rows = [[rng.randint(-bound, bound) for _ in range(nv)] for _ in range(nv)]
         try:
             return LinearChange(tuple(tuple(r) for r in rows))
         except ValueError:  # singular: draw again
@@ -64,43 +64,31 @@ def index_at_degree(ctx: RingContext, M: MonomialIdeal, m: int) -> SchubertIndex
     return SchubertIndex(M.graded_monomials(ctx, m))
 
 
-def _certify(ctx: RingContext, J: Ideal) -> tuple[MonomialIdeal, int, HilbertPolynomial]:
-    """in(J) from one Groebner basis, P of S/J from in(J), and m from P.
+def _certify(ctx: RingContext, inJ: MonomialIdeal, J: Ideal) -> tuple[HilbertPolynomial, int, int]:
+    """P of S/J read off in(J), its Gotzmann number m0, and m = max(m0, deg J).
 
     The Gotzmann number suffices for saturated inputs; taking the max with the
     generator degrees guards inputs that are not saturated.
     """
-    if not J.homogeneous:
-        raise ValueError("Hilbert polynomials require a homogeneous ideal")
-    inJ = initial_ideal(ctx, J)
     P = hilbert_polynomial_of_monomial_ideal(ctx, inJ)
-    return inJ, max(gotzmann_number(P), J.max_degree()), P
-
-
-def certification_degree(ctx: RingContext, I: Ideal) -> tuple[int, HilbertPolynomial]:
-    """Degree at which the Schubert index pins down the saturated initial ideal, and P."""
-    return _certify(ctx, I)[1:]
+    m0 = gotzmann_number(P)
+    return P, m0, max(m0, J.max_degree())
 
 
 def certified_initial_ideal(ctx: RingContext, J: Ideal) -> SecondaryGin:
     """in(J), the certification degree m of J and the index of in(J) at m."""
-    inJ, m, P = _certify(ctx, J)
-    return SecondaryGin(index_at_degree(ctx, inJ, m), inJ, m, P)
+    if not J.homogeneous:
+        raise ValueError("Hilbert polynomials require a homogeneous ideal")
+    inJ = initial_ideal(ctx, J)
+    m = _certify(ctx, inJ, J)[2]
+    return SecondaryGin(index_at_degree(ctx, inJ, m), inJ, m)
 
 
-def secondary_gin(ctx: RingContext, I: Ideal, g: LinearChange) -> SecondaryGin:
-    """Initial ideal after the specific change g, with its Schubert index.
-
-    A change of coordinates keeps the Hilbert polynomial and the generator
-    degrees, so g·I has the certification degree of I.
-    """
+def secondary_gin(ctx: RingContext, I: Ideal, g: LinearChange) -> MonomialIdeal:
+    """in(g·I), the initial ideal after the specific change g."""
     if not I.homogeneous:
         raise ValueError("secondary gins require a homogeneous ideal")
-    if I.is_zero():
-        return SecondaryGin(
-            SchubertIndex(()), MonomialIdeal.zero(ctx.nvars), 0, binomial_poly(ctx.n, ctx.n)
-        )
-    return certified_initial_ideal(ctx, Ideal([apply_change(ctx, g, f) for f in I.generators]))
+    return initial_ideal(ctx, Ideal([apply_change(ctx, g, f) for f in I.generators]))
 
 
 def generic_initial_ideal(
@@ -108,8 +96,9 @@ def generic_initial_ideal(
 ) -> GinResult:
     """The lex-maximal of `trials` secondary gins under seeded random changes.
 
-    Each trial is certified on its own Groebner basis; the reported result is
-    the first trial whose Schubert index at the certification degree is
+    P, m0 and the certification degree m are read once, off the first trial
+    (every g·I has the Hilbert polynomial and generator degrees of I); the
+    reported result is the first trial whose Schubert index at m is
     lex-maximal, and `stable` records whether all trials agreed.  A sampled
     index can only fall below the generic one, never above it, so the maximal
     observed index is the generic index up to sampling failure.
@@ -119,6 +108,7 @@ def generic_initial_ideal(
     if not I.homogeneous:
         raise ValueError("generic initial ideals require a homogeneous ideal")
     if I.is_zero():
+        P = binomial_poly(ctx.n, ctx.n)
         return GinResult(
             gin=MonomialIdeal.zero(ctx.nvars),
             index=SchubertIndex(()),
@@ -126,24 +116,27 @@ def generic_initial_ideal(
             trials=trials,
             stable=True,
             certification_degree=0,
-            hilbert_polynomial=binomial_poly(ctx.n, ctx.n),
+            hilbert_polynomial=P,
+            gotzmann=gotzmann_number(P),
         )
     changes = [random_linear_change(ctx, seed + t, bound) for t in range(trials)]
-    runs = [secondary_gin(ctx, I, g) for g in changes]
-    best = max(range(trials), key=lambda t: index_rank(ctx, runs[t].index))
-    win = runs[best]
-    m = win.certification_degree
+    initials = [secondary_gin(ctx, I, g) for g in changes]
+    P, m0, m = _certify(ctx, initials[0], I)
+    indices = [index_at_degree(ctx, M, m) for M in initials]
+    best = max(range(trials), key=lambda t: index_rank(ctx, indices[t]))
+    win = indices[best]
     # The index is the degree-m slice of the generators of degree <= m, and
     # saturation ignores truncation, so saturating them gives the same ideal.
-    low = frozenset(u for u in win.initial.min_gens if sum(u) <= m)
+    low = frozenset(u for u in initials[best].min_gens if sum(u) <= m)
     return GinResult(
         gin=saturate(MonomialIdeal(ctx.nvars, low)),
-        index=win.index,
+        index=win,
         witness=changes[best],
         trials=trials,
-        stable=all(run.index == win.index for run in runs),
+        stable=all(index == win for index in indices),
         certification_degree=m,
-        hilbert_polynomial=win.hilbert_polynomial,
+        hilbert_polynomial=P,
+        gotzmann=m0,
     )
 
 

@@ -188,15 +188,18 @@ def macaulay_rep(P: HilbertPolynomial) -> MacaulayRep:
         block = lead * factorial(d)
         if block.denominator != 1:
             raise NotAdmissible(f"{P} is not an admissible Hilbert polynomial")
-        if i + int(block) > _MAX_EXPANSION_TERMS:
+        b = int(block)
+        if i + b > _MAX_EXPANSION_TERMS:
             raise ValueError(f"Gotzmann expansion of {P} exceeds {_MAX_EXPANSION_TERMS} terms")
         if d == 0:
             # remainder is a positive integer constant: that many trailing zeros
-            a.extend([0] * int(block))
+            a.extend([0] * b)
             break
-        a.append(d)
-        remainder = remainder - binomial_poly(d - i + 1, d)
-        i += 1
+        # the b terms of degree d at once: C(m+d-i+1, d) + ... + C(m+d-i-b+2, d)
+        # telescopes to C(m+d-i+2, d+1) - C(m+d-i-b+2, d+1)
+        a.extend([d] * b)
+        remainder += binomial_poly(d - i - b + 2, d + 1) - binomial_poly(d - i + 2, d + 1)
+        i += b
     return MacaulayRep(tuple(a))
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from ginlab.families import derive_seed, random_ideal, twisted_cubic_ideal
 from ginlab.groebner import Ideal, initial_ideal
+from ginlab.hilbert import gotzmann_number, hilbert_polynomial
 from ginlab.hilbert import lex_segment_ideal, parse_hilbert_polynomial
-from ginlab.gin import GinResult, certification_degree, index_at_degree, random_linear_change
+from ginlab.gin import GinResult, certified_initial_ideal, index_at_degree, random_linear_change
 from ginlab.linalg import det
 from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, RingContext
@@ -73,11 +74,12 @@ def exhaustive_limit_oracle(F, omega) -> bool:
 def oracle_generic_initial_ideal(ctx, I, trials, seed, bound=100) -> GinResult:
     """The gin loop that certifies every trial at the degree read off I itself.
 
-    It runs Buchberger on I once more than `generic_initial_ideal`, whose
-    trials each certify themselves from the basis of g·I; kept here as its
-    oracle for nonzero homogeneous I.
+    It runs Buchberger on I once more than `generic_initial_ideal`, which
+    reads P and m off its first trial's in(g·I); kept here as its oracle for
+    nonzero homogeneous I.
     """
-    m, P = certification_degree(ctx, I)
+    m = certified_initial_ideal(ctx, I).certification_degree
+    P = hilbert_polynomial(ctx, I)
     key = ctx.order.key
     best = None
     indices = []
@@ -100,4 +102,5 @@ def oracle_generic_initial_ideal(ctx, I, trials, seed, bound=100) -> GinResult:
         stable=all(other == idx for other in indices),
         certification_degree=m,
         hilbert_polynomial=P,
+        gotzmann=gotzmann_number(P),
     )

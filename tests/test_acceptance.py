@@ -13,7 +13,7 @@ import pytest
 
 from ginlab.families import derive_seed, random_subspace
 from ginlab.gin import (
-    certification_degree,
+    certified_initial_ideal,
     generic_initial_ideal,
     is_borel_fixed,
     one_ps_limit_check,
@@ -226,7 +226,7 @@ def test_c8_weight_vectors_and_torus_limits(certified):
             for e in f.terms:
                 if e != lead:
                     assert lead_w > sum(a * b for a, b in zip(omega.omega, e))
-        m, _ = certification_degree(ctx, I)
+        m = certified_initial_ideal(ctx, I).certification_degree
         assert one_ps_limit_check(ctx, I, m, omega), r["label"]
         n_cols = ctx.dim(m)
         d = n_cols - int(r["P"](m))

@@ -369,6 +369,11 @@ class TestHilbInfoCommand:
         assert main(["hilb-info", "--n", "2", "--p", text]) == 2
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("n, text", [("3", "400000*m"), ("5", "400*m^2")])
+    def test_expansion_over_the_term_limit(self, capsys, n, text):
+        assert main(["hilb-info", "--n", n, "--p", text]) == 2
+        assert "exceeds 500000 terms" in capsys.readouterr().err
+
     def test_round_trip_runs_once(self, capsys, monkeypatch):
         calls = []
         real = hilbert.hilbert_polynomial_of_monomial_ideal

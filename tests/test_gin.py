@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 from ginlab.families import twisted_cubic_ideal
 from ginlab.gin import (
     WeightVector,
-    certification_degree,
     certified_initial_ideal,
     generic_initial_ideal,
+    index_at_degree,
     is_borel_fixed,
     one_ps_limit_check,
     random_linear_change,
@@ -17,9 +18,13 @@ from ginlab.gin import (
     weight_vector_for_order,
 )
 from ginlab.grassmann import hilbert_point, schubert_cell_index, subspace_from_polynomials
-from ginlab import groebner
+from ginlab import gin, groebner, hilbert
 from ginlab.groebner import Ideal, buchberger, ideal_of, initial_ideal
-from ginlab.hilbert import hilbert_function, hilbert_polynomial
+from ginlab.hilbert import (
+    hilbert_function,
+    hilbert_polynomial,
+    hilbert_polynomial_of_monomial_ideal,
+)
 from ginlab.linalg import det
 from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, Lex, RingContext
@@ -92,10 +97,12 @@ class TestGenericInitialIdeal:
         res = generic_initial_ideal(CTX2, Ideal([]), trials=2, seed=0)
         assert res.gin.is_zero()
         assert res.stable
+        assert res.gotzmann == 1  # P = C(m+2, 2) is one binomial
+        assert secondary_gin(CTX2, Ideal([]), LinearChange.identity(3)).is_zero()
 
     def test_hilbert_function_preserved_across_trials(self):
         I = conic()
-        m_cert, _ = certification_degree(CTX2, I)
+        m_cert = certified_initial_ideal(CTX2, I).certification_degree
         inI = initial_ideal(CTX2, I)
         for t in range(3):
             g = random_linear_change(CTX2, seed=100 + t)
@@ -111,8 +118,8 @@ class TestGenericInitialIdeal:
         certified = tuple(key(u) for u in res.index.monomials)
         for seed in range(10):
             g = random_linear_change(CTX2, seed=seed * 31 + 1)
-            sec = secondary_gin(CTX2, I, g)
-            sampled = tuple(key(u) for u in sec.index.monomials)
+            idx = index_at_degree(CTX2, secondary_gin(CTX2, I, g), res.certification_degree)
+            sampled = tuple(key(u) for u in idx.monomials)
             assert sampled <= certified
 
     def test_requires_homogeneous(self):
@@ -124,7 +131,9 @@ class TestGenericInitialIdeal:
         with pytest.raises(ValueError, match="homogeneous"):
             certified_initial_ideal(CTX2, I)
         with pytest.raises(ValueError, match="homogeneous"):
-            certification_degree(CTX2, I)
+            hilbert_polynomial(CTX2, I)
+        with pytest.raises(ValueError, match="homogeneous"):
+            secondary_gin(CTX2, I, LinearChange.identity(3))
 
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
@@ -177,6 +186,23 @@ def test_gin_runs_buchberger_once_per_trial(monkeypatch):
     assert Ideal.__slots__ == ("generators", "homogeneous")
 
 
+def test_gin_reads_p_and_m0_once_per_request(monkeypatch):
+    calls = Counter()
+    for name in ("hilbert_polynomial_of_monomial_ideal", "gotzmann_number"):
+
+        def counted(*args, real=getattr(hilbert, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        for module in (gin, hilbert):
+            monkeypatch.setattr(module, name, counted)
+    result = generic_initial_ideal(CTX3, twisted_cubic_ideal(), trials=3, seed=5)
+    assert calls == {"hilbert_polynomial_of_monomial_ideal": 1, "gotzmann_number": 1}
+    assert (str(result.hilbert_polynomial), result.gotzmann, result.certification_degree) == (
+        "3*m + 1", 4, 4
+    )
+
+
 SECONDARY_INPUTS = [
     "x0*x2 - x1^2",
     "x0^2; x1^2",
@@ -192,13 +218,14 @@ SECONDARY_INPUTS = [
     st.sampled_from(SECONDARY_INPUTS),
     st.lists(st.integers(-3, 3), min_size=9, max_size=9),
 )
-def test_secondary_gin_certifies_like_its_input(text, entries):
+def test_secondary_gin_keeps_the_hilbert_polynomial(text, entries):
+    # generic_initial_ideal reads P, m0 and m off one trial because of this
     rows = [entries[0:3], entries[3:6], entries[6:9]]
     assume(det(rows) != 0)
     g = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows))
     I = Ideal([p(t) for t in text.split(";")])
-    sec = secondary_gin(CTX2, I, g)
-    assert (sec.certification_degree, sec.hilbert_polynomial) == certification_degree(CTX2, I)
+    moved = hilbert_polynomial_of_monomial_ideal(CTX2, secondary_gin(CTX2, I, g))
+    assert moved == hilbert_polynomial(CTX2, I)
 
 
 class TestBorelFixed:
@@ -230,11 +257,13 @@ class TestBorelFixed:
 class TestSecondaryGin:
     def test_identity_is_non_generic_for_the_conic(self):
         sec = secondary_gin(CTX2, conic(), LinearChange.identity(3))
-        assert sec.initial == mono_ideal(3, (0, 2, 0))
-        assert sec.index.monomials == ((0, 2, 0),)
+        assert sec == mono_ideal(3, (0, 2, 0))
+        m = certified_initial_ideal(CTX2, conic()).certification_degree
+        index = index_at_degree(CTX2, sec, m)
+        assert index.monomials == ((0, 2, 0),)
         primary = generic_initial_ideal(CTX2, conic(), trials=5, seed=1)
         key = CTX2.order.key
-        assert tuple(key(u) for u in sec.index.monomials) < tuple(
+        assert tuple(key(u) for u in index.monomials) < tuple(
             key(u) for u in primary.index.monomials
         )
 
@@ -242,14 +271,14 @@ class TestSecondaryGin:
         primary = generic_initial_ideal(CTX2, conic(), trials=5, seed=9)
         g = random_linear_change(CTX2, seed=9)  # first trial seed
         sec = secondary_gin(CTX2, conic(), g)
-        assert sec.index == primary.index
+        assert index_at_degree(CTX2, sec, primary.certification_degree) == primary.index
 
     def test_unipotent_fixes_borel_monomial_ideal(self):
         M = mono_ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))
         rows = [[1, 3, -2], [0, 1, 5], [0, 0, 1]]
         g = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows))
         sec = secondary_gin(CTX2, ideal_of(M), g)
-        assert sec.initial == M
+        assert sec == M
 
 
 class TestBorelCellPush:
@@ -259,13 +288,13 @@ class TestBorelCellPush:
         rows = [[1, 2, 7], [0, 1, -3], [0, 0, 1]]
         b = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows))
         sec = secondary_gin(CTX2, conic(), b)
-        assert sec.initial == mono_ideal(3, (0, 2, 0))
+        assert sec == mono_ideal(3, (0, 2, 0))
 
     def test_lower_pushes_conic_cell_up(self):
         rows = [[1, 0, 0], [2, 1, 0], [5, -1, 1]]
         b = LinearChange(tuple(tuple(Fraction(x) for x in r) for r in rows))
         sec = secondary_gin(CTX2, conic(), b)
-        assert sec.initial == mono_ideal(3, (2, 0, 0))
+        assert sec == mono_ideal(3, (2, 0, 0))
 
     def test_monomial_span_push(self):
         ctx = RingContext(1, GrevLex())

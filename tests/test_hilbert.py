@@ -1,9 +1,13 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ginlab.groebner import Ideal
 from ginlab.hilbert import (
+    _MAX_EXPANSION_TERMS,
     HilbertPolynomial,
     _numerator,
     MacaulayRep,
@@ -156,7 +160,61 @@ def test_h_vector_matches_dense_sum(drawn):
     assert hilbert_polynomial_of_monomial_ideal(ctx, M) == dense_sum_oracle(ctx, M)
 
 
+def macaulay_rep_per_term(P):
+    """The greedy Gotzmann expansion, subtracting one binomial C(m+a_i-i+1, a_i) per term.
+
+    `macaulay_rep` subtracts each run of equal a_i in one telescoped step;
+    this loop, the one it replaces, is kept here as its oracle.
+    """
+    a = []
+    remainder = P
+    i = 1
+    while not remainder.is_zero():
+        d = remainder.degree
+        lead = remainder.coeffs[-1]
+        if lead < 0:
+            raise NotAdmissible(f"{P} is not an admissible Hilbert polynomial")
+        block = lead * factorial(d)
+        if block.denominator != 1:
+            raise NotAdmissible(f"{P} is not an admissible Hilbert polynomial")
+        if i + int(block) > _MAX_EXPANSION_TERMS:
+            raise ValueError(f"Gotzmann expansion of {P} exceeds {_MAX_EXPANSION_TERMS} terms")
+        if d == 0:
+            a.extend([0] * int(block))
+            break
+        a.append(d)
+        remainder = remainder - binomial_poly(d - i + 1, d)
+        i += 1
+    return MacaulayRep(tuple(a))
+
+
+def expansion_outcome(expand, P):
+    """The exponents expand(P) returns, or the type and message of what it raises."""
+    try:
+        return expand(P).a
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# admissible polynomials from drawn exponents, plus a small perturbation that
+# may leave them admissible, make them inadmissible or give them more terms
+expansion_inputs = st.builds(
+    lambda a, extra: MacaulayRep(tuple(sorted(a, reverse=True))).to_polynomial()
+    + HilbertPolynomial.make(extra),
+    st.lists(st.integers(0, 3), max_size=12),
+    st.lists(st.fractions(-3, 3, max_denominator=6), max_size=3),
+)
+
+
 class TestGotzmann:
+    @settings(max_examples=300, deadline=None)
+    @given(expansion_inputs)
+    @example(HilbertPolynomial.make([0, Fraction(1, 2), Fraction(1, 2)]))
+    @example(HilbertPolynomial.make([-1, 3]))
+    @example(HilbertPolynomial.make([0, 0, 600]))
+    def test_block_steps_match_per_term_oracle(self, P):
+        assert expansion_outcome(macaulay_rep, P) == expansion_outcome(macaulay_rep_per_term, P)
+
     def test_hypersurface_gotzmann_is_degree(self):
         for n in (2, 3, 4):
             for d in (1, 2, 3, 4):
