@@ -31,9 +31,9 @@ from .groebner import Ideal, coefficient_rows
 from .hilbert import (
     HilbertPolynomial,
     NotAdmissible,
+    _lex_ideal,
     binomial_poly,
     gotzmann_number,
-    lex_segment_ideal,
     macaulay_rep,
     parse_hilbert_polynomial,
     revlex_lemma_check,
@@ -93,11 +93,11 @@ def _ideal_from_args(args, nvars: int) -> Ideal:
 
 
 def _ideal_strings(ctx: RingContext, gens) -> list[str]:
-    return [polynomial_str(g, ctx.order) for g in gens]
+    return [polynomial_str(g, ctx) for g in gens]
 
 
 def _monomial_ideal_strings(ctx: RingContext, M: MonomialIdeal) -> list[str]:
-    return [monomial_str(u) for u in M.gens_sorted(ctx.order)]
+    return [monomial_str(u) for u in M.gens_sorted(ctx)]
 
 
 def run_gin(ctx: RingContext, I: Ideal, trials: int, seed: int, bound: int):
@@ -146,9 +146,12 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
         bucket["members"].append(member_id)
 
     def stratum_rank(entry):
-        return (entry["degree"], index_rank(ctx, entry["index"]))
+        # higher degree first, then the higher index; the sentinel past every
+        # place puts an index after its extensions, as a longer index is higher
+        m = entry["degree"]
+        return (-m, index_rank(ctx, entry["index"]) + (ctx.dim(m),))
 
-    ordered = sorted(strata.values(), key=stratum_rank, reverse=True)
+    ordered = sorted(strata.values(), key=stratum_rank)
     total = len(members)
     borel_ok = True
     strata_json = []
@@ -255,7 +258,7 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
         if kind == "hypersurface":
             # I_m = f * S_(m-d), so in(I)_m = lm(f) * S_(m-d)
             f = random_form(ctx, d, rng, bound)
-            lead_ideal = MonomialIdeal(ctx.nvars, frozenset([f.leading(ctx.order)[0]]))
+            lead_ideal = MonomialIdeal(ctx.nvars, frozenset([f.leading(ctx)[0]]))
             dim = len(shifts)
             nonzero = lead_ideal.graded_monomials(ctx, m) == alpha_star
         else:
@@ -328,10 +331,10 @@ def run_hilb_info(ctx: RingContext, P: HilbertPolynomial, text: str):
     report["macaulay_rep"] = str(rep)
     report["macaulay_exponents"] = list(rep.a)
     try:
-        L = lex_segment_ideal(ctx, P)
+        L = _lex_ideal(ctx, P, rep.a)
     except ValueError as exc:
         raise CliError(str(exc))
-    # lex_segment_ideal raises unless its own round trip reproduces P
+    # _lex_ideal raises unless its own round trip reproduces P
     report["lex_ideal"] = _ideal_strings(ctx, L.generators)
     report["round_trip_verified"] = True
     return report, 0

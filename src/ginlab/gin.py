@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .grassmann import SchubertIndex, hilbert_point, index_rank
 from .groebner import Ideal, initial_ideal
-from .hilbert import HilbertPolynomial, binomial_poly, gotzmann_number
+from .hilbert import HilbertPolynomial, gotzmann_number
 from .hilbert import hilbert_polynomial_of_monomial_ideal
 from .monideal import MonomialIdeal, saturate
 from .orders import RingContext
@@ -107,23 +107,11 @@ def generic_initial_ideal(
         raise ValueError("at least two trials are required")
     if not I.homogeneous:
         raise ValueError("generic initial ideals require a homogeneous ideal")
-    if I.is_zero():
-        P = binomial_poly(ctx.n, ctx.n)
-        return GinResult(
-            gin=MonomialIdeal.zero(ctx.nvars),
-            index=SchubertIndex(()),
-            witness=LinearChange.identity(ctx.nvars),
-            trials=trials,
-            stable=True,
-            certification_degree=0,
-            hilbert_polynomial=P,
-            gotzmann=gotzmann_number(P),
-        )
     changes = [random_linear_change(ctx, seed + t, bound) for t in range(trials)]
     initials = [secondary_gin(ctx, I, g) for g in changes]
     P, m0, m = _certify(ctx, initials[0], I)
     indices = [index_at_degree(ctx, M, m) for M in initials]
-    best = max(range(trials), key=lambda t: index_rank(ctx, indices[t]))
+    best = min(range(trials), key=lambda t: index_rank(ctx, indices[t]))
     win = indices[best]
     # The index is the degree-m slice of the generators of degree <= m, and
     # saturation ignores truncation, so saturating them gives the same ideal.
@@ -180,7 +168,7 @@ def weight_vector_for_order(ctx: RingContext, basis) -> WeightVector:
         raise ValueError("weight vector needs a nonempty basis")
     diffs: list[tuple[int, ...]] = []
     for f in basis:
-        lead, _ = f.leading(ctx.order)
+        lead, _ = f.leading(ctx)
         for e in f.terms:
             if e != lead:
                 diffs.append(tuple(a - b for a, b in zip(lead, e)))

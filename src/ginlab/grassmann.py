@@ -42,10 +42,12 @@ class SchubertIndex:
 
 def make_index(ctx: RingContext, monomials: Iterable[Monomial]) -> SchubertIndex:
     mons = tuple(tuple(m) for m in monomials)
-    key = ctx.order.key
+    key = ctx.key
     for a, b in zip(mons, mons[1:]):
-        if key(a) <= key(b):
+        if key(a) >= key(b):
             raise ValueError("index monomials must be strictly descending")
+    if len({sum(m) for m in mons}) > 1:
+        raise ValueError("index monomials must have one degree")
     for m in mons:
         ctx.check(m)
     return SchubertIndex(mons)
@@ -127,17 +129,22 @@ class IndexComparison(NamedTuple):
     partial: str  # componentwise: equal / above / below / incomparable
 
 
-def index_rank(ctx: RingContext, idx: SchubertIndex) -> tuple:
-    """Sort key of an index: the order keys of its monomials, so ranks compare lex."""
-    key = ctx.order.key
-    return tuple(key(u) for u in idx.monomials)
+def index_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[int, ...]:
+    """The places of the index monomials in ``ctx.monomials(m)``.
+
+    Of two indices of one size, the lex-larger has the lex-smaller rank.
+    """
+    if not idx.monomials:
+        return ()
+    place = ctx.positions(sum(idx.monomials[0]))
+    return tuple(place[u] for u in idx.monomials)
 
 
 def compare_indices(ctx: RingContext, a: SchubertIndex, b: SchubertIndex) -> IndexComparison:
     if a.d != b.d:
         raise ValueError("indices have different sizes")
     ra, rb = index_rank(ctx, a), index_rank(ctx, b)
-    signs = {(x > y) - (x < y) for x, y in zip(ra, rb)} - {0}
+    signs = {(x < y) - (x > y) for x, y in zip(ra, rb)} - {0}
     if not signs:
         partial = EQUAL
     elif signs == {1}:
@@ -146,7 +153,7 @@ def compare_indices(ctx: RingContext, a: SchubertIndex, b: SchubertIndex) -> Ind
         partial = BELOW
     else:
         partial = INCOMPARABLE
-    return IndexComparison((ra > rb) - (ra < rb), partial)
+    return IndexComparison((ra < rb) - (ra > rb), partial)
 
 
 def index_weight(idx: SchubertIndex, weights) -> int:

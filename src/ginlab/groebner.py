@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
-from operator import mul as times, sub
+from operator import neg, sub
 
 from . import linalg
 from .monideal import MonomialIdeal, degree_part, minimalize
@@ -75,12 +74,11 @@ def reduce(ctx: RingContext, f: Polynomial, basis) -> Polynomial:
     basis = list(basis)
     if any(not g for g in basis):
         raise ValueError("division by a zero basis element")
-    hkey = _heap_key(ctx)
-    divisors = [_divisor(hkey, _int_terms(g)[0]) for g in basis]
+    divisors = [_divisor(ctx.key, _int_terms(g)[0]) for g in basis]
     if not f:
         return f
     ints, scale = _int_terms(f)
-    rem, s = _reduce(hkey, ints, divisors)
+    rem, s = _reduce(ctx.key, ints, divisors)
     num, den = scale.numerator, scale.denominator * s
     return Polynomial._raw({e: Fraction(c * num, den) for e, c in rem.items()})
 
@@ -91,9 +89,9 @@ def _int_terms(f: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
     return dict(zip(f.terms, ints)), scale
 
 
-def _divisor(hkey, f: dict[Monomial, int]):
+def _divisor(key, f: dict[Monomial, int]):
     """(lm, lc, tail) of the primitive multiple of f with lc > 0; the tail descends."""
-    terms = sorted(f.items(), key=lambda t: hkey(t[0]))
+    terms = sorted(f.items(), key=lambda t: key(t[0]))
     g = gcd(*f.values())
     if terms[0][1] < 0:
         g = -g
@@ -120,20 +118,7 @@ def _s_polynomial(fi, fj, l: Monomial) -> dict[Monomial, int]:
     return out
 
 
-def _heap_key(ctx: RingContext):
-    """Key whose smallest value is the largest monomial under ctx.order."""
-    rows = ctx.order.rows(ctx.nvars)
-    if any(len(row) != ctx.nvars for row in rows):
-        raise ValueError("monomial order does not match the number of variables")
-
-    @lru_cache(maxsize=None)
-    def key(m: Monomial) -> tuple[int, ...]:
-        return tuple([-sum(map(times, row, m)) for row in rows])
-
-    return key
-
-
-def _reduce(hkey, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, int], int]:
+def _reduce(key, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, int], int]:
     """Fraction-free division of an integer polynomial by (lm, lc, tail) divisors with lc > 0.
 
     Returns (r, s) with s > 0 and s * work = r modulo the divisors, where no
@@ -146,7 +131,7 @@ def _reduce(hkey, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, i
     descending order, each with the scale in force when it was written.
     """
     work = dict(work)
-    heap = [(hkey(m), m) for m in work]
+    heap = [(key(m), m) for m in work]
     heapq.heapify(heap)
     rem: list[tuple[Monomial, int, int]] = []
     s = 1
@@ -169,7 +154,7 @@ def _reduce(hkey, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, i
                     v = work.get(mm)
                     if v is None:
                         work[mm] = -b * c2
-                        heapq.heappush(heap, (hkey(mm), mm))
+                        heapq.heappush(heap, (key(mm), mm))
                     else:
                         v -= b * c2
                         if v:
@@ -207,15 +192,14 @@ def _buchberger(ctx: RingContext, generators) -> list:
     Skipped pairs count as done for the chain criterion, as reduced ones do,
     so the basis and the pair order are those of the plain algorithm.
     """
-    key = ctx.order.key
-    hkey = _heap_key(ctx)
+    key = ctx.key
     divisors: list = []
     sugars: list[int] = []
     generators = [g for g in generators if g]
     for g in generators:
-        h, _ = _reduce(hkey, _int_terms(g)[0], divisors)
+        h, _ = _reduce(key, _int_terms(g)[0], divisors)
         if h:
-            divisors.append(_divisor(hkey, h))
+            divisors.append(_divisor(key, h))
             sugars.append(g.degree())
     unit_basis = [(unit(ctx.nvars), 1, [])]
     if any(sum(lm) == 0 for lm, _, _ in divisors):
@@ -231,7 +215,8 @@ def _buchberger(ctx: RingContext, generators) -> list:
         for i in range(j):
             l = lcm(leads[i], lj)
             sugar = sum(l) + max(sugars[i] - sum(leads[i]), sugars[j] - sum(lj))
-            heapq.heappush(heap, (sugar, key(l), i, j))
+            # smallest lcm first among equal sugar: the negated key ascends with l
+            heapq.heappush(heap, (sugar, tuple(map(neg, key(l))), i, j))
 
     for j in range(len(divisors)):
         push_pairs(j)
@@ -264,10 +249,10 @@ def _buchberger(ctx: RingContext, generators) -> list:
                            - len(degree_part(ctx, leads, sugar)))
             if not deficit:
                 continue
-        h, _ = _reduce(hkey, _s_polynomial(divisors[i], divisors[j], l), divisors)
+        h, _ = _reduce(key, _s_polynomial(divisors[i], divisors[j], l), divisors)
         if not h:
             continue
-        d = _divisor(hkey, h)
+        d = _divisor(key, h)
         if sum(d[0]) == 0:
             return unit_basis
         deficit -= 1
@@ -281,20 +266,17 @@ def _buchberger(ctx: RingContext, generators) -> list:
 def buchberger(ctx: RingContext, I: Ideal) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of I for ctx.order, leads descending."""
     divisors = _buchberger(ctx, I.generators)
-    key, hkey = ctx.order.key, _heap_key(ctx)
     # drop elements whose lead is divisible by another lead; of equal leads
     # the first is kept, since list.index finds the first
     leads = [lm for lm, _, _ in divisors]
-    keep = sorted(leads.index(u) for u in minimalize(leads))
+    keep = [leads.index(u) for u in sorted(minimalize(leads), key=ctx.key)]
     reduced = []
     for i in keep:
         lm, lc, tail = divisors[i]
         others = [divisors[j] for j in keep if j != i]
-        h, _ = _reduce(hkey, {lm: lc, **dict(tail)}, others)
-        lc = h[lm]
-        reduced.append((key(lm), Polynomial._raw({e: Fraction(c, lc) for e, c in h.items()})))
-    reduced.sort(key=lambda t: t[0], reverse=True)
-    return tuple(g for _, g in reduced)
+        h, _ = _reduce(ctx.key, {lm: lc, **dict(tail)}, others)
+        reduced.append(Polynomial._raw({e: Fraction(c, h[lm]) for e, c in h.items()}))
+    return tuple(reduced)
 
 
 def initial_ideal(ctx: RingContext, I: Ideal) -> MonomialIdeal:
@@ -307,7 +289,7 @@ def coefficient_rows(ctx: RingContext, m: int, shifted) -> list[list[Fraction]]:
 
     Raises ValueError when a product term does not have degree m.
     """
-    position = {mon: k for k, mon in enumerate(ctx.monomials(m))}
+    position = ctx.positions(m)
     rows = []
     for u, g in shifted:
         vec = [_F0] * len(position)

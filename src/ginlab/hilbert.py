@@ -276,7 +276,11 @@ def lex_segment_ideal(ctx: RingContext, P: HilbertPolynomial) -> Ideal:
     x_{n-d-1}^b_d ... x_{n-2}^b_1 x_{n-1}^b_0.  P = C(m + n, n) gives the zero
     ideal, any other d >= n needs more variables; a round trip checks P.
     """
-    a = macaulay_rep(P).a
+    return _lex_ideal(ctx, P, macaulay_rep(P).a)
+
+
+def _lex_ideal(ctx: RingContext, P: HilbertPolynomial, a: tuple[int, ...]) -> Ideal:
+    """`lex_segment_ideal` from the Gotzmann exponents a of P, already expanded."""
     if not a:
         return Ideal([Polynomial.constant(ctx.nvars, 1)])
     n, d = ctx.n, a[0]
@@ -295,7 +299,7 @@ def lex_segment_ideal(ctx: RingContext, P: HilbertPolynomial) -> Ideal:
     M = MonomialIdeal(ctx.nvars, minimalize(gens))
     if hilbert_polynomial_of_monomial_ideal(ctx, M) != P:
         raise ValueError(f"{P} needs more variables than the ambient ring provides")
-    return Ideal([Polynomial.monomial(g) for g in M.gens_sorted(ctx.order)])
+    return Ideal([Polynomial.monomial(g) for g in M.gens_sorted(ctx)])
 
 
 def revlex_segment(ctx: RingContext, m: int, count: int) -> tuple[Monomial, ...]:

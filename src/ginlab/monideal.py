@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .orders import Monomial, MonomialOrder, RingContext, divides, lcm, pack, pack_width
+from .orders import Monomial, RingContext, divides, lcm, pack, pack_width
 
 
 def minimalize(gens) -> frozenset[Monomial]:
@@ -43,8 +43,9 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         return any(divides(g, m) for g in self.min_gens)
 
-    def gens_sorted(self, order: MonomialOrder) -> tuple[Monomial, ...]:
-        return tuple(sorted(self.min_gens, key=order.key, reverse=True))
+    def gens_sorted(self, ctx: RingContext) -> tuple[Monomial, ...]:
+        """The minimal generators, descending under ctx.order."""
+        return tuple(sorted(self.min_gens, key=ctx.key))
 
     def graded_monomials(self, ctx: RingContext, m: int) -> tuple[Monomial, ...]:
         """Degree-m monomials inside the ideal, descending under ctx.order."""

@@ -1,21 +1,21 @@
 """Total monomial orders and the ambient ring context.
 
-A monomial is an exponent tuple over the variables x0..xn.  Orders expose a
-sort key so that ``max(terms, key=order.key)`` picks the leading monomial and
-``sorted(..., reverse=True)`` lists monomials in descending order.  Each order
-is also an integer matrix, ``rows(nvars)``: a is above b exactly when rows . a
-is lexicographically larger than rows . b (Robbiano).  Division orders terms
-by the matrix (`groebner._heap_key`); the hand-written keys serve pair order,
-sorting and printing.
+A monomial is an exponent tuple over the variables x0..xn.  An order is an
+integer matrix and nothing else, ``rows(nvars)``: a is above b exactly when
+rows . a is lexicographically larger than rows . b (Robbiano, "Term orderings
+on the polynomial ring", 1985).  `order_key` turns the matrix into the one
+sort key, -rows . a, which ascends as monomials descend: ``sorted(mons,
+key=ctx.key)`` lists them in descending order and ``min(mons, key=ctx.key)``
+is the leading one.  A `RingContext` keeps that key for its lifetime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
-from operator import add, le
+from operator import add, le, mul as times
 
 Monomial = tuple[int, ...]
 
@@ -80,9 +80,6 @@ def variable(nvars: int, i: int) -> Monomial:
 class Lex:
     """Lexicographic order with x0 > x1 > ... > xn."""
 
-    def key(self, m: Monomial):
-        return m
-
     def rows(self, nvars: int) -> tuple[tuple[int, ...], ...]:
         return tuple(variable(nvars, i) for i in range(nvars))
 
@@ -93,9 +90,6 @@ class Lex:
 @dataclass(frozen=True)
 class GrevLex:
     """Degree reverse lexicographic order with x0 > x1 > ... > xn."""
-
-    def key(self, m: Monomial):
-        return (sum(m), tuple(-e for e in reversed(m)))
 
     def rows(self, nvars: int) -> tuple[tuple[int, ...], ...]:
         # the degree row, then -e_n, ..., -e_1; -e_0 is left out because
@@ -118,12 +112,6 @@ class WeightOrder:
         if any(w < 0 for w in self.weights):
             raise ValueError("weight vector must be nonnegative")
 
-    def key(self, m: Monomial):
-        if len(m) != len(self.weights):
-            raise ValueError("monomial length does not match weight vector")
-        w = sum(wi * ei for wi, ei in zip(self.weights, m))
-        return (w, self.tiebreak.key(m))
-
     def rows(self, nvars: int) -> tuple[tuple[int, ...], ...]:
         return (self.weights, *self.tiebreak.rows(nvars))
 
@@ -132,6 +120,22 @@ class WeightOrder:
 
 
 MonomialOrder = Lex | GrevLex | WeightOrder
+
+
+@lru_cache(maxsize=None)
+def order_key(order: MonomialOrder, nvars: int):
+    """The sort key -rows . m of `order` on nvars variables; the larger monomial has the smaller key.
+
+    Cached per (order, nvars), so the width check runs once for each pair.
+    """
+    rows = order.rows(nvars)
+    if any(len(row) != nvars for row in rows):
+        raise ValueError("monomial order does not match the number of variables")
+
+    def key(m: Monomial) -> tuple[int, ...]:
+        return tuple([-sum(map(times, row, m)) for row in rows])
+
+    return key
 
 
 @dataclass(frozen=True)
@@ -144,10 +148,16 @@ class RingContext:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ambient projective dimension n must be at least 1")
+        order_key(self.order, self.nvars)  # refuses a matrix of the wrong width
 
     @property
     def nvars(self) -> int:
         return self.n + 1
+
+    @cached_property
+    def key(self):
+        """The order's sort key, ascending for descending monomials, cached per monomial."""
+        return lru_cache(maxsize=None)(order_key(self.order, self.nvars))
 
     def check(self, m: Monomial) -> None:
         if len(m) != self.nvars:
@@ -162,6 +172,11 @@ class RingContext:
     def monomials(self, m: int) -> tuple[Monomial, ...]:
         """All degree-m monomials, descending under this context's order."""
         return _sorted_monomials(self.nvars, m, self.order)
+
+    @lru_cache(maxsize=None)
+    def positions(self, m: int) -> dict[Monomial, int]:
+        """The place of each degree-m monomial in ``monomials(m)``, one table per ring and m."""
+        return {u: k for k, u in enumerate(self.monomials(m))}
 
     def variables(self) -> tuple[Monomial, ...]:
         return tuple(variable(self.nvars, i) for i in range(self.nvars))
@@ -186,4 +201,4 @@ def _monomials_of_degree(nvars: int, m: int) -> tuple[Monomial, ...]:
 
 @lru_cache(maxsize=None)
 def _sorted_monomials(nvars: int, m: int, order: MonomialOrder) -> tuple[Monomial, ...]:
-    return tuple(sorted(_monomials_of_degree(nvars, m), key=order.key, reverse=True))
+    return tuple(sorted(_monomials_of_degree(nvars, m), key=order_key(order, nvars)))

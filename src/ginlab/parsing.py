@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .orders import GrevLex, Monomial, MonomialOrder
+from .orders import GrevLex, Monomial, RingContext, order_key
 from .poly import Polynomial
 
 
@@ -170,12 +170,13 @@ def term_str(e: Monomial, c: Fraction) -> str:
     return f"{c}*{mon}"
 
 
-def polynomial_str(f: Polynomial, order: MonomialOrder | None = None) -> str:
+def polynomial_str(f: Polynomial, ctx: RingContext | None = None) -> str:
+    """f with its terms descending under ctx.order, or under grevlex without a ring."""
     if not f:
         return "0"
-    order = order or GrevLex()
+    key = ctx.key if ctx else order_key(GrevLex(), f.nvars())
     pieces = []
-    for e, c in f.sorted_terms(order):
+    for e, c in sorted(f.terms.items(), key=lambda t: key(t[0])):
         text = term_str(e, c)
         if not pieces:
             pieces.append(text)

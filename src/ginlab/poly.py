@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .orders import Monomial, MonomialOrder, RingContext, mul, pack, pack_width, unit, unpack
+from .orders import Monomial, RingContext, mul, pack, pack_width, unit, unpack
 
 _F0 = Fraction(0)
 
@@ -151,14 +151,14 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def leading(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
+    def leading(self, ctx: RingContext) -> tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("leading term of the zero polynomial")
-        e = max(self.terms, key=order.key)
+        e = min(self.terms, key=ctx.key)
         return e, self.terms[e]
 
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        _, c = self.leading(order)
+    def monic(self, ctx: RingContext) -> "Polynomial":
+        _, c = self.leading(ctx)
         if c == 1:
             return self
         return Polynomial._raw({e: v / c for e, v in self.terms.items()})
@@ -171,9 +171,6 @@ class Polynomial:
         if scale == 1:
             return self
         return Polynomial._raw({e: Fraction(v) for e, v in zip(self.terms, ints)})
-
-    def sorted_terms(self, order: MonomialOrder):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def __repr__(self) -> str:
         from .parsing import polynomial_str

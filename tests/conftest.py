@@ -10,10 +10,23 @@ from ginlab.hilbert import lex_segment_ideal, parse_hilbert_polynomial
 from ginlab.gin import GinResult, certified_initial_ideal, index_at_degree, random_linear_change
 from ginlab.linalg import det
 from ginlab.monideal import MonomialIdeal, saturate
-from ginlab.orders import GrevLex, RingContext
+from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.poly import apply_change
 
 MASTER_SEED = 20240809
+
+
+def oracle_key(order, m):
+    """A hand-written sort key of `order`: the larger monomial has the larger key.
+
+    Written from the definitions of the orders, not from their matrices, it is
+    the oracle of the one key `RingContext.key` derives from the matrix.
+    """
+    if isinstance(order, Lex):
+        return m
+    if isinstance(order, GrevLex):
+        return (sum(m), tuple(-e for e in reversed(m)))
+    return (sum(w * e for w, e in zip(order.weights, m)), oracle_key(order.tiebreak, m))
 
 
 def build_corpus():
@@ -80,7 +93,6 @@ def oracle_generic_initial_ideal(ctx, I, trials, seed, bound=100) -> GinResult:
     """
     m = certified_initial_ideal(ctx, I).certification_degree
     P = hilbert_polynomial(ctx, I)
-    key = ctx.order.key
     best = None
     indices = []
     for t in range(trials):
@@ -89,7 +101,7 @@ def oracle_generic_initial_ideal(ctx, I, trials, seed, bound=100) -> GinResult:
         inM = initial_ideal(ctx, moved)
         idx = index_at_degree(ctx, inM, m)
         indices.append(idx)
-        rank = tuple(key(u) for u in idx.monomials)
+        rank = tuple(oracle_key(ctx.order, u) for u in idx.monomials)
         if best is None or rank > best[0]:
             best = (rank, idx, g, inM)
     _, idx, witness, inM = best

@@ -221,7 +221,7 @@ def test_c8_weight_vectors_and_torus_limits(certified):
         gb = buchberger(ctx, I)
         omega = weight_vector_for_order(ctx, gb)  # strict inequalities re-checked inside
         for f in gb:
-            lead, _ = f.leading(ctx.order)
+            lead, _ = f.leading(ctx)
             lead_w = sum(a * b for a, b in zip(omega.omega, lead))
             for e in f.terms:
                 if e != lead:

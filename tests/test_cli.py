@@ -142,6 +142,14 @@ class TestStrataCommand:
         ids = sorted(i for s in report["strata"] for i in s["member_ids"])
         assert ids == [0, 1, 2]
 
+    def test_an_index_comes_after_its_extensions(self, capsys):
+        # (x0^2) and (x0^2, x0*x1) are both read at degree 2; the longer index
+        # agrees with the shorter one on its first place and is the higher one
+        code, report = run_json(capsys, "strata", "--n", "2", "--mode", "initial",
+                                "--members", "x1^2|x0^2|x0^2;x0*x1")
+        assert code == 0
+        assert [s["index"] for s in report["strata"]] == [["x0^2", "x0*x1"], ["x0^2"], ["x1^2"]]
+
     def test_plane_complete_intersection_member(self, capsys):
         # Hilbert polynomial 81 has Gotzmann number 81, so the index is taken at degree 81
         code, report = run_json(
@@ -341,6 +349,22 @@ class TestHilbInfoCommand:
         code, report = run_json(capsys, "hilb-info", "--n", "2", "--p", "C(m+2,2) - C(m,2)")
         assert code == 0
         assert report["polynomial"] == "2*m + 1"
+
+    @pytest.mark.parametrize("n, text", [("2", "2*m + 1"), ("3", "C(m+3,3) - C(m+1,3)"),
+                                         ("2", "1"), ("1", "2*m + 1")])
+    def test_expands_p_once(self, capsys, monkeypatch, n, text):
+        # the report and the lex ideal share one Gotzmann expansion of P
+        original, calls = hilbert.macaulay_rep, []
+
+        def counted(P):
+            calls.append(P)
+            return original(P)
+
+        monkeypatch.setattr(hilbert, "macaulay_rep", counted)
+        monkeypatch.setattr(cli, "macaulay_rep", counted)
+        main(["hilb-info", "--n", n, "--p", text])
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_parse_failure(self, capsys):
         assert main(["hilb-info", "--n", "2", "--p", "2*m +"]) == 2

@@ -17,10 +17,16 @@ from ginlab.gin import (
     secondary_gin,
     weight_vector_for_order,
 )
-from ginlab.grassmann import hilbert_point, schubert_cell_index, subspace_from_polynomials
+from ginlab.grassmann import (
+    hilbert_point,
+    index_rank,
+    schubert_cell_index,
+    subspace_from_polynomials,
+)
 from ginlab import gin, groebner, hilbert
 from ginlab.groebner import Ideal, buchberger, ideal_of, initial_ideal
 from ginlab.hilbert import (
+    binomial_poly,
     hilbert_function,
     hilbert_polynomial,
     hilbert_polynomial_of_monomial_ideal,
@@ -94,10 +100,13 @@ class TestGenericInitialIdeal:
         assert again.gin == res.gin
 
     def test_zero_ideal(self):
+        # the general path: P = C(m+2, 2) is one binomial, so m0 = 1 and m = 1
         res = generic_initial_ideal(CTX2, Ideal([]), trials=2, seed=0)
         assert res.gin.is_zero()
         assert res.stable
-        assert res.gotzmann == 1  # P = C(m+2, 2) is one binomial
+        assert res.index.monomials == ()
+        assert res.hilbert_polynomial == binomial_poly(2, 2)
+        assert res.certification_degree == res.gotzmann == 1
         assert secondary_gin(CTX2, Ideal([]), LinearChange.identity(3)).is_zero()
 
     def test_hilbert_function_preserved_across_trials(self):
@@ -114,13 +123,12 @@ class TestGenericInitialIdeal:
     def test_sampled_indices_never_exceed_certified(self):
         I = conic()
         res = generic_initial_ideal(CTX2, I, trials=5, seed=7)
-        key = CTX2.order.key
-        certified = tuple(key(u) for u in res.index.monomials)
+        certified = index_rank(CTX2, res.index)
         for seed in range(10):
             g = random_linear_change(CTX2, seed=seed * 31 + 1)
             idx = index_at_degree(CTX2, secondary_gin(CTX2, I, g), res.certification_degree)
-            sampled = tuple(key(u) for u in idx.monomials)
-            assert sampled <= certified
+            # a lower index has a larger rank
+            assert index_rank(CTX2, idx) >= certified
 
     def test_requires_homogeneous(self):
         with pytest.raises(ValueError):
@@ -262,10 +270,7 @@ class TestSecondaryGin:
         index = index_at_degree(CTX2, sec, m)
         assert index.monomials == ((0, 2, 0),)
         primary = generic_initial_ideal(CTX2, conic(), trials=5, seed=1)
-        key = CTX2.order.key
-        assert tuple(key(u) for u in index.monomials) < tuple(
-            key(u) for u in primary.index.monomials
-        )
+        assert index_rank(CTX2, index) > index_rank(CTX2, primary.index)
 
     def test_generic_change_matches_primary(self):
         primary = generic_initial_ideal(CTX2, conic(), trials=5, seed=9)
@@ -328,7 +333,7 @@ class TestWeightVector:
         gb = buchberger(CTX3, twisted_cubic_ideal())
         w = weight_vector_for_order(CTX3, gb)
         for f in gb:
-            lead, _ = f.leading(CTX3.order)
+            lead, _ = f.leading(CTX3)
             lead_w = sum(a * b for a, b in zip(w.omega, lead))
             for e in f.terms:
                 if e != lead:

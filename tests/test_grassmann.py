@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_key
 from ginlab import cli, families
 from ginlab.families import points_hilbert_point, random_points, random_subspace
 from ginlab.grassmann import (
@@ -321,10 +322,17 @@ class TestIndexComparisons:
         with pytest.raises(ValueError):
             make_index(CTX2, [(0, 2, 0), (2, 0, 0)])
 
+    def test_one_degree_enforced(self):
+        # descending in grevlex, but a cell is named by monomials of one degree
+        with pytest.raises(ValueError, match="one degree"):
+            make_index(CTX2, [(0, 2, 0), (1, 0, 0)])
+
 
 def compare_indices_oracle(ctx, a, b):
     """Position-by-position comparison loops, kept as the oracle of `compare_indices`."""
-    key = ctx.order.key
+    def key(u):
+        return oracle_key(ctx.order, u)
+
     lex = 0
     for x, y in zip(a.monomials, b.monomials):
         if x != y:
@@ -356,7 +364,7 @@ def test_compare_indices_matches_loop_oracle(data):
 
     def draw_index():
         picked = data.draw(st.sets(st.sampled_from(cols), min_size=d, max_size=d))
-        return make_index(ctx, sorted(picked, key=order.key, reverse=True))
+        return make_index(ctx, sorted(picked, key=ctx.key))
 
     a, b = draw_index(), draw_index()
     assert compare_indices(ctx, a, b) == compare_indices_oracle(ctx, a, b)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_key
 from ginlab.orders import (
     GrevLex,
     Lex,
@@ -19,14 +20,17 @@ def mono(*exps):
     return tuple(exps)
 
 
+# the ring key ascends as monomials descend: a smaller key is a larger monomial
+
+
 def test_lex_first_exponent_dominates():
-    key = Lex().key
-    assert key(mono(2, 0, 0)) > key(mono(1, 1, 0))
+    key = RingContext(2, Lex()).key
+    assert key(mono(2, 0, 0)) < key(mono(1, 1, 0))
 
 
 def test_lex_ignores_degree():
-    key = Lex().key
-    assert key(mono(1, 0)) > key(mono(0, 3))
+    key = RingContext(1, Lex()).key
+    assert key(mono(1, 0)) < key(mono(0, 3))
 
 
 def test_grevlex_degree_two_chain():
@@ -41,13 +45,14 @@ def test_grevlex_degree_two_chain():
         mono(0, 0, 2),
     ]
     assert list(ctx.monomials(2)) == expected
-    assert ctx.order.key(mono(0, 2, 0)) > ctx.order.key(mono(1, 0, 1))
+    assert ctx.key(mono(0, 2, 0)) < ctx.key(mono(1, 0, 1))
 
 
 def test_equal_iff_identical():
     mons = [u for m in range(4) for u in RingContext(2).monomials(m)]
     for order in (Lex(), GrevLex(), WeightOrder((1, 2, 3))):
-        assert len({order.key(u) for u in mons}) == len(mons)
+        key = RingContext(2, order).key
+        assert len({key(u) for u in mons}) == len(mons)
 
 
 def test_dimension_mismatch_rejected():
@@ -55,16 +60,19 @@ def test_dimension_mismatch_rejected():
     ctx.check(mono(1, 0, 0))
     with pytest.raises(ValueError):
         ctx.check(mono(1, 0))
-    with pytest.raises(ValueError):
-        WeightOrder((1, 1, 0)).key(mono(1, 0))
+    # an order whose matrix is wider or narrower than the ring is refused up front
+    with pytest.raises(ValueError, match="does not match the number of variables"):
+        RingContext(1, WeightOrder((1, 1, 0)))
+    with pytest.raises(ValueError, match="does not match the number of variables"):
+        RingContext(3, WeightOrder((1, 1, 0)))
 
 
 def test_weight_order_compares_weight_then_tiebreak():
-    key = WeightOrder((1, 1, 0)).key
+    key = RingContext(2, WeightOrder((1, 1, 0))).key
     # weight 2 beats weight 1
-    assert key(mono(0, 2, 0)) > key(mono(1, 0, 1))
+    assert key(mono(0, 2, 0)) < key(mono(1, 0, 1))
     # equal weight falls back to grevlex
-    assert key(mono(2, 0, 0)) > key(mono(1, 1, 0))
+    assert key(mono(2, 0, 0)) < key(mono(1, 1, 0))
 
 
 def test_weight_order_rejects_negative_weights():
@@ -77,7 +85,7 @@ ORDERS = [Lex(), GrevLex(), WeightOrder((2, 1, 1)), WeightOrder((3, 0, 1), Lex()
 
 @pytest.mark.parametrize("order", ORDERS, ids=str)
 def test_order_axioms_on_samples(order):
-    key = order.key
+    key = RingContext(2, order).key
     rng = random.Random(101)
     mons = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(60)]
     for a, b in combinations(mons[:25], 2):
@@ -94,15 +102,21 @@ def test_order_axioms_on_samples(order):
 
 @pytest.mark.parametrize("order", ORDERS, ids=str)
 @settings(deadline=None)
-@given(mons=st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=2, max_size=12))
-def test_key_agrees_with_order_matrix(order, mons):
-    # monomials of mixed degree: the matrix must order them exactly as `key`
-    rows = order.rows(3)
-    for a in mons:
-        for b in mons:
-            ra = [sum(r * e for r, e in zip(row, a)) for row in rows]
-            rb = [sum(r * e for r, e in zip(row, b)) for row in rows]
-            assert (order.key(a) > order.key(b)) == (ra > rb)
+@given(data=st.data())
+def test_key_agrees_with_order_matrix(order, data):
+    # the ring key, derived from the matrix, sorts monomials of mixed degree
+    # exactly as the hand-written oracle key does; a weight order keeps its
+    # tiebreak and draws weights for each number of variables
+    n = data.draw(st.integers(1, 4), label="n")
+    if isinstance(order, WeightOrder):
+        weights = data.draw(st.tuples(*[st.integers(0, 4)] * (n + 1)), label="weights")
+        order = WeightOrder(weights, order.tiebreak)
+    mons = data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * (n + 1)),
+                              min_size=2, max_size=12, unique=True), label="monomials")
+    ctx = RingContext(n, order)
+    expected = sorted(mons, key=lambda u: oracle_key(order, u), reverse=True)
+    assert sorted(mons, key=ctx.key) == expected
+    assert min(mons, key=ctx.key) == expected[0]
 
 
 def test_order_matrices():
@@ -118,8 +132,9 @@ def test_monomial_enumeration_counts_and_descending():
             for m in range(5):
                 mons = ctx.monomials(m)
                 assert len(mons) == comb(n + m, n)
-                keys = [order.key(u) for u in mons]
+                keys = [oracle_key(order, u) for u in mons]
                 assert keys == sorted(keys, reverse=True)
+                assert ctx.positions(m) == {u: k for k, u in enumerate(mons)}
 
 
 def test_context_validation():
