@@ -8,17 +8,10 @@ from .orders import (
     RingContext,
     WeightOrder,
 )
-from .poly import LinearChange, Polynomial, apply_change, compose
+from .poly import LinearChange, Polynomial, apply_change
 from .parsing import ParseError, parse_generators, parse_polynomial, polynomial_str
-from .monideal import MonomialIdeal, colon_by_variable, intersect, saturate
-from .groebner import (
-    Ideal,
-    buchberger,
-    graded_piece,
-    ideal_of,
-    initial_ideal,
-    reduce,
-)
+from .monideal import MonomialIdeal, intersect, saturate
+from .groebner import Ideal, buchberger, initial_ideal
 from .hilbert import (
     HilbertPolynomial,
     MacaulayRep,
@@ -31,29 +24,19 @@ from .hilbert import (
     macaulay_rep,
     parse_hilbert_polynomial,
     revlex_lemma_check,
-    revlex_segment,
 )
 from .grassmann import (
     SchubertIndex,
     SubspaceBasis,
-    compare_indices,
     hilbert_point,
-    index_weight,
-    initial_subspace,
-    make_index,
-    max_index,
     pluecker_coordinate,
-    schubert_cell_index,
 )
 from .gin import (
     GinResult,
-    WeightVector,
     generic_initial_ideal,
     is_borel_fixed,
-    one_ps_limit_check,
     random_linear_change,
     secondary_gin,
-    weight_vector_for_order,
 )
 
 __all__ = [
@@ -66,21 +49,16 @@ __all__ = [
     "LinearChange",
     "Polynomial",
     "apply_change",
-    "compose",
     "ParseError",
     "parse_generators",
     "parse_polynomial",
     "polynomial_str",
     "MonomialIdeal",
-    "colon_by_variable",
     "intersect",
     "saturate",
     "Ideal",
     "buchberger",
-    "graded_piece",
-    "ideal_of",
     "initial_ideal",
-    "reduce",
     "HilbertPolynomial",
     "MacaulayRep",
     "NotAdmissible",
@@ -92,23 +70,13 @@ __all__ = [
     "macaulay_rep",
     "parse_hilbert_polynomial",
     "revlex_lemma_check",
-    "revlex_segment",
     "SchubertIndex",
     "SubspaceBasis",
-    "compare_indices",
     "hilbert_point",
-    "index_weight",
-    "initial_subspace",
-    "make_index",
-    "max_index",
     "pluecker_coordinate",
-    "schubert_cell_index",
     "GinResult",
-    "WeightVector",
     "generic_initial_ideal",
     "is_borel_fixed",
-    "one_ps_limit_check",
     "random_linear_change",
     "secondary_gin",
-    "weight_vector_for_order",
 ]

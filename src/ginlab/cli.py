@@ -217,6 +217,8 @@ def run_revlex_lemma(n: int, m_max: int, l_max: int):
 def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
                    d: int | None = None, count: int | None = None, bound: int = 100):
     ctx = RingContext(n, GrevLex())
+    if m < 0:
+        raise CliError("negative degree")
     if samples < 1:
         raise CliError("need at least one sample")
     if kind == "hypersurface":
@@ -236,10 +238,8 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
     dim_expected = ctx.dim(m) - int(value)
     if dim_expected < 0 or dim_expected > ctx.dim(m):
         raise CliError(f"no subspace of codimension P({m}) in degree {m}")
-    if m < 0:
-        raise CliError("negative degree")
     cols = ctx.monomials(m)
-    alpha_star = cols[:dim_expected]
+    alpha_star = ctx.top_segment(m, dim_expected)
     applicable = not P.is_zero() and P.degree >= 1 and m > m0
 
     explicit = None

@@ -1,9 +1,8 @@
-"""Seeded random forms, ideal families, integer point sets and subspaces for experiments."""
+"""Seeded random forms, ideal families and integer point sets for experiments."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd, prod
 
 from . import linalg
@@ -36,16 +35,6 @@ def random_form(ctx: RingContext, degree: int, rng: random.Random, bound: int = 
 
 def random_ideal(ctx: RingContext, degrees, rng: random.Random, bound: int = 100) -> Ideal:
     return Ideal([random_form(ctx, d, rng, bound) for d in degrees])
-
-
-def twisted_cubic_ideal() -> Ideal:
-    """The net of quadrics cutting out the standard rational normal cubic in P^3."""
-    x = [Polynomial.variable(4, i) for i in range(4)]
-    return Ideal([
-        x[0] * x[2] - x[1] * x[1],
-        x[1] * x[3] - x[2] * x[2],
-        x[0] * x[3] - x[1] * x[2],
-    ])
 
 
 def random_points(
@@ -92,17 +81,3 @@ def points_hilbert_point(ctx: RingContext, points, m: int) -> SubspaceBasis:
     cols = ctx.monomials(m)
     values = [[prod(c**k for k, c in zip(u, pt)) for u in cols] for pt in points]
     return subspace_from_vectors(ctx, m, linalg.kernel(values, len(cols)))
-
-
-def random_subspace(
-    ctx: RingContext, m: int, d: int, rng: random.Random, bound: int = 9
-) -> SubspaceBasis:
-    """Random d-dimensional subspace of the degree-m forms (resampled to full rank)."""
-    n_cols = ctx.dim(m)
-    if not 0 <= d <= n_cols:
-        raise ValueError(f"dimension {d} out of range 0..{n_cols}")
-    while True:
-        rows = [[Fraction(rng.randint(-bound, bound)) for _ in range(n_cols)] for _ in range(d)]
-        F = subspace_from_vectors(ctx, m, rows)
-        if F.d == d:
-            return F

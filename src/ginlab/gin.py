@@ -1,4 +1,4 @@
-"""Generic initial ideals, Borel fixedness, weight vectors, torus-limit checks.
+"""Generic initial ideals, secondary gins and Borel fixedness.
 
 A secondary gin is in(g·I) for one change g.  A change of coordinates keeps
 the Hilbert polynomial P and the generator degrees, so P, its Gotzmann number
@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
 from typing import NamedTuple
 
-from .grassmann import SchubertIndex, hilbert_point, index_rank
+from .grassmann import SchubertIndex, index_rank
 from .groebner import Ideal, initial_ideal
 from .hilbert import HilbertPolynomial, gotzmann_number
 from .hilbert import hilbert_polynomial_of_monomial_ideal
@@ -147,70 +146,3 @@ def is_borel_fixed(ctx: RingContext, M: MonomialIdeal) -> bool:
                 if not M.contains(moved):
                     return False
     return True
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Nonnegative integer weights separating each basis lead from its tail."""
-
-    omega: tuple[int, ...]
-
-
-def weight_vector_for_order(ctx: RingContext, basis) -> WeightVector:
-    """Nonnegative integer omega with omega . (lead - tail) > 0 for every basis element.
-
-    Built from the defining rows of the order, scaled so the first row that
-    separates each difference dominates the remaining rows; the strict
-    inequalities are re-checked exactly before returning.
-    """
-    basis = list(basis)
-    if not basis:
-        raise ValueError("weight vector needs a nonempty basis")
-    diffs: list[tuple[int, ...]] = []
-    for f in basis:
-        lead, _ = f.leading(ctx)
-        for e in f.terms:
-            if e != lead:
-                diffs.append(tuple(a - b for a, b in zip(lead, e)))
-    if not diffs:
-        return WeightVector((0,) * ctx.nvars)
-    rows = ctx.order.rows(ctx.nvars)
-    bound = max(abs(sum(r * v for r, v in zip(row, d))) for row in rows for d in diffs)
-    t = bound + 2
-    omega = [0] * ctx.nvars
-    scale = t ** (len(rows) - 1)
-    for row in rows:
-        for j, r in enumerate(row):
-            omega[j] += scale * r
-        scale //= t
-    g = gcd(*omega)
-    if g > 1:
-        omega = [w // g for w in omega]
-    if any(w < 0 for w in omega):
-        raise RuntimeError("weight vector construction produced a negative entry")
-    for d in diffs:
-        if sum(w * v for w, v in zip(omega, d)) <= 0:
-            raise RuntimeError("weight vector fails a strict inequality")
-    return WeightVector(tuple(omega))
-
-
-def one_ps_limit_check(ctx: RingContext, I: Ideal, m: int, omega: WeightVector) -> bool:
-    """Exact test that the torus limit of the degree-m Hilbert point is its initial subspace.
-
-    The nonzero Plücker coordinates of the canonical matrix F are the bases of
-    its column matroid, and the limit under the weight omega is the pivot
-    index exactly when that basis is the unique one of maximal weight.  By
-    Brualdi's exchange bijection this holds iff every single exchange loses
-    weight.  In reduced echelon form, swapping pivot column p for column e
-    gives the minor +-F[row of p][e], so the test reads: every nonzero entry
-    of a pivot row outside the pivot columns has strictly smaller weight than
-    the row's pivot.  No determinant is taken; d == 0 is vacuously true.
-    """
-    F = hilbert_point(ctx, I, m)
-    w = [sum(a * e for a, e in zip(omega.omega, u)) for u in F.columns]
-    return all(
-        w[e] < w[p]
-        for row, p in zip(F.matrix, F.pivots)
-        for e, x in enumerate(row)
-        if x and e != p
-    )

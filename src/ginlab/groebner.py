@@ -10,7 +10,7 @@ polynomial division using a heap", 2011) instead of a scan for the maximum.
 Each integer remainder is a positive multiple of the rational one, so the
 pair sequence and the reduced basis are those of rational arithmetic.
 `initial_ideal` reads the minimal leads of the unreduced integer basis, and
-`Fraction` is built only for the monic reduced basis and for `reduce`.
+`Fraction` is built only for the monic reduced basis.
 
 Buchberger's algorithm skips the S-pairs that must reduce to zero by
 Traverso's Hilbert-driven criterion ("Hilbert functions and the Buchberger
@@ -51,9 +51,6 @@ class Ideal:
         self.generators = gens
         self.homogeneous = all(g.is_homogeneous() for g in gens)
 
-    def nvars(self) -> int | None:
-        return self.generators[0].nvars() if self.generators else None
-
     def is_zero(self) -> bool:
         return not self.generators
 
@@ -63,24 +60,6 @@ class Ideal:
     def __repr__(self) -> str:
         inner = ", ".join(repr(g) for g in self.generators)
         return f"Ideal({inner})"
-
-
-def ideal_of(M: MonomialIdeal) -> Ideal:
-    return Ideal([Polynomial.monomial(g) for g in M.min_gens])
-
-
-def reduce(ctx: RingContext, f: Polynomial, basis) -> Polynomial:
-    """Normal form of f: no monomial of the result is divisible by a basis lead."""
-    basis = list(basis)
-    if any(not g for g in basis):
-        raise ValueError("division by a zero basis element")
-    divisors = [_divisor(ctx.key, _int_terms(g)[0]) for g in basis]
-    if not f:
-        return f
-    ints, scale = _int_terms(f)
-    rem, s = _reduce(ctx.key, ints, divisors)
-    num, den = scale.numerator, scale.denominator * s
-    return Polynomial._raw({e: Fraction(c * num, den) for e, c in rem.items()})
 
 
 def _int_terms(f: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
@@ -321,11 +300,3 @@ def graded_basis_matrix(ctx: RingContext, I: Ideal, m: int):
     cols = ctx.monomials(m)
     reduced, pivots = linalg.rref(coefficient_rows(ctx, m, shifted), len(cols))
     return reduced, pivots, cols
-
-
-def graded_piece(ctx: RingContext, I: Ideal, m: int) -> list[Polynomial]:
-    """A linearly independent basis of the degree-m slice of I (RREF rows)."""
-    reduced, _, cols = graded_basis_matrix(ctx, I, m)
-    return [
-        Polynomial({cols[k]: c for k, c in enumerate(row) if c}) for row in reduced
-    ]

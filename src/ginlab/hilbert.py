@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .grassmann import max_index
 from .groebner import Ideal, initial_ideal
 from .monideal import MonomialIdeal, minimalize
-from .orders import GrevLex, Monomial, RingContext
+from .orders import GrevLex, RingContext
 from .parsing import ParseError, parse_expression
 from .poly import Polynomial
 
@@ -147,10 +146,6 @@ class MacaulayRep:
     @property
     def gotzmann(self) -> int:
         return len(self.a)
-
-    def to_polynomial(self) -> HilbertPolynomial:
-        terms = (binomial_poly(ai - i + 1, ai) for i, ai in enumerate(self.a, start=1))
-        return sum(terms, HilbertPolynomial.zero())
 
     def __str__(self) -> str:
         pieces = []
@@ -302,11 +297,6 @@ def _lex_ideal(ctx: RingContext, P: HilbertPolynomial, a: tuple[int, ...]) -> Id
     return Ideal([Polynomial.monomial(g) for g in M.gens_sorted(ctx)])
 
 
-def revlex_segment(ctx: RingContext, m: int, count: int) -> tuple[Monomial, ...]:
-    """The first `count` degree-m monomials in descending grevlex order."""
-    return max_index(RingContext(ctx.n, GrevLex()), m, count).monomials
-
-
 @dataclass(frozen=True)
 class RevlexLemmaReport:
     is_segment_after: bool
@@ -326,14 +316,14 @@ def revlex_lemma_check(ctx: RingContext, m: int, count: int, l: int) -> RevlexLe
     """
     if l < 1:
         raise ValueError("l must be at least 1")
-    segment = revlex_segment(ctx, m, count)
+    grevlex = RingContext(ctx.n, GrevLex())
+    segment = grevlex.top_segment(m, count)
     corner = tuple(m if i == ctx.n - 1 else 0 for i in range(ctx.nvars))
     contains_corner = corner in segment
 
     # S_l * segment, descending in grevlex; one degree never divides another
-    grevlex = RingContext(ctx.n, GrevLex())
     products = MonomialIdeal(ctx.nvars, frozenset(segment)).graded_monomials(grevlex, m + l)
-    is_segment_after = products == revlex_segment(ctx, m + l, len(products))
+    is_segment_after = products == grevlex.top_segment(m + l, len(products))
 
     codim_before = ctx.dim(m) - count
     codim_after = ctx.dim(m + l) - len(products)

@@ -147,21 +147,3 @@ def kernel(rows: Iterable[Sequence], ncols: int) -> list[Row]:
             v[c] = -reduced[i][f]
         basis.append(tuple(v))
     return basis
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]):
-    """Matrix product with exact entries."""
-    inner = len(b)
-    if any(len(row) != inner for row in a):
-        raise ValueError("matrix shapes do not match")
-    cols = len(b[0]) if inner else 0
-    return tuple(
-        tuple(sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols))
-        for row in a
-    )
-
-
-def identity(n: int):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )

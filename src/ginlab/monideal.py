@@ -1,4 +1,4 @@
-"""Monomial ideals: minimal generators, colon, intersection, saturation."""
+"""Monomial ideals: minimal generators, degree-m slices, intersection, saturation."""
 
 from __future__ import annotations
 
@@ -24,21 +24,6 @@ class MonomialIdeal:
 
     nvars: int
     min_gens: frozenset[Monomial]
-
-    @classmethod
-    def make(cls, nvars: int, gens) -> "MonomialIdeal":
-        gens = [tuple(g) for g in gens]
-        for g in gens:
-            if len(g) != nvars or any(e < 0 for e in g):
-                raise ValueError(f"bad monomial generator {g}")
-        return cls(nvars, minimalize(gens))
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MonomialIdeal":
-        return cls(nvars, frozenset())
-
-    def is_zero(self) -> bool:
-        return not self.min_gens
 
     def contains(self, m: Monomial) -> bool:
         return any(divides(g, m) for g in self.min_gens)
@@ -71,19 +56,6 @@ def degree_part(ctx: RingContext, gens, m: int) -> set[int]:
 @lru_cache(maxsize=None)
 def _packed_monomials(ctx: RingContext, k: int, w: int) -> tuple[int, ...]:
     return tuple(pack(m, w) for m in ctx.monomials(k))
-
-
-def colon_by_variable(M: MonomialIdeal, i: int) -> MonomialIdeal:
-    """(M : x_i), the monomials u with u * x_i in M."""
-    if not 0 <= i < M.nvars:
-        raise ValueError(f"variable index {i} out of range")
-    gens = []
-    for g in M.min_gens:
-        if g[i] > 0:
-            gens.append(tuple(e - 1 if j == i else e for j, e in enumerate(g)))
-        else:
-            gens.append(g)
-    return MonomialIdeal(M.nvars, minimalize(gens))
 
 
 def intersect(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:

@@ -173,6 +173,13 @@ class RingContext:
         """All degree-m monomials, descending under this context's order."""
         return _sorted_monomials(self.nvars, m, self.order)
 
+    def top_segment(self, m: int, count: int) -> tuple[Monomial, ...]:
+        """The first `count` of ``monomials(m)``: the largest index of that size."""
+        chain = self.monomials(m)
+        if not 0 <= count <= len(chain):
+            raise ValueError(f"index size {count} out of range 0..{len(chain)}")
+        return chain[:count]
+
     @lru_cache(maxsize=None)
     def positions(self, m: int) -> dict[Monomial, int]:
         """The place of each degree-m monomial in ``monomials(m)``, one table per ring and m."""

@@ -148,29 +148,11 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def leading(self, ctx: RingContext) -> tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("leading term of the zero polynomial")
         e = min(self.terms, key=ctx.key)
         return e, self.terms[e]
-
-    def monic(self, ctx: RingContext) -> "Polynomial":
-        _, c = self.leading(ctx)
-        if c == 1:
-            return self
-        return Polynomial._raw({e: v / c for e, v in self.terms.items()})
-
-    def primitive(self) -> "Polynomial":
-        """Clear denominators and divide by integer content."""
-        if not self.terms:
-            return self
-        ints, scale = linalg.primitive_int_row(tuple(self.terms.values()), len(self.terms))
-        if scale == 1:
-            return self
-        return Polynomial._raw({e: Fraction(v) for e, v in zip(self.terms, ints)})
 
     def __repr__(self) -> str:
         from .parsing import polynomial_str
@@ -208,18 +190,6 @@ class LinearChange:
     @property
     def nvars(self) -> int:
         return len(self.matrix)
-
-    @classmethod
-    def identity(cls, nvars: int) -> "LinearChange":
-        return cls(linalg.identity(nvars))
-
-
-def compose(g: LinearChange, h: LinearChange) -> LinearChange:
-    """Change with apply_change(compose(g, h), f) == apply_change(g, apply_change(h, f))."""
-    if g.nvars != h.nvars:
-        raise ValueError("dimension mismatch in composition")
-    return LinearChange(linalg.mat_mul(h.matrix, g.matrix))
-
 
 def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial) -> Polynomial:
     """Substitute g into f and expand; degree is preserved on homogeneous input.

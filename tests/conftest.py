@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from ginlab.families import derive_seed, random_ideal, twisted_cubic_ideal
+from ginlab.families import derive_seed, random_ideal
 from ginlab.groebner import Ideal, initial_ideal
 from ginlab.hilbert import gotzmann_number, hilbert_polynomial
 from ginlab.hilbert import lex_segment_ideal, parse_hilbert_polynomial
@@ -12,6 +12,7 @@ from ginlab.linalg import det
 from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.poly import apply_change
+from oracles import twisted_cubic_ideal
 
 MASTER_SEED = 20240809
 

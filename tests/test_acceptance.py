@@ -11,21 +11,14 @@ from math import comb
 
 import pytest
 
-from ginlab.families import derive_seed, random_subspace
+from ginlab.families import derive_seed
 from ginlab.gin import (
     certified_initial_ideal,
     generic_initial_ideal,
     is_borel_fixed,
-    one_ps_limit_check,
     random_linear_change,
-    weight_vector_for_order,
 )
-from ginlab.grassmann import (
-    SchubertIndex,
-    hilbert_point,
-    pluecker_coordinate,
-    schubert_cell_index,
-)
+from ginlab.grassmann import SchubertIndex, hilbert_point, pluecker_coordinate
 from ginlab.groebner import Ideal, buchberger, graded_basis_matrix, initial_ideal
 from ginlab.hilbert import (
     HilbertPolynomial,
@@ -38,11 +31,18 @@ from ginlab.hilbert import (
     parse_hilbert_polynomial,
 )
 from ginlab.cli import run_degeneracy, run_revlex_lemma
-from ginlab.monideal import MonomialIdeal, saturate
+from ginlab.monideal import saturate
 from ginlab.orders import GrevLex, RingContext
 from ginlab.poly import apply_change
 
 from conftest import MASTER_SEED, exhaustive_limit_oracle
+from oracles import (
+    monomial_ideal,
+    one_ps_limit_check,
+    random_subspace,
+    schubert_cell_index,
+    weight_vector_for_order,
+)
 
 TRIALS = 5
 BOUND = 100
@@ -249,6 +249,6 @@ def test_c9_index_monomials_recover_initial_ideal(certified):
         ctx, I = r["ctx"], r["ideal"]
         F = hilbert_point(ctx, I, r["m0"])
         idx = schubert_cell_index(ctx, F)
-        recovered = saturate(MonomialIdeal.make(ctx.nvars, idx.monomials))
+        recovered = saturate(monomial_ideal(ctx.nvars, idx.monomials))
         assert recovered == initial_ideal(ctx, I), r["label"]
     print("\nACCEPTANCE 9 (cell index recovers the initial ideal): PASS [20 ideals, exact]")

@@ -322,6 +322,15 @@ class TestDegeneracyCommand:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: sample 0 has unexpected dimension 0 != 3\n"
 
+    @pytest.mark.parametrize("argv", [
+        # P(-1) = 3 has no subspace of codimension 3 in degree -1; the degree is refused first
+        "degeneracy --kind points --n 2 --count 3 --m -1 --samples 1",
+        "degeneracy --kind hypersurface --n 2 --d 2 --m -2 --samples 1",
+    ])
+    def test_negative_degree_refused_first(self, capsys, argv):
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err == "error: negative degree\n"
+
 
 class TestHilbInfoCommand:
     def test_conic_polynomial(self, capsys):

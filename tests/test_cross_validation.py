@@ -8,11 +8,12 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from ginlab.grassmann import hilbert_point, initial_subspace
+from ginlab.grassmann import hilbert_point
 from ginlab.groebner import Ideal, buchberger
 from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.parsing import parse_generators, parse_polynomial
 from ginlab.poly import Polynomial
+from oracles import initial_subspace, monic
 
 
 def to_sympy(f, gens):
@@ -58,7 +59,7 @@ def test_reduced_groebner_bases_match_sympy(order_name):
                 [to_sympy(f, gens) for f in polys], *gens, order=order_name
             )
             theirs = {
-                from_sympy(expr, gens).monic(ctx) for expr in reference.exprs
+                monic(ctx, from_sympy(expr, gens)) for expr in reference.exprs
             }
             assert ours == theirs
 
@@ -72,7 +73,7 @@ def test_twisted_cubic_matches_sympy():
     ]
     ours = set(buchberger(ctx, Ideal(polys)))
     reference = sympy.groebner([to_sympy(f, gens) for f in polys], *gens, order="grevlex")
-    assert ours == {from_sympy(e, gens).monic(ctx) for e in reference.exprs}
+    assert ours == {monic(ctx, from_sympy(e, gens)) for e in reference.exprs}
 
 
 def test_non_homogeneous_lex_basis_matches_sympy():
@@ -87,7 +88,7 @@ def test_non_homogeneous_lex_basis_matches_sympy():
     )
     ours = set(buchberger(ctx, Ideal(polys)))
     reference = sympy.groebner([to_sympy(f, gens) for f in polys], *gens, order="lex")
-    assert ours == {from_sympy(e, gens).monic(ctx) for e in reference.exprs}
+    assert ours == {monic(ctx, from_sympy(e, gens)) for e in reference.exprs}
 
 
 def test_initial_subspace_is_span_of_leading_terms():

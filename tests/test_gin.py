@@ -2,29 +2,20 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ginlab.families import twisted_cubic_ideal
 from ginlab.gin import (
-    WeightVector,
     certified_initial_ideal,
     generic_initial_ideal,
     index_at_degree,
     is_borel_fixed,
-    one_ps_limit_check,
     random_linear_change,
     secondary_gin,
-    weight_vector_for_order,
 )
-from ginlab.grassmann import (
-    hilbert_point,
-    index_rank,
-    schubert_cell_index,
-    subspace_from_polynomials,
-)
+from ginlab.grassmann import hilbert_point, index_rank
 from ginlab import gin, groebner, hilbert
-from ginlab.groebner import Ideal, buchberger, ideal_of, initial_ideal
+from ginlab.groebner import Ideal, buchberger, initial_ideal
 from ginlab.hilbert import (
     binomial_poly,
     hilbert_function,
@@ -32,12 +23,24 @@ from ginlab.hilbert import (
     hilbert_polynomial_of_monomial_ideal,
 )
 from ginlab.linalg import det
-from ginlab.monideal import MonomialIdeal, saturate
+from ginlab.monideal import saturate
 from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.parsing import parse_polynomial
 from ginlab.poly import LinearChange, Polynomial, apply_change
 
 from conftest import exhaustive_limit_oracle, oracle_generic_initial_ideal
+from oracles import (
+    WeightVector,
+    identity_change,
+    ideal_of,
+    initial_subspace,
+    monomial_ideal,
+    one_ps_limit_check,
+    schubert_cell_index,
+    subspace_from_polynomials,
+    twisted_cubic_ideal,
+    weight_vector_for_order,
+)
 
 CTX2 = RingContext(2, GrevLex())
 CTX3 = RingContext(3, GrevLex())
@@ -52,7 +55,7 @@ def conic():
 
 
 def mono_ideal(nvars, *gens):
-    return MonomialIdeal.make(nvars, gens)
+    return monomial_ideal(nvars, gens)
 
 
 class TestRandomLinearChange:
@@ -102,12 +105,12 @@ class TestGenericInitialIdeal:
     def test_zero_ideal(self):
         # the general path: P = C(m+2, 2) is one binomial, so m0 = 1 and m = 1
         res = generic_initial_ideal(CTX2, Ideal([]), trials=2, seed=0)
-        assert res.gin.is_zero()
+        assert not res.gin.min_gens
         assert res.stable
         assert res.index.monomials == ()
         assert res.hilbert_polynomial == binomial_poly(2, 2)
         assert res.certification_degree == res.gotzmann == 1
-        assert secondary_gin(CTX2, Ideal([]), LinearChange.identity(3)).is_zero()
+        assert not secondary_gin(CTX2, Ideal([]), identity_change(3)).min_gens
 
     def test_hilbert_function_preserved_across_trials(self):
         I = conic()
@@ -141,7 +144,7 @@ class TestGenericInitialIdeal:
         with pytest.raises(ValueError, match="homogeneous"):
             hilbert_polynomial(CTX2, I)
         with pytest.raises(ValueError, match="homogeneous"):
-            secondary_gin(CTX2, I, LinearChange.identity(3))
+            secondary_gin(CTX2, I, identity_change(3))
 
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
@@ -152,7 +155,7 @@ def test_gin_idempotence_on_corpus(corpus):
     for i, (label, ctx, I) in enumerate(corpus):
         first = generic_initial_ideal(ctx, I, trials=3, seed=1000 + i)
         # oracle: saturating the whole Schubert index gives the same ideal
-        assert first.gin == saturate(MonomialIdeal.make(ctx.nvars, first.index.monomials)), label
+        assert first.gin == saturate(monomial_ideal(ctx.nvars, first.index.monomials)), label
         again = generic_initial_ideal(ctx, ideal_of(first.gin), trials=3, seed=2000 + i)
         assert again.gin == first.gin, label
 
@@ -249,7 +252,7 @@ class TestBorelFixed:
 
     def test_redundant_generators_do_not_matter(self):
         plain = mono_ideal(3, (2, 0, 0), (1, 1, 0), (0, 2, 0))
-        padded = MonomialIdeal.make(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (2, 1, 0), (1, 2, 1)])
+        padded = monomial_ideal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 0), (2, 1, 0), (1, 2, 1)])
         assert is_borel_fixed(CTX2, plain) == is_borel_fixed(CTX2, padded)
 
     def test_twisted_cubic_initial_not_borel(self):
@@ -264,7 +267,7 @@ class TestBorelFixed:
 
 class TestSecondaryGin:
     def test_identity_is_non_generic_for_the_conic(self):
-        sec = secondary_gin(CTX2, conic(), LinearChange.identity(3))
+        sec = secondary_gin(CTX2, conic(), identity_change(3))
         assert sec == mono_ideal(3, (0, 2, 0))
         m = certified_initial_ideal(CTX2, conic()).certification_degree
         index = index_at_degree(CTX2, sec, m)
@@ -340,7 +343,36 @@ class TestWeightVector:
                     assert lead_w > sum(a * b for a, b in zip(w.omega, e))
 
 
+@st.composite
+def small_homogeneous_ideals(draw):
+    """(ring, ideal, m): up to three forms of degree 1-3 with up to four terms, in P^1 or P^2."""
+    n = draw(st.integers(1, 2))
+    ctx = RingContext(n, draw(st.sampled_from([GrevLex(), Lex()])))
+    coefficient = st.integers(-3, 3).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        mons = ctx.monomials(draw(st.integers(1, 3)))
+        terms = st.dictionaries(st.sampled_from(mons), coefficient, min_size=1, max_size=4)
+        gens.append(Polynomial(draw(terms)))
+    return ctx, Ideal(gens), draw(st.integers(1, 4))
+
+
 class TestOnePsLimit:
+    @settings(deadline=None, max_examples=150)
+    @given(small_homogeneous_ideals())
+    @example((CTX2, conic(), 2))
+    @example((CTX2, conic(), 3))
+    @example((CTX2, Ideal([p("x0^2"), p("x0*x1"), p("x1^2")]), 2))  # omega = 0, vacuous
+    def test_torus_limit_is_the_initial_subspace(self, case):
+        # with omega weighting the reduced basis as the order does, the limit
+        # under t^omega of the degree-m Hilbert point is its initial subspace,
+        # the slice in(I)_m
+        ctx, I, m = case
+        omega = weight_vector_for_order(ctx, buchberger(ctx, I))
+        assert one_ps_limit_check(ctx, I, m, omega)
+        limit = initial_subspace(ctx, hilbert_point(ctx, I, m))
+        assert limit.monomials == initial_ideal(ctx, I).graded_monomials(ctx, m)
+
     def test_conic_degree_two(self):
         w = weight_vector_for_order(CTX2, buchberger(CTX2, conic()))
         assert one_ps_limit_check(CTX2, conic(), 2, w)

@@ -10,30 +10,33 @@ from hypothesis import strategies as st
 
 from conftest import oracle_key
 from ginlab import cli, families
-from ginlab.families import points_hilbert_point, random_points, random_subspace
+from ginlab.families import points_hilbert_point, random_points
 from ginlab.grassmann import (
+    SchubertIndex,
+    hilbert_point,
+    pluecker_coordinate,
+    subspace_from_vectors,
+)
+from ginlab.groebner import Ideal, initial_ideal
+from ginlab.linalg import det, rank
+from ginlab.monideal import saturate
+from ginlab.orders import GrevLex, Lex, RingContext, WeightOrder
+from ginlab.parsing import parse_polynomial
+from ginlab.poly import Polynomial
+from oracles import (
     ABOVE,
     BELOW,
     EQUAL,
     INCOMPARABLE,
-    SchubertIndex,
     compare_indices,
-    hilbert_point,
-    index_weight,
     initial_subspace,
     make_index,
-    max_index,
-    pluecker_coordinate,
+    mat_mul,
+    monomial_ideal,
+    random_subspace,
     schubert_cell_index,
     subspace_from_polynomials,
-    subspace_from_vectors,
 )
-from ginlab.groebner import Ideal, initial_ideal
-from ginlab.linalg import det, mat_mul, rank
-from ginlab.monideal import MonomialIdeal, saturate
-from ginlab.orders import GrevLex, Lex, RingContext, WeightOrder
-from ginlab.parsing import parse_polynomial
-from ginlab.poly import Polynomial
 
 CTX2 = RingContext(2, GrevLex())
 
@@ -240,7 +243,7 @@ def test_top_coordinate_is_nonzero_iff_pivots_lead(data):
     F = random_subspace(ctx, m, d, random.Random(data.draw(st.integers(0, 10**6))))
     rows = [[0] * zero_lead + list(row[zero_lead:]) for row in F.matrix]
     F = subspace_from_vectors(ctx, m, rows)
-    top = pluecker_coordinate(F, max_index(ctx, m, F.d))
+    top = pluecker_coordinate(F, SchubertIndex(ctx.top_segment(m, F.d)))
     assert (top != 0) == (F.pivots == tuple(range(F.d)))
 
 
@@ -370,34 +373,22 @@ def test_compare_indices_matches_loop_oracle(data):
     assert compare_indices(ctx, a, b) == compare_indices_oracle(ctx, a, b)
 
 
-class TestIndexWeight:
-    def test_zero_weights(self):
-        idx = make_index(CTX2, [(2, 0, 0), (1, 1, 0)])
-        assert index_weight(idx, (0, 0, 0)) == 0
-
-    def test_first_variable_count(self):
-        idx = make_index(CTX2, [(2, 0, 0), (1, 1, 0)])
-        assert index_weight(idx, (1, 0, 0)) == 3
-
-    def test_weighted_square(self):
-        idx = make_index(CTX2, [(0, 2, 0)])
-        assert index_weight(idx, (1, 1, 0)) == 2
-
-
 class TestMaxIndex:
+    """The largest index of d monomials of degree m is the top segment ``ctx.top_segment(m, d)``."""
+
     def test_degree_three_top(self):
-        idx = max_index(CTX2, 3, 3)
-        assert idx.monomials == ((3, 0, 0), (2, 1, 0), (1, 2, 0))
+        assert CTX2.top_segment(3, 3) == ((3, 0, 0), (2, 1, 0), (1, 2, 0))
 
     def test_single(self):
-        assert max_index(CTX2, 4, 1).monomials == ((4, 0, 0),)
+        assert CTX2.top_segment(4, 1) == ((4, 0, 0),)
 
     def test_full(self):
-        assert len(max_index(CTX2, 2, 6).monomials) == 6
+        assert CTX2.top_segment(2, 6) == CTX2.monomials(2)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            max_index(CTX2, 2, 7)
+        for count in (-1, 7):
+            with pytest.raises(ValueError, match="out of range 0..6"):
+                CTX2.top_segment(2, count)
 
 
 class TestIndexDeterminesInitialIdeal:
@@ -407,5 +398,5 @@ class TestIndexDeterminesInitialIdeal:
         I = conic()
         F = hilbert_point(CTX2, I, 2)
         idx = schubert_cell_index(CTX2, F)
-        recovered = saturate(MonomialIdeal.make(3, idx.monomials))
+        recovered = saturate(monomial_ideal(3, idx.monomials))
         assert recovered == initial_ideal(CTX2, I)
