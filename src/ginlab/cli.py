@@ -178,7 +178,7 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
         "family": description,
         "family_size": total,
         "strata": strata_json,
-        "dominant_index": dominant["index"].as_strings(),
+        "dominant_index": strata_json[0]["index"],
         "dominant_share": str(Fraction(len(dominant["members"]), total)),
     }
     covered = sum(s["count"] for s in strata_json)

@@ -12,6 +12,11 @@ pair sequence and the reduced basis are those of rational arithmetic.
 `initial_ideal` reads the minimal leads of the unreduced integer basis, and
 `Fraction` is built only for the monic reduced basis.
 
+Inside Buchberger's algorithm a polynomial is {M: int} (`RingContext.packing`);
+an exponent that outgrows the packing restarts the run at twice the width.
+Divisions stop at their lead, the only term read, leaving tails unreduced:
+leads may come in another order than full division's, in(I) cannot change.
+
 Buchberger's algorithm skips the S-pairs that must reduce to zero by
 Traverso's Hilbert-driven criterion ("Hilbert functions and the Buchberger
 algorithm", JSC 1996).  Let I have r <= n + 1 homogeneous generators of
@@ -28,11 +33,10 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
-from operator import neg, sub
 
 from . import linalg
 from .monideal import MonomialIdeal, degree_part, minimalize
-from .orders import Monomial, RingContext, coprime, div, divides, lcm, mul, unit, variable
+from .orders import Monomial, RingContext, coprime, divides, lcm, mul, pack_width, unit, variable
 from .poly import Polynomial
 
 _F0 = Fraction(0)
@@ -68,9 +72,9 @@ def _int_terms(f: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
     return dict(zip(f.terms, ints)), scale
 
 
-def _divisor(key, f: dict[Monomial, int]):
-    """(lm, lc, tail) of the primitive multiple of f with lc > 0; the tail descends."""
-    terms = sorted(f.items(), key=lambda t: key(t[0]))
+def _divisor(f: dict[int, int]):
+    """(lm, lc, tail) of the primitive multiple of packed f with lc > 0; the tail descends."""
+    terms = sorted(f.items())
     g = gcd(*f.values())
     if terms[0][1] < 0:
         g = -g
@@ -80,15 +84,15 @@ def _divisor(key, f: dict[Monomial, int]):
     return lm, lc, tail
 
 
-def _s_polynomial(fi, fj, l: Monomial) -> dict[Monomial, int]:
+def _s_polynomial(fi, fj, l: int) -> dict[int, int]:
     """(c_j/h) x^(l-l_i) f_i - (c_i/h) x^(l-l_j) f_j with h = gcd(c_i, c_j); leads cancel."""
     (li, ci, ti), (lj, cj, tj) = fi, fj
     h = gcd(ci, cj)
     a, b = cj // h, ci // h
-    ui, uj = div(l, li), div(l, lj)
-    out = {mul(ui, e): a * c for e, c in ti}
+    ui, uj = l - li, l - lj
+    out = {ui + e: a * c for e, c in ti}
     for e, c in tj:
-        mm = mul(uj, e)
+        mm = uj + e
         v = out.get(mm, 0) - b * c
         if v:
             out[mm] = v
@@ -97,31 +101,32 @@ def _s_polynomial(fi, fj, l: Monomial) -> dict[Monomial, int]:
     return out
 
 
-def _reduce(key, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, int], int]:
-    """Fraction-free division of an integer polynomial by (lm, lc, tail) divisors with lc > 0.
+def _reduce(guard: int, work: dict[int, int], divisors, full: bool = False):
+    """Fraction-free division of packed `work` (consumed) by (lm, lc, tail) divisors, lc > 0.
 
-    Returns (r, s) with s > 0 and s * work = r modulo the divisors, where no
-    monomial of r is divisible by a lead.  The top term c * x^m, taken from a
-    heap of the work's monomials, is cancelled by the first divisor whose lead
-    divides x^m: with h = gcd(c, lc) the work and the remainder are scaled by
-    lc/h, and (c/h) * x^(m - lm) * tail is subtracted.  Each step keeps work
-    and remainder s times their rational counterparts, so r / s is the
-    remainder of rational division.  Remainder terms are written in
-    descending order, each with the scale in force when it was written.
+    Returns (r, s) with s > 0 and s * work = r modulo the divisors.  The top
+    term c * x^m, taken from a heap of the work's monomials, is cancelled by
+    the first divisor whose lead divides x^m: with h = gcd(c, lc) the work and
+    the remainder are scaled by lc/h, and (c/h) * x^(m - lm) * tail is
+    subtracted.  r is the first term no lead divides plus the rest of the
+    work, or with `full` the remainder, its terms written in descending order
+    with the scale then in force.  An overflow into a `guard` bit raises OverflowError.
     """
-    work = dict(work)
-    heap = [(key(m), m) for m in work]
+    if any(m & guard for m in work):
+        raise OverflowError("exponent outgrows the packing")
+    heap = list(work)
     heapq.heapify(heap)
-    rem: list[tuple[Monomial, int, int]] = []
+    rem: list[tuple[int, int, int]] = []
     s = 1
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = heapq.heappop(heap)
         c = work.pop(m, 0)
         if not c:
             continue
+        mg = m | guard
         for lm, lc, tail in divisors:
-            if divides(lm, m):
-                u = tuple(map(sub, m, lm))
+            if (mg - lm) & guard == guard:
+                u = m - lm
                 h = gcd(c, lc)
                 a = lc // h
                 if a != 1:
@@ -129,11 +134,13 @@ def _reduce(key, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, in
                     work = {e: v * a for e, v in work.items()}
                 b = c // h
                 for e2, c2 in tail:
-                    mm = mul(u, e2)
+                    mm = u + e2
                     v = work.get(mm)
                     if v is None:
+                        if mm & guard:
+                            raise OverflowError("exponent outgrows the packing")
                         work[mm] = -b * c2
-                        heapq.heappush(heap, (key(mm), mm))
+                        heapq.heappush(heap, mm)
                     else:
                         v -= b * c2
                         if v:
@@ -142,6 +149,9 @@ def _reduce(key, work: dict[Monomial, int], divisors) -> tuple[dict[Monomial, in
                             del work[mm]
                 break
         else:
+            if not full:
+                work[m] = c
+                return work, s
             rem.append((m, c, s))
     return {m: c * (s // sm) for m, c, sm in rem}, s
 
@@ -153,8 +163,23 @@ def _regular_sequence_powers(ctx: RingContext, generators) -> list[Monomial] | N
     return [tuple(g.degree() * e for e in variable(ctx.nvars, i)) for i, g in enumerate(generators)]
 
 
+def _widened(ctx: RingContext, generators, run):
+    """run(packing), first with room for d^2 (d the top exponent; Bezout), then twice as wide."""
+    bits = 2 * pack_width(max((max(e) for g in generators for e in g.terms), default=0))
+    while True:
+        try:
+            return run(ctx.packing(bits))
+        except OverflowError:
+            bits *= 2
+
+
 def _buchberger(ctx: RingContext, generators) -> list:
-    """A Groebner basis of the generators as (lm, lc, tail) divisors, not reduced.
+    """A Groebner basis of the generators as (lm, lc, tail), not reduced; see `_basis`."""
+    return _widened(ctx, generators, lambda packing: _basis(ctx, packing, generators))
+
+
+def _basis(ctx: RingContext, packing, generators) -> list:
+    """A Groebner basis as (lm, lc, tail), lm the lead's exponent tuple and the tail packed.
 
     [] for the zero ideal and [(unit, 1, [])] for the unit ideal.  Pairs are
     taken by sugar (Giovini et al., "One sugar cube, please", 1991): a
@@ -171,20 +196,21 @@ def _buchberger(ctx: RingContext, generators) -> list:
     Skipped pairs count as done for the chain criterion, as reduced ones do,
     so the basis and the pair order are those of the plain algorithm.
     """
-    key = ctx.key
+    guard, encode = packing.guard, packing.encode
     divisors: list = []
+    leads: list[Monomial] = []
     sugars: list[int] = []
     generators = [g for g in generators if g]
     for g in generators:
-        h, _ = _reduce(key, _int_terms(g)[0], divisors)
+        h, _ = _reduce(guard, {encode(e): c for e, c in _int_terms(g)[0].items()}, divisors)
         if h:
-            divisors.append(_divisor(key, h))
+            divisors.append(_divisor(h))
+            leads.append(packing.decode(divisors[-1][0]))
             sugars.append(g.degree())
     unit_basis = [(unit(ctx.nvars), 1, [])]
-    if any(sum(lm) == 0 for lm, _, _ in divisors):
+    if any(sum(lm) == 0 for lm in leads):
         return unit_basis
 
-    leads = [lm for lm, _, _ in divisors]
     powers = _regular_sequence_powers(ctx, generators)
     deficit_degree = deficit = -1
     heap: list = []
@@ -194,15 +220,15 @@ def _buchberger(ctx: RingContext, generators) -> list:
         for i in range(j):
             l = lcm(leads[i], lj)
             sugar = sum(l) + max(sugars[i] - sum(leads[i]), sugars[j] - sum(lj))
-            # smallest lcm first among equal sugar: the negated key ascends with l
-            heapq.heappush(heap, (sugar, tuple(map(neg, key(l))), i, j))
+            # smallest lcm first among equal sugar: -M(l) ascends with l
+            heapq.heappush(heap, (sugar, -encode(l), i, j))
 
     for j in range(len(divisors)):
         push_pairs(j)
 
     done: set[tuple[int, int]] = set()
     while heap:
-        sugar, _, i, j = heapq.heappop(heap)
+        sugar, neg_l, i, j = heapq.heappop(heap)
         done.add((i, j))
         li, lj = leads[i], leads[j]
         if coprime(li, lj):
@@ -228,34 +254,41 @@ def _buchberger(ctx: RingContext, generators) -> list:
                            - len(degree_part(ctx, leads, sugar)))
             if not deficit:
                 continue
-        h, _ = _reduce(key, _s_polynomial(divisors[i], divisors[j], l), divisors)
+        h, _ = _reduce(guard, _s_polynomial(divisors[i], divisors[j], -neg_l), divisors)
         if not h:
             continue
-        d = _divisor(key, h)
-        if sum(d[0]) == 0:
+        d = _divisor(h)
+        lm = packing.decode(d[0])
+        if sum(lm) == 0:
             return unit_basis
         deficit -= 1
         divisors.append(d)
-        leads.append(d[0])
+        leads.append(lm)
         sugars.append(sugar)
         push_pairs(len(divisors) - 1)
-    return divisors
+    return [(lm, lc, tail) for lm, (_, lc, tail) in zip(leads, divisors)]
 
 
 def buchberger(ctx: RingContext, I: Ideal) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of I for ctx.order, leads descending."""
-    divisors = _buchberger(ctx, I.generators)
-    # drop elements whose lead is divisible by another lead; of equal leads
-    # the first is kept, since list.index finds the first
-    leads = [lm for lm, _, _ in divisors]
-    keep = [leads.index(u) for u in sorted(minimalize(leads), key=ctx.key)]
-    reduced = []
-    for i in keep:
-        lm, lc, tail = divisors[i]
-        others = [divisors[j] for j in keep if j != i]
-        h, _ = _reduce(ctx.key, {lm: lc, **dict(tail)}, others)
-        reduced.append(Polynomial._raw({e: Fraction(c, h[lm]) for e, c in h.items()}))
-    return tuple(reduced)
+
+    def reduced(packing):
+        basis = _basis(ctx, packing, I.generators)
+        # drop elements whose lead is divisible by another lead; of equal leads
+        # the first is kept, since list.index finds the first
+        leads = [lm for lm, _, _ in basis]
+        keep = [leads.index(u) for u in sorted(minimalize(leads), key=ctx.key)]
+        divisors = [(packing.encode(lm), lc, tail) for lm, lc, tail in basis]
+        out = []
+        for i in keep:
+            lm, lc, tail = divisors[i]
+            others = [divisors[j] for j in keep if j != i]
+            h, _ = _reduce(packing.guard, {lm: lc, **dict(tail)}, others, True)
+            out.append(Polynomial._raw(
+                {packing.decode(e): Fraction(c, h[lm]) for e, c in h.items()}))
+        return tuple(out)
+
+    return _widened(ctx, I.generators, reduced)
 
 
 def initial_ideal(ctx: RingContext, I: Ideal) -> MonomialIdeal:

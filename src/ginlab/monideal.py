@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .orders import Monomial, RingContext, divides, lcm, pack, pack_width
+from .orders import Monomial, RingContext, divides, lcm, pack_width
 
 
 def minimalize(gens) -> frozenset[Monomial]:
@@ -42,20 +42,21 @@ class MonomialIdeal:
 def degree_part(ctx: RingContext, gens, m: int) -> set[int]:
     """The degree-m monomials of the ideal generated by the monomials `gens`, packed.
 
-    Packs have width pack_width(m), so a generator times a monomial is the sum
-    of their packs.  A generator of degree above m has no multiples, as
-    ``ctx.monomials(m - deg)`` is empty.
+    Packs are ``ctx.packing(pack_width(m))``, so a generator times a monomial
+    is the sum of their packs.  A generator of degree above m has no
+    multiples, as ``ctx.monomials(m - deg)`` is empty.
     """
     w = pack_width(m)
+    encode = ctx.packing(w).encode
     part: set[int] = set()
     for u in gens:
-        part.update(map(pack(u, w).__add__, _packed_monomials(ctx, m - sum(u), w)))
+        part.update(map(encode(u).__add__, _packed_monomials(ctx, m - sum(u), w)))
     return part
 
 
 @lru_cache(maxsize=None)
-def _packed_monomials(ctx: RingContext, k: int, w: int) -> tuple[int, ...]:
-    return tuple(pack(m, w) for m in ctx.monomials(k))
+def _packed_monomials(ctx: RingContext, k: int, bits: int) -> tuple[int, ...]:
+    return tuple(map(ctx.packing(bits).encode, ctx.monomials(k)))
 
 
 def intersect(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:

@@ -7,6 +7,13 @@ on the polynomial ring", 1985).  `order_key` turns the matrix into the one
 sort key, -rows . a, which ascends as monomials descend: ``sorted(mons,
 key=ctx.key)`` lists them in descending order and ``min(mons, key=ctx.key)``
 is the leading one.  A `RingContext` keeps that key for its lifetime.
+
+One int per monomial (Monagan and Pearce, JSC 2011; Bachmann and Schoenemann,
+ISSAC 1998): `RingContext.packing(bits)` gives M(e) = (k(e) << P) + the
+exponents at bits + 1 bits each, k(e) the digits -rows . e in a base no product
+carries past and a guard bit atop each field.  A product is one addition, M
+ascends as monomials descend, x^a | x^b iff ((M(b) | G) - M(a)) & G == G for
+the guard bits G, and an exponent reaching 2^bits shows in M & G.
 """
 
 from __future__ import annotations
@@ -29,33 +36,9 @@ def pack_width(degree: int) -> int:
     return max(1, degree.bit_length())
 
 
-def pack(m: Monomial, w: int) -> int:
-    """x^m as one int, exponent i at bit w*i.
-
-    With w = pack_width(d), monomials whose product has total degree <= d
-    multiply by adding their packs: no exponent carries into the next
-    (Monagan and Pearce, "Sparse polynomial division using a heap", 2011).
-    """
-    return sum(e << (w * i) for i, e in enumerate(m))
-
-
-def unpack(p: int, w: int, nvars: int) -> Monomial:
-    """The exponent tuple of a pack of width w; inverse of `pack`."""
-    mask = (1 << w) - 1
-    return tuple(p >> (w * i) & mask for i in range(nvars))
-
-
 def divides(a: Monomial, b: Monomial) -> bool:
     """True when x^a divides x^b."""
     return all(map(le, a, b))
-
-
-def div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of x^a / x^b; requires divisibility."""
-    q = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in q):
-        raise ValueError(f"{b} does not divide {a}")
-    return q
 
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -122,6 +105,22 @@ class WeightOrder:
 MonomialOrder = Lex | GrevLex | WeightOrder
 
 
+@dataclass(frozen=True)
+class Packing:
+    """M(e) = sum_i e_i * scales[i] at `width` bits per pack field; see the module docstring."""
+
+    scales: tuple[int, ...]
+    width: int
+    guard: int
+
+    def encode(self, e: Monomial) -> int:
+        return sum(map(times, e, self.scales))
+
+    def decode(self, p: int) -> Monomial:
+        mask = (1 << self.width) - 1
+        return tuple(p >> (self.width * i) & mask for i in range(len(self.scales)))
+
+
 @lru_cache(maxsize=None)
 def order_key(order: MonomialOrder, nvars: int):
     """The sort key -rows . m of `order` on nvars variables; the larger monomial has the smaller key.
@@ -158,6 +157,16 @@ class RingContext:
     def key(self):
         """The order's sort key, ascending for descending monomials, cached per monomial."""
         return lru_cache(maxsize=None)(order_key(self.order, self.nvars))
+
+    @lru_cache(maxsize=None)
+    def packing(self, bits: int) -> Packing:
+        """One int per monomial of this ring, for exponents below 2^bits."""
+        rows, width = self.order.rows(self.nvars), bits + 1
+        digit = bits + 1 + max(sum(map(abs, row)) for row in rows).bit_length()  # > |row . e|
+        keys = [sum(row[i] << digit * (len(rows) - 1 - r) for r, row in enumerate(rows))
+                for i in range(self.nvars)]
+        scales = tuple((-k << width * self.nvars) + (1 << width * i) for i, k in enumerate(keys))
+        return Packing(scales, width, sum(1 << (width * i + bits) for i in range(self.nvars)))
 
     def check(self, m: Monomial) -> None:
         if len(m) != self.nvars:

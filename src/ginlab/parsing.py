@@ -5,6 +5,7 @@ Polynomials have the atoms x0..xN, Hilbert polynomials (`ginlab.hilbert`) m and 
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .orders import GrevLex, Monomial, RingContext, order_key
@@ -19,18 +20,18 @@ class ParseError(ValueError):
         self.position = position
 
 
+_SPACE_DIGITS = re.compile(r"\s*(\d*)")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        if self.text[self.pos:self.pos + 1].isspace():
+            self.pos = _SPACE_DIGITS.match(self.text, self.pos).start(1)
+        return self.text[self.pos:self.pos + 1]
 
     def take(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -43,17 +44,11 @@ class _Scanner:
             raise ParseError(f"expected {ch!r}", self.pos)
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
-
-    def done(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        match = _SPACE_DIGITS.match(self.text, self.pos)
+        if not match.group(1):
+            raise ParseError("expected an integer", match.start(1))
+        self.pos = match.end()
+        return int(match.group(1))
 
 
 def parse_expression(text: str, constant, atoms, expected: str):
@@ -121,7 +116,7 @@ def parse_expression(text: str, constant, atoms, expected: str):
         raise ParseError(f"expected {expected}", sc.pos)
 
     result = expr()
-    if not sc.done():
+    if sc.peek():
         raise ParseError("unexpected trailing input", sc.pos)
     return result
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .orders import Monomial, RingContext, mul, pack, pack_width, unit, unpack
+from .orders import Monomial, RingContext, mul, pack_width, unit
 
 _F0 = Fraction(0)
 
@@ -167,7 +167,7 @@ class LinearChange:
     The standard Borel for the variable chain x0 > ... > xn is upper
     triangular, its opposite lower triangular; either is read off the matrix.
 
-    A change also keeps, for each pack width, the table of products y^e that
+    A change also keeps, for each packing, the table of products y^e that
     `apply_change` has expanded, so the generators of an ideal share them.
     The table is not a field: equality, hashing and repr see only the matrix.
     It holds pure functions of the matrix, so concurrent calls that fill it
@@ -184,7 +184,7 @@ class LinearChange:
         object.__setattr__(self, "matrix", mat)
         if linalg.det(mat) == 0:
             raise ValueError("change of variables must be invertible")
-        # pack width -> {prefix e: packed y^e}, filled by apply_change
+        # packing -> {prefix e: packed y^e}, filled by apply_change
         object.__setattr__(self, "_products", {})
 
     @property
@@ -201,9 +201,9 @@ def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial) -> Polynomial
     is D^top times its true value; one division by F * D^top at the end gives
     the result.
 
-    Monomials are packed (`orders.pack`) at width pack_width(top), so a
-    product of monomials is one int addition.  The product y^e is built one
-    factor at a time and kept in g's table for that width for every prefix
+    Monomials are packed (``ctx.packing(pack_width(top))``), so a product of
+    monomials is one int addition.  The product y^e is built one
+    factor at a time and kept in g's table for that packing for every prefix
     (e_0, ..., e_k) of e, so the terms of f, and every later polynomial
     changed by g, share their common factors.
     """
@@ -213,14 +213,14 @@ def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial) -> Polynomial
     if not f:
         return f
     top = f.degree()
-    w = pack_width(top)
+    packing = ctx.packing(pack_width(top))
     D = math.lcm(*(x.denominator for row in g.matrix for x in row))
-    xs = [pack(v, w) for v in ctx.variables()]
+    xs = packing.scales  # the packs of x_0, ..., x_n
     images = [
         {xs[j]: x.numerator * (D // x.denominator) for j, x in enumerate(row) if x}
         for row in g.matrix
     ]
-    products = g._products.setdefault(w, {(): {0: 1}})
+    products = g._products.setdefault(packing, {(): {0: 1}})
 
     def product(e: Monomial) -> dict[int, int]:
         """y_0^e_0 * ... * y_k^e_k for a prefix e of length k + 1."""
@@ -242,8 +242,8 @@ def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial) -> Polynomial
             out[e] = out.get(e, 0) + c * v
     den = F * D**top
     if den == 1:
-        return Polynomial._raw({unpack(e, w, nv): Fraction(v) for e, v in out.items() if v})
-    return Polynomial._raw({unpack(e, w, nv): Fraction(v, den) for e, v in out.items() if v})
+        return Polynomial._raw({packing.decode(e): Fraction(v) for e, v in out.items() if v})
+    return Polynomial._raw({packing.decode(e): Fraction(v, den) for e, v in out.items() if v})
 
 
 def _int_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

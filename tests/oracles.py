@@ -1,12 +1,13 @@
 """Oracles and fixtures that the tests use and no command runs.
 
 Each function here was once part of the library.  It now lives with the tests
-because only tests call it: normal forms, index comparisons, weight vectors
-and the one-parameter-subgroup limit check serve as independent checks of
-what the commands compute, and the twisted cubic and random subspaces are
+because only tests call it: normal forms, the tuple Buchberger kernel, index
+comparisons, weight vectors and the one-parameter-subgroup limit check serve
+as independent checks of what the commands compute, and the twisted cubic and random subspaces are
 test inputs.  Import them as ``from oracles import ...``.
 """
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,10 +23,18 @@ from ginlab.grassmann import (
     pluecker_coordinate,
     subspace_from_vectors,
 )
-from ginlab.groebner import Ideal, _divisor, _int_terms, _reduce, coefficient_rows
+from ginlab.groebner import (
+    Ideal,
+    _divisor,
+    _int_terms,
+    _reduce,
+    _regular_sequence_powers,
+    _widened,
+    coefficient_rows,
+)
 from ginlab.hilbert import HilbertPolynomial, MacaulayRep, binomial_poly
-from ginlab.monideal import MonomialIdeal, minimalize
-from ginlab.orders import Monomial, RingContext, unit
+from ginlab.monideal import MonomialIdeal, degree_part, minimalize
+from ginlab.orders import Monomial, RingContext, coprime, divides, lcm, mul, unit
 from ginlab.poly import LinearChange, Polynomial
 
 # --- polynomials, matrices and changes of variables -------------------------
@@ -102,19 +111,206 @@ def colon_by_variable(M: MonomialIdeal, i: int) -> MonomialIdeal:
 def reduce(ctx: RingContext, f: Polynomial, basis) -> Polynomial:
     """Normal form of f: no monomial of the result is divisible by a basis lead.
 
-    Runs the fraction-free division of `groebner._reduce`, which Buchberger's
-    algorithm uses, and maps its integer remainder back to f's scale.
+    Runs the packed division `groebner._reduce` in full mode, at a packing
+    wide enough for f and the basis, and maps its integer remainder back to
+    f's scale.
     """
     basis = list(basis)
     if any(not g for g in basis):
         raise ValueError("division by a zero basis element")
-    divisors = [_divisor(ctx.key, _int_terms(g)[0]) for g in basis]
     if not f:
         return f
-    ints, scale = _int_terms(f)
-    rem, s = _reduce(ctx.key, ints, divisors)
+
+    def run(packing):
+        def packed(g):
+            return {packing.encode(e): c for e, c in _int_terms(g)[0].items()}
+
+        divisors = [_divisor(packed(g)) for g in basis]
+        rem, s = _reduce(packing.guard, packed(f), divisors, True)
+        return {packing.decode(e): c for e, c in rem.items()}, s
+
+    rem, s = _widened(ctx, [f, *basis], run)
+    scale = _int_terms(f)[1]
     num, den = scale.numerator, scale.denominator * s
     return Polynomial({e: Fraction(c * num, den) for e, c in rem.items()})
+
+
+# --- division and Buchberger's algorithm on exponent tuples -----------------
+#
+# The packed kernel of `groebner` before it packed: monomials are exponent
+# tuples, the order is `ctx.key`, and every division runs to the full normal
+# form.  The packed `_buchberger` must find the same leads in the same order.
+
+
+def div(a: Monomial, b: Monomial) -> Monomial:
+    """Exponent vector of x^a / x^b; requires divisibility."""
+    q = tuple(x - y for x, y in zip(a, b))
+    if any(e < 0 for e in q):
+        raise ValueError(f"{b} does not divide {a}")
+    return q
+
+
+def tuple_divisor(key, f: dict[Monomial, int]):
+    """(lm, lc, tail) of the primitive multiple of f with lc > 0; the tail descends."""
+    terms = sorted(f.items(), key=lambda t: key(t[0]))
+    g = gcd(*f.values())
+    if terms[0][1] < 0:
+        g = -g
+    if g != 1:
+        terms = [(e, c // g) for e, c in terms]
+    (lm, lc), *tail = terms
+    return lm, lc, tail
+
+
+def tuple_s_polynomial(fi, fj, l: Monomial) -> dict[Monomial, int]:
+    """(c_j/h) x^(l-l_i) f_i - (c_i/h) x^(l-l_j) f_j with h = gcd(c_i, c_j); leads cancel."""
+    (li, ci, ti), (lj, cj, tj) = fi, fj
+    h = gcd(ci, cj)
+    a, b = cj // h, ci // h
+    ui, uj = div(l, li), div(l, lj)
+    out = {mul(ui, e): a * c for e, c in ti}
+    for e, c in tj:
+        mm = mul(uj, e)
+        v = out.get(mm, 0) - b * c
+        if v:
+            out[mm] = v
+        else:
+            del out[mm]
+    return out
+
+
+def tuple_reduce(key, work: dict[Monomial, int], divisors, full: bool = True):
+    """Fraction-free division of an integer polynomial by (lm, lc, tail) divisors.
+
+    Returns (r, s) with s > 0 and s * work = r modulo the divisors.  With
+    `full`, no monomial of r is divisible by a lead; without, the division
+    stops at the first top term no lead divides, as `groebner._reduce` does
+    by default.
+    """
+    work = dict(work)
+    heap = [(key(m), m) for m in work]
+    heapq.heapify(heap)
+    rem: list[tuple[Monomial, int, int]] = []
+    s = 1
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for lm, lc, tail in divisors:
+            if divides(lm, m):
+                u = div(m, lm)
+                h = gcd(c, lc)
+                a = lc // h
+                if a != 1:
+                    s *= a
+                    work = {e: v * a for e, v in work.items()}
+                b = c // h
+                for e2, c2 in tail:
+                    mm = mul(u, e2)
+                    v = work.get(mm)
+                    if v is None:
+                        work[mm] = -b * c2
+                        heapq.heappush(heap, (key(mm), mm))
+                    else:
+                        v -= b * c2
+                        if v:
+                            work[mm] = v
+                        else:
+                            del work[mm]
+                break
+        else:
+            if not full:
+                work[m] = c
+                return work, s
+            rem.append((m, c, s))
+    return {m: c * (s // sm) for m, c, sm in rem}, s
+
+
+def tuple_buchberger(ctx: RingContext, generators, full: bool = True):
+    """(divisors, nonzero): an unreduced basis as tuple (lm, lc, tail) and the number of
+    nonzero remainders, with the pair order, criteria and sugar of `groebner._buchberger`.
+
+    `full` divides every remainder to its normal form, as the kernel did
+    before it stopped each division at its lead.
+    """
+    key = ctx.key
+    divisors: list = []
+    sugars: list[int] = []
+    nonzero = 0
+    generators = [g for g in generators if g]
+    for g in generators:
+        h, _ = tuple_reduce(key, _int_terms(g)[0], divisors, full)
+        if h:
+            nonzero += 1
+            divisors.append(tuple_divisor(key, h))
+            sugars.append(g.degree())
+    unit_basis = [(unit(ctx.nvars), 1, [])]
+    if any(sum(lm) == 0 for lm, _, _ in divisors):
+        return unit_basis, nonzero
+
+    leads = [lm for lm, _, _ in divisors]
+    powers = _regular_sequence_powers(ctx, generators)
+    deficit_degree = deficit = -1
+    heap: list = []
+
+    def push_pairs(j: int):
+        lj = leads[j]
+        for i in range(j):
+            l = lcm(leads[i], lj)
+            sugar = sum(l) + max(sugars[i] - sum(leads[i]), sugars[j] - sum(lj))
+            heapq.heappush(heap, (sugar, tuple(-k for k in key(l)), i, j))
+
+    for j in range(len(divisors)):
+        push_pairs(j)
+
+    done: set[tuple[int, int]] = set()
+    while heap:
+        sugar, _, i, j = heapq.heappop(heap)
+        done.add((i, j))
+        li, lj = leads[i], leads[j]
+        if coprime(li, lj):
+            continue
+        l = lcm(li, lj)
+        if any(
+            k not in (i, j) and divides(leads[k], l)
+            and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+            for k in range(len(divisors))
+        ):
+            continue
+        if powers is not None:
+            if sugar != deficit_degree:
+                deficit_degree = sugar
+                deficit = (len(degree_part(ctx, powers, sugar))
+                           - len(degree_part(ctx, leads, sugar)))
+            if not deficit:
+                continue
+        h, _ = tuple_reduce(key, tuple_s_polynomial(divisors[i], divisors[j], l), divisors, full)
+        if not h:
+            continue
+        nonzero += 1
+        d = tuple_divisor(key, h)
+        if sum(d[0]) == 0:
+            return unit_basis, nonzero
+        deficit -= 1
+        divisors.append(d)
+        leads.append(d[0])
+        sugars.append(sugar)
+        push_pairs(len(divisors) - 1)
+    return divisors, nonzero
+
+
+def tuple_reduced_basis(ctx: RingContext, divisors) -> tuple[Polynomial, ...]:
+    """The monic reduced basis from `tuple_buchberger`'s divisors, leads descending."""
+    leads = [lm for lm, _, _ in divisors]
+    keep = [leads.index(u) for u in sorted(minimalize(leads), key=ctx.key)]
+    reduced = []
+    for i in keep:
+        lm, lc, tail = divisors[i]
+        others = [divisors[j] for j in keep if j != i]
+        h, _ = tuple_reduce(ctx.key, {lm: lc, **dict(tail)}, others)
+        reduced.append(Polynomial({e: Fraction(c, h[lm]) for e, c in h.items()}))
+    return tuple(reduced)
 
 
 def macaulay_polynomial(rep: MacaulayRep) -> HilbertPolynomial:

@@ -2,6 +2,7 @@ import heapq
 import random
 from fractions import Fraction
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,6 @@ from ginlab.orders import (
     RingContext,
     WeightOrder,
     coprime,
-    div,
     divides,
     lcm,
     mul,
@@ -29,11 +29,14 @@ from ginlab.parsing import parse_polynomial
 from ginlab.poly import Polynomial
 from oracles import (
     colon_by_variable,
+    div,
     ideal_of,
     monic,
     monomial_ideal,
     primitive,
     reduce,
+    tuple_buchberger,
+    tuple_reduced_basis,
     twisted_cubic_ideal,
 )
 
@@ -344,7 +347,10 @@ class TestBuchberger:
 
 def test_divisors_are_primitive_with_positive_lead():
     # basis elements are kept as primitive integer polynomials, lead first
-    divisor = groebner._divisor(CTX2.key, {(0, 0, 2): 10, (1, 0, 1): 4, (0, 2, 0): -6})
+    packing = CTX2.packing(2)
+    f = {(0, 0, 2): 10, (1, 0, 1): 4, (0, 2, 0): -6}
+    lm, lc, tail = groebner._divisor({packing.encode(e): c for e, c in f.items()})
+    divisor = (packing.decode(lm), lc, [(packing.decode(e), c) for e, c in tail])
     assert divisor == ((0, 2, 0), 3, [((1, 0, 1), -2), ((0, 0, 2), -5)])
 
 
@@ -391,6 +397,88 @@ def test_buchberger_matches_fraction_oracle(problem):
         top = max((g.degree() for g in gens if g), default=0)
         assert all(regular_sequence_hf(ctx, powers, d) <= hilbert_function(ctx, M, d)
                    for d in range(top + 4))
+
+
+def packed_run(ctx, gens):
+    """(basis, widths run at, nonzero remainders of the last run) of `groebner._buchberger`."""
+    widths, nonzero = [], []
+    real_basis, real_reduce = groebner._basis, groebner._reduce
+
+    def basis(ctx, packing, generators):
+        widths.append(packing.width)
+        nonzero.clear()
+        return real_basis(ctx, packing, generators)
+
+    def reduce_(*args):
+        r, s = real_reduce(*args)
+        nonzero.append(bool(r))
+        return r, s
+
+    with patch.object(groebner, "_basis", basis), patch.object(groebner, "_reduce", reduce_):
+        out = groebner._buchberger(ctx, gens)
+    return out, widths, sum(nonzero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+@example((CTX2, []))  # the zero ideal
+@example((CTX2_LEX, [p("3/2*x0 + 1"), p("-2*x0")]))  # the unit ideal
+def test_packed_buchberger_matches_tuple_oracle(problem):
+    ctx, gens = problem
+    basis, _, nonzero = packed_run(ctx, gens)
+    leads = [lm for lm, _, _ in basis]
+    # the same algorithm on exponent tuples: the same leads in the same order
+    divisors, oracle_nonzero = tuple_buchberger(ctx, gens, full=False)
+    assert leads == [lm for lm, _, _ in divisors]
+    assert nonzero == oracle_nonzero
+    # divisions to the full normal form, as before: the same answer
+    divisors, _ = tuple_buchberger(ctx, gens)
+    assert minimalize(leads) == minimalize(lm for lm, _, _ in divisors)
+    assert buchberger(ctx, Ideal(gens)) == tuple_reduced_basis(ctx, divisors)
+
+
+def test_stopping_at_the_lead_can_change_the_pair_sequence_not_the_answer():
+    # the divisors' tails are left unreduced, so a later remainder can differ
+    # from the one full division gives; here one element fewer is found, while
+    # in(I) and the reduced basis are unique
+    gens = [p("6/7*x0*x1*x2 + 7/5*x1^2"), p("-2*x0*x1^2 + 3/4*x1^2*x2 + 1/3*x2^3 + 7/5*x2^2"),
+            p("5*x0*x1*x2 - 8/5*x1 + 3/2*x2")]
+    leads = [lm for lm, _, _ in groebner._buchberger(CTX2_LEX, gens)]
+    full, nonzero = tuple_buchberger(CTX2_LEX, gens)
+    assert leads == [lm for lm, _, _ in full if lm != (0, 0, 8)]
+    assert nonzero == len(leads) + 1
+    assert minimalize(leads) == minimalize(lm for lm, _, _ in full)
+    assert buchberger(CTX2_LEX, Ideal(gens)) == tuple_reduced_basis(CTX2_LEX, full)
+
+
+# Inputs whose bases outgrow the first packing, 2 * bit length of the top
+# exponent bits per field: lex tail products of a chain x0 -> x1^3 -> x2^9 ->
+# x3^27, with and without homogenizing, top exponent 3 = 2^2 - 1; the same
+# chain under a weight order that eliminates like lex; and squarefree input,
+# whose first packing holds exponents up to 3 only.
+CAPACITY_EDGE = [
+    (Lex(), "x0 - x1^3; x1 - x2^3; x0^3 - x3"),
+    (Lex(), "x0*x3^2 - x1^3; x1*x3^2 - x2^3; x0^3 - x2*x3^2"),
+    (WeightOrder((28, 9, 2, 0)), "x0 - x1^3; x1 - x2^3; x0^3 - x3"),
+    (GrevLex(), "x1*x2*x3 - x0*x1*x2; x1*x3 - x0*x2; x0*x3 - x0*x1"),
+    (GrevLex(), "x0*x2 - x1*x3; x0*x2*x3 - x0*x1*x3; x0*x1*x3 - 2*x0*x1*x2"),
+    (WeightOrder((0, 0, 1, 2), Lex()), "x0*x1 - x2*x3; x1*x2 - x0*x3; x0*x2 - x1"),
+]
+
+
+@pytest.mark.parametrize("order, text", CAPACITY_EDGE)
+def test_packing_restarts_past_its_capacity(order, text):
+    ctx = RingContext(3, order)
+    gens = [p(t, 4) for t in text.split(";")]
+    basis, widths, nonzero = packed_run(ctx, gens)
+    assert len(widths) > 1 and widths == sorted(widths)
+    divisors, oracle_nonzero = tuple_buchberger(ctx, gens, full=False)
+    assert [lm for lm, _, _ in basis] == [lm for lm, _, _ in divisors]
+    assert nonzero == oracle_nonzero
+    gb = buchberger(ctx, Ideal(gens))
+    assert gb == tuple_reduced_basis(ctx, tuple_buchberger(ctx, gens)[0])
+    # and full division by the reduced basis sends a member of the ideal to zero
+    assert not reduce(ctx, gens[0] * gens[-1] ** 3, gb)
 
 
 def regular_sequence_hf(ctx, powers, d):

@@ -185,6 +185,33 @@ def test_hilbert_error_positions(text, position):
     assert err.value.position == position
 
 
+# (parser, text, message, position), read off the character-by-character
+# scanner that the regex scanner replaced; whitespace sits around the offence
+PINNED_ERRORS = [
+    ("x", "x0 +", "expected a variable, number or '('", 4),
+    ("x", "x0 * * x1", "expected a variable, number or '('", 5),
+    ("x", "  x3 + x1", "variable x3 exceeds x2", 2),
+    ("x", "x0 ^ y", "expected an integer", 5),
+    ("x", "(x0 + x1", "expected ')'", 8),
+    ("x", "3 / 0 * x1", "zero denominator", 5),
+    ("x", "x0 x1", "unexpected trailing input", 3),
+    ("x", "2/ ", "expected an integer", 3),
+    ("x", " \t", "expected a variable, number or '('", 2),
+    ("x", "x0^12345678901234567890 @", "unexpected trailing input", 24),
+    ("m", "C(m, )", "expected m, a number, C(...) or '('", 5),
+    ("m", "C(m 2)", "expected ','", 4),
+    ("m", "m^ 2 2", "unexpected trailing input", 5),
+    ("m", "C ( m + 2 , 2", "expected ')'", 13),
+]
+
+
+@pytest.mark.parametrize("ring,text,message,position", PINNED_ERRORS)
+def test_error_messages_and_positions(ring, text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text, NVARS) if ring == "x" else parse_hilbert_polynomial(text)
+    assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
 def test_binomial_of_a_polynomial_top_is_valid():
     # C(f, k) needs only the order k constant, so C(m^2, 2) = m^2 (m^2 - 1) / 2
     half = Fraction(1, 2)
