@@ -63,15 +63,25 @@ def index_at_degree(ctx: RingContext, M: MonomialIdeal, m: int) -> SchubertIndex
     return SchubertIndex(M.graded_monomials(ctx, m))
 
 
-def _certify(ctx: RingContext, inJ: MonomialIdeal, J: Ideal) -> tuple[HilbertPolynomial, int, int]:
-    """P of S/J read off in(J), its Gotzmann number m0, and m = max(m0, deg J).
+def _certify(
+    ctx: RingContext, inJ: MonomialIdeal, J: Ideal
+) -> tuple[HilbertPolynomial, int, int, SchubertIndex]:
+    """P of S/J read off in(J), its Gotzmann number m0, the certification degree m and
+    the index of in(J) at m.
 
-    The Gotzmann number suffices for saturated inputs; taking the max with the
-    generator degrees guards inputs that are not saturated.
+    m is the least degree from max(m0, deg J) on where the Hilbert function of
+    S/J, dim S_m minus the size of the index, equals P(m).  For saturated J
+    that is max(m0, deg J) itself; for J that is not saturated it can lie
+    above, where J agrees with its saturation.
     """
     P = hilbert_polynomial_of_monomial_ideal(ctx, inJ)
     m0 = gotzmann_number(P)
-    return P, m0, max(m0, J.max_degree())
+    m = max(m0, J.max_degree())
+    while True:
+        index = index_at_degree(ctx, inJ, m)
+        if len(index.monomials) == ctx.dim(m) - P(m):
+            return P, m0, m, index
+        m += 1
 
 
 def certified_initial_ideal(ctx: RingContext, J: Ideal) -> SecondaryGin:
@@ -79,8 +89,8 @@ def certified_initial_ideal(ctx: RingContext, J: Ideal) -> SecondaryGin:
     if not J.homogeneous:
         raise ValueError("Hilbert polynomials require a homogeneous ideal")
     inJ = initial_ideal(ctx, J)
-    m = _certify(ctx, inJ, J)[2]
-    return SecondaryGin(index_at_degree(ctx, inJ, m), inJ, m)
+    _, _, m, index = _certify(ctx, inJ, J)
+    return SecondaryGin(index, inJ, m)
 
 
 def secondary_gin(ctx: RingContext, I: Ideal, g: LinearChange) -> MonomialIdeal:
@@ -108,8 +118,8 @@ def generic_initial_ideal(
         raise ValueError("generic initial ideals require a homogeneous ideal")
     changes = [random_linear_change(ctx, seed + t, bound) for t in range(trials)]
     initials = [secondary_gin(ctx, I, g) for g in changes]
-    P, m0, m = _certify(ctx, initials[0], I)
-    indices = [index_at_degree(ctx, M, m) for M in initials]
+    P, m0, m, first = _certify(ctx, initials[0], I)
+    indices = [first] + [index_at_degree(ctx, M, m) for M in initials[1:]]
     best = min(range(trials), key=lambda t: index_rank(ctx, indices[t]))
     win = indices[best]
     # The index is the degree-m slice of the generators of degree <= m, and

@@ -24,19 +24,24 @@ degrees d_i.  dim I_d is the rank of a Macaulay matrix in their coefficients,
 largest for generic ones, which form a regular sequence; every regular
 sequence of these degrees, the powers x_i^(d_i) among them, has one Hilbert
 function.  So HF(S/<leads>)_d >= HF(S/I)_d >= HF(S/<x_i^(d_i)>)_d, and once
-|degree_part(leads, d)| reaches |degree_part(powers, d)| the leads span
-in(I)_d and every remaining pair of degree d reduces to zero.
+|degree_part(leads, d)| reaches the count of degree-d multiples of the powers
+the leads span in(I)_d and every remaining pair of degree d reduces to zero.
+Only the leads are counted by `degree_part`.  The powers, on distinct
+variables, are counted in closed form by inclusion-exclusion: the common
+multiples of the powers in a set T are the multiples of their product, and in
+degree d they number dim S_(d - sum_T d_i).
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from . import linalg
 from .monideal import MonomialIdeal, degree_part, minimalize
-from .orders import Monomial, RingContext, coprime, divides, lcm, mul, pack_width, unit, variable
+from .orders import Monomial, RingContext, lcm, mul, pack_width, unit
 from .poly import Polynomial
 
 _F0 = Fraction(0)
@@ -156,11 +161,18 @@ def _reduce(guard: int, work: dict[int, int], divisors, full: bool = False):
     return {m: c * (s // sm) for m, c, sm in rem}, s
 
 
-def _regular_sequence_powers(ctx: RingContext, generators) -> list[Monomial] | None:
-    """x_i^(d_i) for the generator degrees d_i; None for over n + 1 or inhomogeneous generators."""
+def _regular_sequence_count(ctx: RingContext, generators):
+    """d -> the number of degree-d multiples of the powers x_i^(d_i), d_i the generator degrees.
+
+    None for over n + 1 or inhomogeneous generators.  The count is
+    sum_T (-1)^(|T|+1) dim S_(d - sum_T d_i) over the nonempty sets T of powers.
+    """
     if len(generators) > ctx.nvars or not all(g.is_homogeneous() for g in generators):
         return None
-    return [tuple(g.degree() * e for e in variable(ctx.nvars, i)) for i, g in enumerate(generators)]
+    degrees = [g.degree() for g in generators]
+    terms = [((-1) ** (k + 1), sum(T))
+             for k in range(1, len(degrees) + 1) for T in combinations(degrees, k)]
+    return lambda d: sum(sign * ctx.dim(d - s) for sign, s in terms)
 
 
 def _widened(ctx: RingContext, generators, run):
@@ -189,39 +201,43 @@ def _basis(ctx: RingContext, packing, generators) -> list:
 
     Pairs that survive the coprime and chain criteria then meet Traverso's
     Hilbert-driven criterion (see the module docstring), when
-    `_regular_sequence_powers` applies.  At the first such pair of degree d
+    `_regular_sequence_count` applies.  At the first such pair of degree d
     the deficit is counted; each new element of degree d lowers it by one,
     since its lead lies outside <leads>_d, and while it is 0 the pair's
     remainder would be 0 and it is skipped.
     Skipped pairs count as done for the chain criterion, as reduced ones do,
     so the basis and the pair order are those of the plain algorithm.
+
+    A pair's lcm l is formed on the tuple leads once, when the pair is pushed;
+    the heap keeps M(l), and both criteria read it.  The leads are coprime
+    iff M(l) is the sum of their packs, as M is linear and M(gcd) = 0 only for
+    gcd = 1, and the chain criterion tests x^lm_k | x^l on the packs.
     """
     guard, encode = packing.guard, packing.encode
     divisors: list = []
     leads: list[Monomial] = []
-    sugars: list[int] = []
+    ecarts: list[int] = []  # sugar minus lead degree
     generators = [g for g in generators if g]
     for g in generators:
         h, _ = _reduce(guard, {encode(e): c for e, c in _int_terms(g)[0].items()}, divisors)
         if h:
             divisors.append(_divisor(h))
             leads.append(packing.decode(divisors[-1][0]))
-            sugars.append(g.degree())
+            ecarts.append(g.degree() - sum(leads[-1]))
     unit_basis = [(unit(ctx.nvars), 1, [])]
     if any(sum(lm) == 0 for lm in leads):
         return unit_basis
 
-    powers = _regular_sequence_powers(ctx, generators)
+    power_count = _regular_sequence_count(ctx, generators)
     deficit_degree = deficit = -1
     heap: list = []
 
     def push_pairs(j: int):
-        lj = leads[j]
+        lj, ej = leads[j], ecarts[j]
         for i in range(j):
             l = lcm(leads[i], lj)
-            sugar = sum(l) + max(sugars[i] - sum(leads[i]), sugars[j] - sum(lj))
             # smallest lcm first among equal sugar: -M(l) ascends with l
-            heapq.heappush(heap, (sugar, -encode(l), i, j))
+            heapq.heappush(heap, (sum(l) + max(ecarts[i], ej), -encode(l), i, j))
 
     for j in range(len(divisors)):
         push_pairs(j)
@@ -230,14 +246,14 @@ def _basis(ctx: RingContext, packing, generators) -> list:
     while heap:
         sugar, neg_l, i, j = heapq.heappop(heap)
         done.add((i, j))
-        li, lj = leads[i], leads[j]
-        if coprime(li, lj):
+        l = -neg_l
+        if l == divisors[i][0] + divisors[j][0]:  # coprime leads
             continue
-        l = lcm(li, lj)
+        lg = l | guard
         # chain criterion: both flanking pairs already handled
         skip = False
-        for k in range(len(divisors)):
-            if k in (i, j) or not divides(leads[k], l):
+        for k, (lk, _, _) in enumerate(divisors):
+            if (lg - lk) & guard != guard or k == i or k == j:
                 continue
             p1 = (i, k) if i < k else (k, i)
             p2 = (j, k) if j < k else (k, j)
@@ -246,15 +262,14 @@ def _basis(ctx: RingContext, packing, generators) -> list:
                 break
         if skip:
             continue
-        if powers is not None:
+        if power_count is not None:
             # homogeneous input: the sugar is deg l, and pairs come by degree
             if sugar != deficit_degree:
                 deficit_degree = sugar
-                deficit = (len(degree_part(ctx, powers, sugar))
-                           - len(degree_part(ctx, leads, sugar)))
+                deficit = power_count(sugar) - len(degree_part(ctx, leads, sugar))
             if not deficit:
                 continue
-        h, _ = _reduce(guard, _s_polynomial(divisors[i], divisors[j], -neg_l), divisors)
+        h, _ = _reduce(guard, _s_polynomial(divisors[i], divisors[j], l), divisors)
         if not h:
             continue
         d = _divisor(h)
@@ -264,7 +279,7 @@ def _basis(ctx: RingContext, packing, generators) -> list:
         deficit -= 1
         divisors.append(d)
         leads.append(lm)
-        sugars.append(sugar)
+        ecarts.append(sugar - sum(lm))
         push_pairs(len(divisors) - 1)
     return [(lm, lc, tail) for lm, (_, lc, tail) in zip(leads, divisors)]
 

@@ -45,10 +45,6 @@ def lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def unit(nvars: int) -> Monomial:
     return (0,) * nvars
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .orders import GrevLex, Monomial, RingContext, order_key
 from .poly import Polynomial
@@ -121,14 +122,21 @@ def parse_expression(text: str, constant, atoms, expected: str):
     return result
 
 
+@lru_cache(maxsize=None)
+def _variables(nvars: int) -> tuple[Polynomial, ...]:
+    """x0..xN as polynomials, built once per ring; polynomials are never mutated."""
+    return tuple(Polynomial.variable(nvars, i) for i in range(nvars))
+
+
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse e.g. ``x0*x2 - 3/2*x1^2 + 5`` into a polynomial in `nvars` variables."""
+    xs = _variables(nvars)
 
     def variable(sc: _Scanner, expr, start: int) -> Polynomial:
         idx = sc.integer()
         if idx >= nvars:
             raise ParseError(f"variable x{idx} exceeds x{nvars - 1}", start)
-        return Polynomial.variable(nvars, idx)
+        return xs[idx]
 
     return parse_expression(
         text, lambda c: Polynomial.constant(nvars, c), {"x": variable}, "a variable, number or '('"

@@ -101,7 +101,8 @@ class Polynomial:
             if len(self.terms) == 1 == len(other.terms):
                 # the parser builds every term as a product of one-term polynomials
                 ((e1, c1),), ((e2, c2),) = self.terms.items(), other.terms.items()
-                return Polynomial._raw({mul(e1, e2): c1 * c2})
+                c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+                return Polynomial._raw({mul(e1, e2): c})
             out: dict[Monomial, Fraction] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
@@ -129,7 +130,7 @@ class Polynomial:
             return Polynomial.zero()
         if k and len(self.terms) == 1:
             ((e, c),) = self.terms.items()
-            return Polynomial._raw({tuple(k * x for x in e): c**k})
+            return Polynomial._raw({tuple(k * x for x in e): c if c == 1 else c**k})
         result = Polynomial.constant(nv, 1)
         base = self
         while k:

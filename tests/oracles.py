@@ -28,13 +28,12 @@ from ginlab.groebner import (
     _divisor,
     _int_terms,
     _reduce,
-    _regular_sequence_powers,
     _widened,
     coefficient_rows,
 )
 from ginlab.hilbert import HilbertPolynomial, MacaulayRep, binomial_poly
 from ginlab.monideal import MonomialIdeal, degree_part, minimalize
-from ginlab.orders import Monomial, RingContext, coprime, divides, lcm, mul, unit
+from ginlab.orders import Monomial, RingContext, divides, lcm, mul, unit, variable
 from ginlab.poly import LinearChange, Polynomial
 
 # --- polynomials, matrices and changes of variables -------------------------
@@ -150,6 +149,17 @@ def div(a: Monomial, b: Monomial) -> Monomial:
     return q
 
 
+def coprime(a: Monomial, b: Monomial) -> bool:
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def regular_sequence_powers(ctx: RingContext, generators) -> list[Monomial] | None:
+    """x_i^(d_i) for the generator degrees d_i; None for over n + 1 or inhomogeneous generators."""
+    if len(generators) > ctx.nvars or not all(g.is_homogeneous() for g in generators):
+        return None
+    return [tuple(g.degree() * e for e in variable(ctx.nvars, i)) for i, g in enumerate(generators)]
+
+
 def tuple_divisor(key, f: dict[Monomial, int]):
     """(lm, lc, tail) of the primitive multiple of f with lc > 0; the tail descends."""
     terms = sorted(f.items(), key=lambda t: key(t[0]))
@@ -250,7 +260,7 @@ def tuple_buchberger(ctx: RingContext, generators, full: bool = True):
         return unit_basis, nonzero
 
     leads = [lm for lm, _, _ in divisors]
-    powers = _regular_sequence_powers(ctx, generators)
+    powers = regular_sequence_powers(ctx, generators)
     deficit_degree = deficit = -1
     heap: list = []
 

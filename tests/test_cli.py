@@ -102,6 +102,34 @@ class TestGinCommand:
         assert report["order"] == "weight:3,1,2"
         assert report["gin"] == ["x0^2"]
 
+    def test_certification_waits_for_a_non_saturated_ideal(self, capsys):
+        # HF(S/I) is 1, 3, 2, 0, ... and P = 0: at max(m0, deg I) = 2 HF(2) = 2 != P(2),
+        # so m is 3, where I_3 = S_3 and the gin saturates to the unit ideal
+        ideal = "x0^2; x1^2; x2^2; x0*x1"
+        code, report = run_json(capsys, "gin", "--n", "2", "--ideal", ideal, "--trials", "2")
+        assert code == 0
+        assert (report["hilbert_polynomial"], report["gotzmann"]) == ("0", 0)
+        assert report["certification_degree"] == 3
+        assert report["gin"] == ["1"]
+        assert len(report["index"]) == 10
+        # strata certifies each member the same way
+        code, report = run_json(capsys, "strata", "--n", "2", "--mode", "initial", "--members",
+                                ideal)
+        assert code == 0
+        assert report["dominant_index"] == [s.strip() for s in """x0^3, x0^2*x1, x0*x1^2, x1^3,
+            x0^2*x2, x0*x1*x2, x1^2*x2, x0*x2^2, x1*x2^2, x2^3""".split(",")]
+
+    def test_complete_intersection_certifies_at_gotzmann_or_degree(self, capsys):
+        # a complete intersection of positive dimension is saturated: HF = P from
+        # m0 on, so m is max(m0, deg I) as before
+        ideal = ("x0^2 + 3*x1*x2 - x2^2 + x0*x3 - 2*x3^2;"
+                 " x0*x1*x2 + x1^3 - 2*x0^2*x3 - x2^2*x3 + 5*x3^3")
+        code, report = run_json(capsys, "gin", "--n", "3", "--ideal", ideal, "--trials", "2")
+        assert code == 0
+        assert (report["hilbert_polynomial"], report["gotzmann"]) == ("6*m - 3", 12)
+        assert report["certification_degree"] == 12
+        assert report["gin"] == ["x1^4", "x0*x1^2", "x0^2"]
+
     def test_weight_order_wrong_length(self, capsys):
         assert main(["gin", "--n", "2", "--order", "weight:1,1", "--ideal", "x0^2"]) == 2
 

@@ -19,7 +19,6 @@ from ginlab.orders import (
     Lex,
     RingContext,
     WeightOrder,
-    coprime,
     divides,
     lcm,
     mul,
@@ -29,12 +28,14 @@ from ginlab.parsing import parse_polynomial
 from ginlab.poly import Polynomial
 from oracles import (
     colon_by_variable,
+    coprime,
     div,
     ideal_of,
     monic,
     monomial_ideal,
     primitive,
     reduce,
+    regular_sequence_powers,
     tuple_buchberger,
     tuple_reduced_basis,
     twisted_cubic_ideal,
@@ -355,6 +356,38 @@ def test_divisors_are_primitive_with_positive_lead():
 
 
 @st.composite
+def pair_criteria_cases(draw):
+    """(ring, bits, a, b, c): leads a, b and a third lead c near lcm(a, b), exponents < 2^bits."""
+    nvars = draw(st.integers(2, 5))
+    weights = tuple(draw(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)))
+    order = draw(st.sampled_from([Lex(), GrevLex(), WeightOrder(weights)]))
+    bits = draw(st.integers(1, 6))
+    top = 2**bits - 1
+    exponents = st.lists(st.one_of(st.sampled_from([0, top]), st.integers(0, top)),
+                         min_size=nvars, max_size=nvars)
+    a, b = tuple(draw(exponents)), tuple(draw(exponents))
+    shifts = draw(st.lists(st.integers(-2, 1), min_size=nvars, max_size=nvars))
+    c = tuple(min(max(x + s, 0), top) for x, s in zip(lcm(a, b), shifts))
+    return RingContext(nvars - 1, order), bits, a, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_criteria_cases())
+@example((RingContext(2, Lex()), 3, (7, 0, 7), (0, 7, 0), (7, 7, 7)))  # at capacity, coprime
+@example((RingContext(3, GrevLex()), 2, (3, 3, 0, 1), (3, 0, 3, 0), (3, 3, 3, 1)))
+@example((RingContext(1, GrevLex()), 1, (1, 1), (1, 1), (1, 0)))
+def test_packed_pair_criteria_match_tuple_ones(case):
+    # `_basis` reads a pair's packed lcm l: the leads are coprime iff l is the
+    # sum of their packs, and the chain criterion's x^c | x^l is the guard test
+    ctx, bits, a, b, c = case
+    packing = ctx.packing(bits)
+    M, G = packing.encode, packing.guard
+    l = M(lcm(a, b))
+    assert (l == M(a) + M(b)) == coprime(a, b)
+    assert (((l | G) - M(c)) & G == G) == divides(c, lcm(a, b))
+
+
+@st.composite
 def generator_sets(draw):
     """Small ideals in 2-4 variables: homogeneous or not, rational coefficients of both signs."""
     nvars = draw(st.integers(2, 4))
@@ -392,7 +425,7 @@ def test_buchberger_matches_fraction_oracle(problem):
     M = initial_ideal(ctx, Ideal(gens))
     assert M.min_gens == leads
     # the Hilbert criterion's bound is a lower bound for HF(S/J) = HF(S/in(J))
-    powers = groebner._regular_sequence_powers(ctx, gens)
+    powers = regular_sequence_powers(ctx, gens)
     if powers is not None:
         top = max((g.degree() for g in gens if g), default=0)
         assert all(regular_sequence_hf(ctx, powers, d) <= hilbert_function(ctx, M, d)
@@ -534,7 +567,7 @@ HILBERT_CRITERION_CASES = {
 @pytest.mark.parametrize("name", sorted(HILBERT_CRITERION_CASES))
 def test_hilbert_criterion_matches_fraction_oracle(name):
     ctx, gens, has_bound = HILBERT_CRITERION_CASES[name]
-    assert (groebner._regular_sequence_powers(ctx, gens) is not None) == has_bound
+    assert (groebner._regular_sequence_count(ctx, gens) is not None) == has_bound
     gb = buchberger(ctx, Ideal(gens))
     assert gb == fraction_buchberger(ctx, gens)
     leads = frozenset(g.leading(ctx)[0] for g in gb)
@@ -582,7 +615,7 @@ def test_unreduced_leads_in_pair_order(name):
     ],
 )
 def test_regular_sequence_bound_where_it_is_not_attained(ctx, gens, values):
-    powers = groebner._regular_sequence_powers(ctx, gens)
+    powers = regular_sequence_powers(ctx, gens)
     M = initial_ideal(ctx, Ideal(gens))
     got = [(d, regular_sequence_hf(ctx, powers, d), hilbert_function(ctx, M, d))
            for d, _, _ in values]
@@ -597,7 +630,7 @@ def test_regular_sequence_powers_match_k_product(problem):
     n, degrees = problem
     ctx = RingContext(n, GrevLex())
     gens = [Polynomial.variable(n + 1, 0) ** d for d in degrees]
-    powers = groebner._regular_sequence_powers(ctx, gens)
+    powers = regular_sequence_powers(ctx, gens)
     assert sorted(map(sum, powers)) == sorted(degrees)
     bound = regular_sequence_bound(ctx, gens)
     M = monomial_ideal(n + 1, powers)
@@ -606,10 +639,24 @@ def test_regular_sequence_powers_match_k_product(problem):
 
 
 def test_regular_sequence_powers_not_applicable():
-    assert groebner._regular_sequence_powers(CTX2, [p("x0")] * 4) is None
-    assert groebner._regular_sequence_powers(CTX2, [p("x0^2 + x1")]) is None
+    assert regular_sequence_powers(CTX2, [p("x0")] * 4) is None
+    assert regular_sequence_powers(CTX2, [p("x0^2 + x1")]) is None
+    assert groebner._regular_sequence_count(CTX2, [p("x0")] * 4) is None
+    assert groebner._regular_sequence_count(CTX2, [p("x0^2 + x1")]) is None
     assert regular_sequence_bound(CTX2, [p("x0")] * 4) is None
-    assert groebner._regular_sequence_powers(CTX2, []) == []
+    assert regular_sequence_powers(CTX2, []) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, 6), min_size=1, max_size=n + 1), st.integers(0, 25))))
+def test_regular_sequence_count_matches_enumeration(problem):
+    # the inclusion-exclusion count of the powers' degree-d multiples against the slice
+    n, degrees, d = problem
+    ctx = RingContext(n, Lex())
+    gens = [Polynomial.variable(n + 1, i) ** k for i, k in enumerate(degrees)]
+    powers = regular_sequence_powers(ctx, gens)
+    assert groebner._regular_sequence_count(ctx, gens)(d) == len(degree_part(ctx, powers, d))
 
 
 CI_23_P3 = [
