@@ -1,13 +1,24 @@
 """The one text grammar: rationals p/q, + - * ^, parentheses and the atoms of a ring.
 
 Polynomials have the atoms x0..xN, Hilbert polynomials (`ginlab.hilbert`) m and C(f,g).
+Digits are ASCII: an integer is a run of 0-9.
+
+Polynomial text is read a term at a time.  At the start of each term,
+`parse_polynomial` matches the longest run of number and variable factors,
+such as ``23*x0^2*x1`` or ``3/4^2*x0`` (a power binds to p/q), with one
+compiled regex per factor, and multiplies it into one exponent tuple and one
+rational coefficient; the general factor loop goes on from where the run
+stopped.  The run takes only a factor that the grammar reads the same way:
+it stops before a factor that ``^`` or ``/`` follows (``x0^y``, ``2/x``,
+``x0^2^3``), a zero denominator, a variable past the ring and the ``*`` of
+``*(``, so every `ParseError` comes from the general path, with its message
+and position.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 
 from .orders import GrevLex, Monomial, RingContext, order_key
 from .poly import Polynomial
@@ -21,7 +32,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-_SPACE_DIGITS = re.compile(r"\s*(\d*)")
+_SPACE_DIGITS = re.compile(r"\s*([0-9]*)")
 
 
 class _Scanner:
@@ -52,7 +63,7 @@ class _Scanner:
         return int(match.group(1))
 
 
-def parse_expression(text: str, constant, atoms, expected: str):
+def parse_expression(text: str, constant, atoms, expected: str, run=None):
     """Parse `text` with the one expression grammar over a ring given by the caller.
 
         expr    := [+ | -] term {(+ | -) term}
@@ -64,6 +75,8 @@ def parse_expression(text: str, constant, atoms, expected: str):
     first character of each ring atom to its reader, called just past that
     character as ``reader(scanner, expr, start)``, with `start` the atom's
     offset.  `expected` names what may start a primary, for the error message.
+    `run(scanner)`, if given, reads the leading factors of a term as one ring
+    element, leaving the scanner past them, or returns None having read none.
     """
     sc = _Scanner(text)
 
@@ -83,7 +96,9 @@ def parse_expression(text: str, constant, atoms, expected: str):
                 return total
 
     def term():
-        product = factor()
+        product = run(sc) if run else None
+        if product is None:
+            product = factor()
         while sc.take("*"):
             product = product * factor()
         return product
@@ -122,24 +137,56 @@ def parse_expression(text: str, constant, atoms, expected: str):
     return result
 
 
-@lru_cache(maxsize=None)
-def _variables(nvars: int) -> tuple[Polynomial, ...]:
-    """x0..xN as polynomials, built once per ring; polynomials are never mutated."""
-    return tuple(Polynomial.variable(nvars, i) for i in range(nvars))
+# One factor of a run: an integer p [/ q] or a variable x<i>, then [^ k], then
+# the next character past the whitespace after it; whitespace is the scanner's.
+_FACTOR = re.compile(r"\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?|x\s*([0-9]+))(?:\s*\^\s*([0-9]+))?\s*(.?)")
 
 
 def parse_polynomial(text: str, nvars: int) -> Polynomial:
     """Parse e.g. ``x0*x2 - 3/2*x1^2 + 5`` into a polynomial in `nvars` variables."""
-    xs = _variables(nvars)
 
     def variable(sc: _Scanner, expr, start: int) -> Polynomial:
         idx = sc.integer()
         if idx >= nvars:
             raise ParseError(f"variable x{idx} exceeds x{nvars - 1}", start)
-        return xs[idx]
+        return Polynomial.variable(nvars, idx)
+
+    def run(sc: _Scanner) -> Polynomial | None:
+        exps, num, den = [0] * nvars, 1, 1
+        start = sc.pos
+        match = _FACTOR.match(sc.text, start)
+        while match:
+            p, q, i, k, after = match.groups()
+            if after == "^" or after == "/":
+                break  # x0^y, 2/x, x0^2^3: the general path reads or rejects it
+            if i is None:
+                p, q = int(p), int(q or 1)
+                if not q:
+                    break
+                k = int(k or 1)
+                num *= p**k
+                den *= q**k
+            else:
+                i = int(i)
+                if i >= nvars:
+                    break
+                exps[i] += int(k or 1)
+            sc.pos = match.start(5)
+            if after != "*":
+                break
+            match = _FACTOR.match(sc.text, sc.pos + 1)
+        if sc.pos == start:
+            return None
+        if not num:
+            return Polynomial.zero()
+        return Polynomial._raw({tuple(exps): Fraction(num) if den == 1 else Fraction(num, den)})
 
     return parse_expression(
-        text, lambda c: Polynomial.constant(nvars, c), {"x": variable}, "a variable, number or '('"
+        text,
+        lambda c: Polynomial.constant(nvars, c),
+        {"x": variable},
+        "a variable, number or '('",
+        run,
     )
 
 

@@ -83,10 +83,12 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, _F0) + c
-            if v:
+            v = out.get(e)
+            if v is None:
+                out[e] = c
+            elif v := v + c:
                 out[e] = v
-            elif e in out:
+            else:
                 del out[e]
         return Polynomial._raw(out)
 
@@ -98,11 +100,6 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if len(self.terms) == 1 == len(other.terms):
-                # the parser builds every term as a product of one-term polynomials
-                ((e1, c1),), ((e2, c2),) = self.terms.items(), other.terms.items()
-                c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
-                return Polynomial._raw({mul(e1, e2): c})
             out: dict[Monomial, Fraction] = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():

@@ -1,10 +1,11 @@
 """Oracles and fixtures that the tests use and no command runs.
 
 Each function here was once part of the library.  It now lives with the tests
-because only tests call it: normal forms, the tuple Buchberger kernel, index
-comparisons, weight vectors and the one-parameter-subgroup limit check serve
-as independent checks of what the commands compute, and the twisted cubic and random subspaces are
-test inputs.  Import them as ``from oracles import ...``.
+because only tests call it: the factor-by-factor polynomial parser, normal
+forms, the tuple Buchberger kernel, index comparisons, weight vectors and the
+one-parameter-subgroup limit check serve as independent checks of what the
+commands compute, and the twisted cubic and random subspaces are test
+inputs.  Import them as ``from oracles import ...``.
 """
 
 import heapq
@@ -34,6 +35,7 @@ from ginlab.groebner import (
 from ginlab.hilbert import HilbertPolynomial, MacaulayRep, binomial_poly
 from ginlab.monideal import MonomialIdeal, degree_part, minimalize
 from ginlab.orders import Monomial, RingContext, divides, lcm, mul, unit, variable
+from ginlab.parsing import ParseError, parse_expression
 from ginlab.poly import LinearChange, Polynomial
 
 # --- polynomials, matrices and changes of variables -------------------------
@@ -70,6 +72,25 @@ def mat_mul(a, b):
     return tuple(
         tuple(sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols))
         for row in a
+    )
+
+
+def parse_polynomial_by_factors(text: str, nvars: int) -> Polynomial:
+    """`parse_polynomial` before term runs: every factor is read by the general grammar.
+
+    Each number and variable is a one-term polynomial and a term is their
+    product, so any text must give `parse_polynomial`'s value, or its
+    `ParseError` message and position.
+    """
+
+    def variable(sc, expr, start: int) -> Polynomial:
+        idx = sc.integer()
+        if idx >= nvars:
+            raise ParseError(f"variable x{idx} exceeds x{nvars - 1}", start)
+        return Polynomial.variable(nvars, idx)
+
+    return parse_expression(
+        text, lambda c: Polynomial.constant(nvars, c), {"x": variable}, "a variable, number or '('"
     )
 
 

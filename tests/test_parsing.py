@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ginlab.hilbert import HilbertPolynomial, parse_hilbert_polynomial
 from ginlab.parsing import ParseError, parse_polynomial
 from ginlab.poly import Polynomial
+from oracles import parse_polynomial_by_factors
 
 NVARS = 3
 _M = HilbertPolynomial.make([0, 1])
@@ -202,6 +203,13 @@ PINNED_ERRORS = [
     ("m", "C(m 2)", "expected ','", 4),
     ("m", "m^ 2 2", "unexpected trailing input", 5),
     ("m", "C ( m + 2 , 2", "expected ')'", 13),
+    # a power of a power is not in the grammar
+    ("x", "x0^2^3", "unexpected trailing input", 4),
+    # digits are ASCII: a digit of another script is no integer
+    ("x", "x0^\u0663", "expected an integer", 3),
+    ("x", "x\u0661*x0", "expected an integer", 1),
+    ("x", "\u0663*x0", "expected an integer", 0),
+    ("m", "m^\u0663", "expected an integer", 2),
 ]
 
 
@@ -216,3 +224,96 @@ def test_binomial_of_a_polynomial_top_is_valid():
     # C(f, k) needs only the order k constant, so C(m^2, 2) = m^2 (m^2 - 1) / 2
     half = Fraction(1, 2)
     assert parse_hilbert_polynomial("C(m^2, 2)") == HilbertPolynomial.make([0, 0, -half, 0, half])
+
+
+# (text, terms): a power binds to p/q, an index may follow x after a space,
+# 0^0 is 1, and a zero factor leaves no term
+PINNED_VALUES = [
+    ("3/4^2*x0", {(1, 0, 0): Fraction(9, 16)}),
+    ("0^0", {(0, 0, 0): 1}),
+    ("x 1", {(0, 1, 0): 1}),
+    ("2*(x0+x1)^2*x2", {(2, 0, 1): 2, (1, 1, 1): 4, (0, 2, 1): 2}),
+    ("0*x0^5", {}),
+]
+
+
+@pytest.mark.parametrize("text,terms", PINNED_VALUES)
+def test_pinned_values(text, terms):
+    assert parse_polynomial(text, NVARS) == Polynomial(terms) == parse_polynomial_by_factors(text, NVARS)
+
+
+_WS = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \n\t"])
+
+
+def _joined(items, seps):
+    return st.builds(
+        lambda first, rest: first + "".join(sep + item for sep, item in rest),
+        items, st.lists(st.tuples(seps, items), max_size=3),
+    )
+
+
+def _powered(base, exponents):
+    return st.builds(
+        lambda b, w1, w2, k: b if k is None else f"{b}{w1}^{w2}{k}",
+        base, _WS, _WS, st.none() | exponents,
+    )
+
+
+def _polynomial_texts():
+    """Texts of the grammar: signs, p/q, powers, nested parentheses and mixed whitespace.
+
+    Only variables take exponents up to 10^20; numbers and sums take small
+    ones, so that no text expands past a few hundred terms.  Half the texts
+    may hold invalid atoms: a zero denominator, a variable past the ring, ...
+    """
+    number = st.builds(
+        lambda p, q, w1, w2: str(p) if q is None else f"{p}{w1}/{w2}{q}",
+        st.integers(0, 99), st.sampled_from([None, None, None, 1, 2, 7]), _WS, _WS,
+    )
+    variable = st.builds(
+        lambda w, i: f"x{w}{i}", st.sampled_from(["", "", " ", "\t"]), st.integers(0, NVARS - 1)
+    )
+    valid = st.one_of(
+        _powered(number, st.integers(0, 4)),
+        _powered(variable, st.integers(0, 4) | st.integers(0, 10**20)),
+    )
+    invalid = st.sampled_from(["1/0", "3 / 0", f"x{NVARS}", "x", "2/", "x0^", "()"])
+    star = st.builds(lambda a, b: f"{a}*{b}", _WS, _WS)
+    plus = st.builds(lambda a, op, b: f"{a}{op}{b}", _WS, st.sampled_from("+-"), _WS)
+    sign = st.sampled_from(["", "", "-", "+", "- ", " -"])
+
+    def texts(atom):
+        def expr(factor):
+            return st.builds(lambda s, t: s + t, sign, _joined(_joined(factor, star), plus))
+
+        def nest(inner):
+            group = st.builds(lambda w1, e, w2: f"({w1}{e}{w2})", _WS, inner, _WS)
+            return expr(st.one_of(atom, _powered(group, st.integers(0, 3))))
+
+        return st.recursive(expr(atom), nest, max_leaves=6)
+
+    return texts(valid) | texts(valid | invalid)
+
+
+# Characters the grammar rejects or reads in other places, and digits of other
+# scripts; no ASCII digit or ')', which could raise a sum or a number to 10^20.
+_JUNK = "@#;,.=!x^*/(+- \u00a0\u0663\u00b2"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _polynomial_texts(),
+    st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_JUNK)), max_size=2),
+)
+def test_term_runs_match_the_factor_by_factor_parser(text, junk):
+    for at, ch in junk:
+        at %= len(text) + 1
+        text = text[:at] + ch + text[at:]
+
+    def outcome(parse):
+        try:
+            return parse(text, NVARS).terms
+        except ParseError as err:
+            return str(err), err.position
+
+    assert outcome(parse_polynomial) == outcome(parse_polynomial_by_factors)
