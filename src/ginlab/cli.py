@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import linalg
 from .families import derive_seed, random_form, random_ideal, random_points
-from .gin import certified_initial_ideal, generic_initial_ideal, is_borel_fixed
+from .gin import certified_initial_ideal, generic_initial_ideal, index_at_degree, is_borel_fixed
 from .grassmann import index_rank
 from .groebner import Ideal, coefficient_rows
 from .hilbert import (
@@ -135,15 +135,14 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
             result = generic_initial_ideal(
                 ctx, I, trials=trials, seed=derive_seed(seed, member_id), bound=bound
             )
-            ideal, index, m = result.gin, result.index, result.certification_degree
+            ideal, m = result.gin, result.certification_degree
         else:
-            trial = certified_initial_ideal(ctx, I)
-            ideal, index, m = trial.initial, trial.index, trial.certification_degree
-        bucket = strata.setdefault(
-            ideal.min_gens,
-            {"index": index, "degree": m, "ideal": ideal, "members": []},
-        )
-        bucket["members"].append(member_id)
+            ideal, m = certified_initial_ideal(ctx, I)
+        if ideal.min_gens not in strata:
+            # in initial mode, only the member that opens a stratum builds an index
+            index = result.index if mode == "byGin" else index_at_degree(ctx, ideal, m)
+            strata[ideal.min_gens] = {"index": index, "degree": m, "ideal": ideal, "members": []}
+        strata[ideal.min_gens]["members"].append(member_id)
 
     def stratum_rank(entry):
         # higher degree first, then the higher index; the sentinel past every

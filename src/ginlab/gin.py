@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .grassmann import SchubertIndex, index_rank
 from .groebner import Ideal, initial_ideal
-from .hilbert import HilbertPolynomial, gotzmann_number
+from .hilbert import HilbertPolynomial, gotzmann_number, hilbert_function
 from .hilbert import hilbert_polynomial_of_monomial_ideal
 from .monideal import MonomialIdeal, saturate
 from .orders import RingContext
@@ -37,9 +37,8 @@ class GinResult:
 
 
 class SecondaryGin(NamedTuple):
-    """in(J) with its Schubert index at the degree that certifies J."""
+    """in(J) with the degree that certifies J."""
 
-    index: SchubertIndex
     initial: MonomialIdeal
     certification_degree: int
 
@@ -63,34 +62,28 @@ def index_at_degree(ctx: RingContext, M: MonomialIdeal, m: int) -> SchubertIndex
     return SchubertIndex(M.graded_monomials(ctx, m))
 
 
-def _certify(
-    ctx: RingContext, inJ: MonomialIdeal, J: Ideal
-) -> tuple[HilbertPolynomial, int, int, SchubertIndex]:
-    """P of S/J read off in(J), its Gotzmann number m0, the certification degree m and
-    the index of in(J) at m.
+def _certify(ctx: RingContext, inJ: MonomialIdeal, J: Ideal) -> tuple[HilbertPolynomial, int, int]:
+    """P of S/J read off in(J), its Gotzmann number m0 and the certification degree m.
 
     m is the least degree from max(m0, deg J) on where the Hilbert function of
-    S/J, dim S_m minus the size of the index, equals P(m).  For saturated J
-    that is max(m0, deg J) itself; for J that is not saturated it can lie
-    above, where J agrees with its saturation.
+    S/J equals P(m): max(m0, deg J) itself for saturated J, possibly above for
+    J that is not saturated, where J agrees with its saturation.  Both are read
+    off the Hilbert series numerator of in(J), which the ideal computes once.
     """
     P = hilbert_polynomial_of_monomial_ideal(ctx, inJ)
     m0 = gotzmann_number(P)
     m = max(m0, J.max_degree())
-    while True:
-        index = index_at_degree(ctx, inJ, m)
-        if len(index.monomials) == ctx.dim(m) - P(m):
-            return P, m0, m, index
+    while hilbert_function(ctx, inJ, m) != P(m):
         m += 1
+    return P, m0, m
 
 
 def certified_initial_ideal(ctx: RingContext, J: Ideal) -> SecondaryGin:
-    """in(J), the certification degree m of J and the index of in(J) at m."""
+    """in(J) and the certification degree m of J."""
     if not J.homogeneous:
         raise ValueError("Hilbert polynomials require a homogeneous ideal")
     inJ = initial_ideal(ctx, J)
-    _, _, m, index = _certify(ctx, inJ, J)
-    return SecondaryGin(index, inJ, m)
+    return SecondaryGin(inJ, _certify(ctx, inJ, J)[2])
 
 
 def secondary_gin(ctx: RingContext, I: Ideal, g: LinearChange) -> MonomialIdeal:
@@ -118,8 +111,8 @@ def generic_initial_ideal(
         raise ValueError("generic initial ideals require a homogeneous ideal")
     changes = [random_linear_change(ctx, seed + t, bound) for t in range(trials)]
     initials = [secondary_gin(ctx, I, g) for g in changes]
-    P, m0, m, first = _certify(ctx, initials[0], I)
-    indices = [first] + [index_at_degree(ctx, M, m) for M in initials[1:]]
+    P, m0, m = _certify(ctx, initials[0], I)
+    indices = [index_at_degree(ctx, M, m) for M in initials]
     best = min(range(trials), key=lambda t: index_rank(ctx, indices[t]))
     win = indices[best]
     # The index is the degree-m slice of the generators of degree <= m, and

@@ -75,11 +75,11 @@ def pluecker_coordinate(F: SubspaceBasis, idx: SchubertIndex) -> Fraction:
 
 
 def index_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[int, ...]:
-    """The places of the index monomials in ``ctx.monomials(m)``.
+    """The places of the index monomials in ``ctx.monomials(m)``, found in one walk down it.
 
     Of two indices of one size, the lex-larger has the lex-smaller rank.
     """
     if not idx.monomials:
         return ()
-    place = ctx.positions(sum(idx.monomials[0]))
-    return tuple(place[u] for u in idx.monomials)
+    chain, k = ctx.monomials(sum(idx.monomials[0])), -1
+    return tuple([k := chain.index(u, k + 1) for u in idx.monomials])

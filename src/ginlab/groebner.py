@@ -35,6 +35,7 @@ degree d they number dim S_(d - sum_T d_i).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -316,15 +317,16 @@ def coefficient_rows(ctx: RingContext, m: int, shifted) -> list[list[Fraction]]:
 
     Raises ValueError when a product term does not have degree m.
     """
-    position = ctx.positions(m)
+    w = pack_width(m)
+    packs, encode = ctx.packs(m, w), ctx.packing(w).encode
     rows = []
     for u, g in shifted:
-        vec = [_F0] * len(position)
+        vec = [_F0] * len(packs)
         for e, c in g.terms.items():
-            k = position.get(mul(u, e))
-            if k is None:
+            v = mul(u, e)
+            if len(v) != ctx.nvars or sum(v) != m:
                 raise ValueError("polynomial is not homogeneous of the right degree")
-            vec[k] = c
+            vec[bisect_left(packs, encode(v))] = c
         rows.append(vec)
     return rows
 

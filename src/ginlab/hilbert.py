@@ -239,7 +239,7 @@ def hilbert_function(ctx: RingContext, M: MonomialIdeal, m: int) -> int:
         raise ValueError("negative degree")
     if M.nvars != ctx.nvars:
         raise ValueError("monomial ideal does not match the ring context")
-    K = _numerator(M.min_gens)
+    K = M.numerator
     return sum(c * comb(m - j + ctx.n, ctx.n) for j, c in enumerate(K[: m + 1]))
 
 
@@ -250,7 +250,7 @@ def hilbert_polynomial_of_monomial_ideal(ctx: RingContext, M: MonomialIdeal) -> 
     the term h_i / (1 - t)^(n+1-i) contributes h_i C(m + n - i, n - i) for
     i <= n and a polynomial in t (nothing for large m) for i > n.
     """
-    K = _numerator(M.min_gens)
+    K = M.numerator
     h = [(-1) ** i * sum(c * comb(j, i) for j, c in enumerate(K)) for i in range(ctx.n + 1)]
     terms = (c * binomial_poly(ctx.n - i, ctx.n - i) for i, c in enumerate(h) if c)
     return sum(terms, HilbertPolynomial.zero())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, reduce
 
 from .orders import Monomial, RingContext, divides, lcm, pack_width
 
@@ -25,6 +25,13 @@ class MonomialIdeal:
     nvars: int
     min_gens: frozenset[Monomial]
 
+    @cached_property
+    def numerator(self) -> tuple[int, ...]:
+        """K(t) with HS(S/M) = K(t) / (1 - t)^nvars, computed once per ideal."""
+        from .hilbert import _numerator
+
+        return tuple(_numerator(self.min_gens))
+
     def contains(self, m: Monomial) -> bool:
         return any(divides(g, m) for g in self.min_gens)
 
@@ -35,8 +42,7 @@ class MonomialIdeal:
     def graded_monomials(self, ctx: RingContext, m: int) -> tuple[Monomial, ...]:
         """Degree-m monomials inside the ideal, descending under ctx.order."""
         part = degree_part(ctx, self.min_gens, m)
-        packs = _packed_monomials(ctx, m, pack_width(m))
-        return tuple(u for u, c in zip(ctx.monomials(m), packs) if c in part)
+        return tuple(u for u, c in zip(ctx.monomials(m), ctx.packs(m, pack_width(m))) if c in part)
 
 
 def degree_part(ctx: RingContext, gens, m: int) -> set[int]:
@@ -44,19 +50,14 @@ def degree_part(ctx: RingContext, gens, m: int) -> set[int]:
 
     Packs are ``ctx.packing(pack_width(m))``, so a generator times a monomial
     is the sum of their packs.  A generator of degree above m has no
-    multiples, as ``ctx.monomials(m - deg)`` is empty.
+    multiples, as ``ctx.packs(m - deg, bits)`` is empty.
     """
     w = pack_width(m)
     encode = ctx.packing(w).encode
     part: set[int] = set()
     for u in gens:
-        part.update(map(encode(u).__add__, _packed_monomials(ctx, m - sum(u), w)))
+        part.update(map(encode(u).__add__, ctx.packs(m - sum(u), w)))
     return part
-
-
-@lru_cache(maxsize=None)
-def _packed_monomials(ctx: RingContext, k: int, bits: int) -> tuple[int, ...]:
-    return tuple(map(ctx.packing(bits).encode, ctx.monomials(k)))
 
 
 def intersect(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:

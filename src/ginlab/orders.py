@@ -14,13 +14,15 @@ exponents at bits + 1 bits each, k(e) the digits -rows . e in a base no product
 carries past and a guard bit atop each field.  A product is one addition, M
 ascends as monomials descend, x^a | x^b iff ((M(b) | G) - M(a)) & G == G for
 the guard bits G, and an exponent reaching 2^bits shows in M & G.
+
+So a degree is sorted by its packs: `RingContext.packs(m, bits)` is one sorted
+list per degree and width, and `RingContext.monomials(m)` decodes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import comb
 from operator import add, le, mul as times
 
@@ -113,8 +115,8 @@ class Packing:
         return sum(map(times, e, self.scales))
 
     def decode(self, p: int) -> Monomial:
-        mask = (1 << self.width) - 1
-        return tuple(p >> (self.width * i) & mask for i in range(len(self.scales)))
+        w, mask = self.width, (1 << self.width) - 1
+        return tuple([p >> s & mask for s in range(0, w * len(self.scales), w)])
 
 
 @lru_cache(maxsize=None)
@@ -176,7 +178,16 @@ class RingContext:
 
     def monomials(self, m: int) -> tuple[Monomial, ...]:
         """All degree-m monomials, descending under this context's order."""
-        return _sorted_monomials(self.nvars, m, self.order)
+        return self._monomials(m)
+
+    @lru_cache(maxsize=None)
+    def _monomials(self, m: int) -> tuple[Monomial, ...]:
+        return tuple(map(self.packing(pack_width(m)).decode, self.packs(m, pack_width(m))))
+
+    @lru_cache(maxsize=None)
+    def packs(self, m: int, bits: int) -> tuple[int, ...]:
+        """The packs at `bits` >= ``pack_width(m)`` of the degree-m monomials, ascending."""
+        return tuple(sorted(_lex_packs(m, self.packing(bits).scales)))
 
     def top_segment(self, m: int, count: int) -> tuple[Monomial, ...]:
         """The first `count` of ``monomials(m)``: the largest index of that size."""
@@ -185,32 +196,21 @@ class RingContext:
             raise ValueError(f"index size {count} out of range 0..{len(chain)}")
         return chain[:count]
 
-    @lru_cache(maxsize=None)
-    def positions(self, m: int) -> dict[Monomial, int]:
-        """The place of each degree-m monomial in ``monomials(m)``, one table per ring and m."""
-        return {u: k for k, u in enumerate(self.monomials(m))}
-
     def variables(self) -> tuple[Monomial, ...]:
         return tuple(variable(self.nvars, i) for i in range(self.nvars))
 
 
-@lru_cache(maxsize=None)
-def _monomials_of_degree(nvars: int, m: int) -> tuple[Monomial, ...]:
+def _lex_packs(m: int, scales: tuple[int, ...]) -> list[int]:
+    """The packs sum_i e_i * scales[i] of the degree-m monomials, lex-descending.
+
+    Built from the last variable up: the monomials of degree d in x_i..x_n
+    are x_i^k times those of degree d - k in x_(i+1)..x_n, k from d down to 0.
+    """
     if m < 0:
-        return ()
-    # stars and bars: bar positions in a row of m + nvars - 1 slots
-    out = []
-    for bars in combinations(range(m + nvars - 1), nvars - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(m + nvars - 1 - prev - 1)
-        out.append(tuple(exps))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _sorted_monomials(nvars: int, m: int, order: MonomialOrder) -> tuple[Monomial, ...]:
-    return tuple(sorted(_monomials_of_degree(nvars, m), key=order_key(order, nvars)))
+        return []
+    *head, last = scales
+    packs = [[d * last] for d in range(m + 1)]
+    for i in reversed(range(len(head))):
+        s, degrees = head[i], range(m + 1) if i else (m,)
+        packs = [[k * s + p for k in range(d, -1, -1) for p in packs[d - k]] for d in degrees]
+    return packs[-1]

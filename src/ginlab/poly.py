@@ -81,19 +81,23 @@ class Polynomial:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._merged(other, False)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self._merged(other, True)
+
+    def _merged(self, other: "Polynomial", subtract: bool) -> "Polynomial":
+        """self + other or self - other, merged term by term into a copy of self."""
         out = dict(self.terms)
         for e, c in other.terms.items():
             v = out.get(e)
             if v is None:
-                out[e] = c
-            elif v := v + c:
+                out[e] = -c if subtract else c
+            elif v := (v - c if subtract else v + c):
                 out[e] = v
             else:
                 del out[e]
         return Polynomial._raw(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw({e: -c for e, c in self.terms.items()})

@@ -2,16 +2,18 @@
 
 Each function here was once part of the library.  It now lives with the tests
 because only tests call it: the factor-by-factor polynomial parser, normal
-forms, the tuple Buchberger kernel, index comparisons, weight vectors and the
-one-parameter-subgroup limit check serve as independent checks of what the
-commands compute, and the twisted cubic and random subspaces are test
-inputs.  Import them as ``from oracles import ...``.
+forms, the tuple Buchberger kernel, the `order_key` sort of a degree slice,
+index ranks by table, the enumerating certification, index comparisons,
+weight vectors and the one-parameter-subgroup limit check serve as
+independent checks of what the commands compute, and the twisted cubic and
+random subspaces are test inputs.  Import them as ``from oracles import ...``.
 """
 
 import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -32,9 +34,11 @@ from ginlab.groebner import (
     _widened,
     coefficient_rows,
 )
-from ginlab.hilbert import HilbertPolynomial, MacaulayRep, binomial_poly
+from ginlab.gin import index_at_degree
+from ginlab.hilbert import HilbertPolynomial, MacaulayRep, binomial_poly, gotzmann_number
+from ginlab.hilbert import hilbert_polynomial_of_monomial_ideal
 from ginlab.monideal import MonomialIdeal, degree_part, minimalize
-from ginlab.orders import Monomial, RingContext, divides, lcm, mul, unit, variable
+from ginlab.orders import Monomial, RingContext, divides, lcm, mul, order_key, unit, variable
 from ginlab.parsing import ParseError, parse_expression
 from ginlab.poly import LinearChange, Polynomial
 
@@ -385,6 +389,48 @@ def make_index(ctx: RingContext, monomials) -> SchubertIndex:
     for m in mons:
         ctx.check(m)
     return SchubertIndex(mons)
+
+
+def key_sorted_monomials(ctx: RingContext, m: int) -> tuple[Monomial, ...]:
+    """The degree-m monomials by stars and bars, sorted by `order_key`.
+
+    This is how `RingContext.monomials` listed a degree slice before it sorted
+    the packs; kept as its oracle.
+    """
+    nvars = ctx.nvars
+    out = []
+    for bars in combinations(range(m + nvars - 1), nvars - 1):
+        exps = []
+        prev = -1
+        for b in bars:
+            exps.append(b - prev - 1)
+            prev = b
+        exps.append(m + nvars - 1 - prev - 1)
+        out.append(tuple(exps))
+    return tuple(sorted(out, key=order_key(ctx.order, nvars)))
+
+
+def positions_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[int, ...]:
+    """`index_rank` through a table of every place, as ``RingContext.positions`` served it."""
+    if not idx.monomials:
+        return ()
+    place = {u: k for k, u in enumerate(key_sorted_monomials(ctx, sum(idx.monomials[0])))}
+    return tuple(place[u] for u in idx.monomials)
+
+
+def enumerating_certify(ctx: RingContext, inJ: MonomialIdeal, J: Ideal):
+    """(P, m0, m) as `gin._certify` found them by building the index of in(J) at each m.
+
+    m is the least degree from max(m0, deg J) on where dim S_m minus the size
+    of the index equals P(m); kept as the oracle of the certification off the
+    Hilbert series numerator.
+    """
+    P = hilbert_polynomial_of_monomial_ideal(ctx, inJ)
+    m0 = gotzmann_number(P)
+    m = max(m0, J.max_degree())
+    while len(index_at_degree(ctx, inJ, m).monomials) != ctx.dim(m) - P(m):
+        m += 1
+    return P, m0, m
 
 
 def initial_subspace(ctx: RingContext, F: SubspaceBasis) -> SchubertIndex:

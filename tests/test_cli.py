@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ginlab import cli, hilbert, linalg
+from ginlab import cli, gin, hilbert, linalg
 from ginlab.cli import main
 
 
@@ -169,6 +169,23 @@ class TestStrataCommand:
         assert report["dominant_share"] == "1/3"
         ids = sorted(i for s in report["strata"] for i in s["member_ids"])
         assert ids == [0, 1, 2]
+
+    def test_initial_mode_builds_one_index_per_stratum(self, capsys, monkeypatch):
+        # each member is certified off its Hilbert series numerator; only the
+        # member that opens a stratum builds its index
+        calls = []
+        real = gin.index_at_degree
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(gin, "index_at_degree", counted)
+        monkeypatch.setattr(cli, "index_at_degree", counted, raising=False)
+        code, report = run_json(capsys, "strata", "--n", "2", "--mode", "initial",
+                                "--members", "x0*x2 - x1^2|x0^2|x1^2")
+        assert code == 0 and len(report["strata"]) == 2
+        assert calls == [2, 2]
 
     def test_an_index_comes_after_its_extensions(self, capsys):
         # (x0^2) and (x0^2, x0*x1) are both read at degree 2; the longer index

@@ -31,6 +31,7 @@ from ginlab.poly import LinearChange, Polynomial, apply_change
 from conftest import exhaustive_limit_oracle, oracle_generic_initial_ideal
 from oracles import (
     WeightVector,
+    enumerating_certify,
     identity_change,
     ideal_of,
     initial_subspace,
@@ -212,6 +213,24 @@ def test_gin_reads_p_and_m0_once_per_request(monkeypatch):
     assert (str(result.hilbert_polynomial), result.gotzmann, result.certification_degree) == (
         "3*m + 1", 4, 4
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * (n + 1)), max_size=5)
+)))
+@example((2, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)]))  # HF is 1, 3, 2, 0; P = 0, m = 3
+@example((2, [(1, 0, 0), (0, 3, 0), (0, 1, 3)]))  # a redundant generator of degree 4
+def test_certification_matches_the_enumerating_oracle(drawn):
+    # P, m0 and m read off the Hilbert series numerator are those that the
+    # loop building the index at each degree finds.  J keeps every drawn
+    # generator, so a redundant one can raise deg J, and many draws are not
+    # saturated
+    n, gens = drawn
+    ctx = RingContext(n, GrevLex())
+    J = Ideal([Polynomial.monomial(g) for g in gens])
+    inJ = initial_ideal(ctx, J)
+    assert gin._certify(ctx, inJ, J) == enumerating_certify(ctx, inJ, J)
 
 
 SECONDARY_INPUTS = [

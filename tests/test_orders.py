@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_key
+from ginlab.grassmann import SchubertIndex, index_rank
 from ginlab.orders import (
     GrevLex,
     Lex,
     RingContext,
     WeightOrder,
     mul,
+    pack_width,
 )
+from oracles import key_sorted_monomials, positions_rank
 
 
 def mono(*exps):
@@ -134,7 +137,32 @@ def test_monomial_enumeration_counts_and_descending():
                 assert len(mons) == comb(n + m, n)
                 keys = [oracle_key(order, u) for u in mons]
                 assert keys == sorted(keys, reverse=True)
-                assert ctx.positions(m) == {u: k for k, u in enumerate(mons)}
+                full = SchubertIndex(mons)
+                assert index_rank(ctx, full) == positions_rank(ctx, full) == tuple(range(len(mons)))
+
+
+@st.composite
+def rings(draw):
+    """A ring with n 1-4 under lex, grevlex or a weight order, zero weights included."""
+    n = draw(st.integers(1, 4), label="n")
+    tiebreak = draw(st.sampled_from([Lex(), GrevLex()]), label="tiebreak")
+    weights = st.tuples(*[st.integers(0, 3)] * (n + 1)).map(lambda w: WeightOrder(w, tiebreak))
+    return RingContext(n, draw(st.one_of(st.just(tiebreak), weights), label="order"))
+
+
+@settings(deadline=None)
+@given(rings(), st.integers(0, 8), st.data())
+def test_degree_slices_and_ranks_match_the_order_key_oracles(ctx, k, data):
+    # the one sort of the packs lists a slice as the order-key sort did, its
+    # packs are the encoded monomials, and the walk down it ranks an index
+    # as the table of places did
+    expected = key_sorted_monomials(ctx, k)
+    assert ctx.monomials(k) == expected
+    assert ctx.packs(k, pack_width(k)) == tuple(map(ctx.packing(pack_width(k)).encode, expected))
+    places = sorted(data.draw(st.sets(st.integers(0, len(expected) - 1)), label="places"))
+    # copies of the monomials, so the walk compares values and not identities
+    idx = SchubertIndex(tuple(tuple(list(expected[p])) for p in places))
+    assert index_rank(ctx, idx) == positions_rank(ctx, idx) == tuple(places)
 
 
 def test_context_validation():

@@ -272,3 +272,17 @@ def test_one_term_products_match_general_product(f, g, k):
         power = general_product(power, f)
     assert f**k == power
     assert all(type(c) is Fraction for c in (f**k).terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(few_terms, few_terms)
+@example(p("x0 - 2*x1"), p("x0 - 2*x1"))
+def test_sums_and_differences_merge_term_by_term(f, g):
+    # the merge keeps no zero coefficient and leaves both operands unchanged
+    before = (dict(f.terms), dict(g.terms))
+    for got, sign in ((f + g, 1), (f - g, -1)):
+        expected = Polynomial({e: f.terms.get(e, 0) + sign * g.terms.get(e, 0)
+                               for e in {*f.terms, *g.terms}})
+        assert got == expected and all(got.terms.values())
+    assert f - g == f + (-g) and g - g == Polynomial.zero()
+    assert (dict(f.terms), dict(g.terms)) == before
