@@ -7,9 +7,10 @@ files, 3 when an internal property check fails, 4 when the computation runs
 out of resources (`MemoryError`, `RecursionError`) or raises another
 `RuntimeError`.  Every error exit prints one `error:` line on stderr.
 
+`revlex-lemma` counts S_l times each segment instead of listing it, and
 `degeneracy` reads each sample's top Plücker coordinate without a canonical
-matrix: off lm(f) * S_(m-d) for a hypersurface f, and off one count x count
-minor of the evaluation matrix for a set of points.
+matrix: off one monomial, lm(f) * x_n^(m-d), for a hypersurface f, and off
+one count x count minor of the evaluation matrix for a set of points.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import comb, prod
 from pathlib import Path
 
 from . import linalg
 from .families import derive_seed, random_form, random_ideal, random_points
 from .gin import certified_initial_ideal, generic_initial_ideal, index_at_degree, is_borel_fixed
 from .grassmann import index_rank
-from .groebner import Ideal, coefficient_rows
+from .groebner import Ideal
 from .hilbert import (
     HilbertPolynomial,
     NotAdmissible,
@@ -39,7 +40,7 @@ from .hilbert import (
     revlex_lemma_check,
 )
 from .monideal import MonomialIdeal
-from .orders import GrevLex, Lex, MonomialOrder, RingContext, WeightOrder
+from .orders import GrevLex, Lex, MonomialOrder, RingContext, WeightOrder, mul
 from .parsing import ParseError, monomial_str, parse_generators, polynomial_str
 
 SCHEMA = 1
@@ -191,22 +192,17 @@ def run_revlex_lemma(n: int, m_max: int, l_max: int):
     if n < 1 or m_max < 0 or l_max < 0:
         raise CliError("n must be >= 1 and the bounds nonnegative")
     ctx = RingContext(n, GrevLex())
-    cases = 0
-    counterexamples = []
-    for m in range(1, m_max + 1):
-        for count in range(ctx.dim(m) + 1):
-            for l in range(1, l_max + 1):
-                report = revlex_lemma_check(ctx, m, count, l)
-                cases += 1
-                if not report.lemma_consistent:
-                    counterexamples.append({"m": m, "count": count, "l": l})
+    grid = [(m, count, l) for m in range(1, m_max + 1) for count in range(ctx.dim(m) + 1)
+            for l in range(1, l_max + 1)]
+    counterexamples = [{"m": m, "count": count, "l": l} for m, count, l in grid
+                       if not revlex_lemma_check(ctx, m, count, l).lemma_consistent]
     report = {
         "schema": SCHEMA,
         "command": "revlex-lemma",
         "n": n,
         "m_max": m_max,
         "l_max": l_max,
-        "cases": cases,
+        "cases": len(grid),
         "counterexamples": counterexamples,
         "counterexample_count": len(counterexamples),
     }
@@ -237,29 +233,23 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
     dim_expected = ctx.dim(m) - int(value)
     if dim_expected < 0 or dim_expected > ctx.dim(m):
         raise CliError(f"no subspace of codimension P({m}) in degree {m}")
-    cols = ctx.monomials(m)
     alpha_star = ctx.top_segment(m, dim_expected)
     applicable = not P.is_zero() and P.degree >= 1 and m > m0
 
-    explicit = None
-    if kind == "hypersurface" and m == d + 1:
-        free = [k for k, u in enumerate(cols) if u[ctx.n] == 0]
-        if len(free) >= dim_expected:
-            explicit = free[:dim_expected]
-
     # p_alpha* is nonzero exactly when in(I)_m is the top segment alpha*
-    shifts = ctx.monomials(m - d) if kind == "hypersurface" else ()
+    if kind == "hypersurface":
+        # I_m = f * S_(m-d), so in(I)_m = lm(f) * S_(m-d): dim S_(m-d) monomials, the
+        # smallest lm(f) * x_n^(m-d), which is the last of alpha* exactly when they are alpha*
+        dim, tail = ctx.dim(m - d), (0,) * n + (m - d,)
+    else:
+        cols = ctx.monomials(m)
     vanished = 0
     witness = None
-    explicit_vanished = 0
     for s in range(samples):
         rng = random.Random(derive_seed(seed, s))
         if kind == "hypersurface":
-            # I_m = f * S_(m-d), so in(I)_m = lm(f) * S_(m-d)
             f = random_form(ctx, d, rng, bound)
-            lead_ideal = MonomialIdeal(ctx.nvars, frozenset([f.leading(ctx)[0]]))
-            dim = len(shifts)
-            nonzero = lead_ideal.graded_monomials(ctx, m) == alpha_star
+            nonzero = not dim or mul(f.leading(ctx)[0], tail) == alpha_star[-1]
         else:
             # I_m = ker E for the evaluation matrix E; by Plücker duality
             # p_alpha*(ker E) = +-det E[:, last count columns]
@@ -273,11 +263,6 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
             vanished += 1
         elif witness is None:
             witness = s
-        if explicit is not None:
-            # the rows x_i * f are a basis of I_m; take their minor on the explicit columns
-            rows = coefficient_rows(ctx, m, ((u, f) for u in shifts))
-            if linalg.det([[row[k] for k in explicit] for row in rows]) == 0:
-                explicit_vanished += 1
     all_vanished = vanished == samples
     report = {
         "schema": SCHEMA,
@@ -298,9 +283,11 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
     }
     if kind == "hypersurface":
         report["d"] = d
-        if explicit is not None:
-            report["explicit_index"] = [monomial_str(cols[k]) for k in explicit]
-            report["explicit_all_vanished"] = explicit_vanished == samples
+        # at m = d + 1 the first monomials free of x_n, the top C(m+n-1, n-1) in grevlex, are
+        # alpha*; their minor on the rows x_i * f is 0, as the row x_n * f vanishes on them
+        if m == d + 1 and comb(m + n - 1, n - 1) >= dim_expected:
+            report["explicit_index"] = report["alpha_star"]
+            report["explicit_all_vanished"] = True
     if kind == "points":
         report["count"] = count
     if not applicable:

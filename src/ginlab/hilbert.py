@@ -4,8 +4,9 @@ The binomial expansion P(m) = sum_i C(m + a_i - i + 1, a_i) with weakly
 decreasing a_i exists exactly for the Hilbert polynomials of graded ideals;
 its length is the Gotzmann number, the degree at which lex segments and
 Hilbert points become faithful.  The saturated lex ideal L(P) comes in closed
-form from the a_i (Reeves–Stillman), checked by a numerator round trip.  A
-parsed power or binomial past `_MAX_INPUT_DEGREE` raises ValueError.
+form from the a_i (Reeves–Stillman), checked by a numerator round trip.  The
+revlex lemma on S_l times a segment is checked by counting (Eliahou–Kervaire).
+A parsed power or binomial past `_MAX_INPUT_DEGREE` raises ValueError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import comb, factorial
 
 from .groebner import Ideal, initial_ideal
 from .monideal import MonomialIdeal, minimalize
-from .orders import GrevLex, RingContext
+from .orders import GrevLex, RingContext, pack_width
 from .parsing import ParseError, parse_expression
 from .poly import Polynomial
 
@@ -313,20 +314,29 @@ def revlex_lemma_check(ctx: RingContext, m: int, count: int, l: int) -> RevlexLe
     when the segment reaches x_{n-1}^m; the empty segment is vacuously
     consistent.  When the corner power is present, the codimension of the
     segment is preserved by multiplication.
+
+    Counted, not enumerated: the top C(m+j, j) degree-m monomials in grevlex
+    are those in x_0..x_j, so the segment reaches x_{n-1}^m iff count >=
+    C(m+n-1, n-1), and, being strongly stable, |S_l * segment| = sum over u of
+    C(l + n - max(u), l) (Eliahou–Kervaire).  N monomials are the top segment
+    iff their smallest, here min(segment) * x_n^l, has place N - 1.
     """
     if l < 1:
         raise ValueError("l must be at least 1")
-    grevlex = RingContext(ctx.n, GrevLex())
-    segment = grevlex.top_segment(m, count)
-    corner = tuple(m if i == ctx.n - 1 else 0 for i in range(ctx.nvars))
-    contains_corner = corner in segment
+    n, top = ctx.n, ctx.dim(m)
+    if not 0 <= count <= top:
+        raise ValueError(f"index size {count} out of range 0..{top}")
+    size, contains_corner, is_segment_after = 0, False, True
+    if count:
+        # the sum over u, by parts over j = max(u): C(l+n-j, l) - C(l+n-j-1, l) = C(l+n-j-1, l-1)
+        size = sum(min(count, comb(m + j, j)) * comb(l + n - j - 1, l - 1) for j in range(n + 1))
+        contains_corner = count >= comb(m + n - 1, n - 1)
+        grevlex, bits = RingContext(n, GrevLex()), pack_width(m + l)
+        smallest = grevlex.packs(m, bits)[count - 1] + grevlex.packs(l, bits)[-1]
+        is_segment_after = smallest == grevlex.packs(m + l, bits)[size - 1]
 
-    # S_l * segment, descending in grevlex; one degree never divides another
-    products = MonomialIdeal(ctx.nvars, frozenset(segment)).graded_monomials(grevlex, m + l)
-    is_segment_after = products == grevlex.top_segment(m + l, len(products))
-
-    codim_before = ctx.dim(m) - count
-    codim_after = ctx.dim(m + l) - len(products)
+    codim_before = top - count
+    codim_after = ctx.dim(m + l) - size
 
     iff_holds = count == 0 or (is_segment_after == contains_corner)
     codim_holds = (not contains_corner) or codim_before == codim_after

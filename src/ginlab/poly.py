@@ -184,7 +184,7 @@ class LinearChange:
         if any(len(row) != n for row in mat):
             raise ValueError("change of variables must be square")
         object.__setattr__(self, "matrix", mat)
-        if linalg.det(mat) == 0:
+        if linalg.rank(mat, n) != n:
             raise ValueError("change of variables must be invertible")
         # packing -> {prefix e: packed y^e}, filled by apply_change
         object.__setattr__(self, "_products", {})

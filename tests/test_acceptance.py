@@ -122,8 +122,9 @@ def test_c3_hilbert_function_preserved(certified):
 def test_c4_revlex_lemma_exhaustive():
     t0 = time.time()
     total = 0
-    for n in (1, 2, 3):
-        report, code = run_revlex_lemma(n, 4, 2)
+    # the guard's whole range
+    for n in (1, 2, 3, 4):
+        report, code = run_revlex_lemma(n, 6, 6)
         assert code == 0
         assert report["counterexample_count"] == 0
         total += report["cases"]

@@ -95,13 +95,25 @@ def one_sample_reading(kind, n, m, sample, **size):
     return report["vanished_count"] == 0, report.get("explicit_all_vanished")
 
 
+def check_hypersurface_reading(ctx, d, m, f):
+    """`run_degeneracy` on the form f against the pivots of its canonical degree-m matrix."""
+    F = hilbert_point(ctx, Ideal([f]), m)
+    top, explicit_vanished = one_sample_reading("hypersurface", ctx.n, m, f, d=d)
+    assert top == (F.pivots == tuple(range(F.d)))
+    free = [u for u in ctx.monomials(m) if u[ctx.n] == 0][: F.d]
+    if m == d + 1 and len(free) == F.d:
+        assert explicit_vanished == (pluecker_coordinate(F, SchubertIndex(tuple(free))) == 0)
+    else:
+        assert explicit_vanished is None
+
+
 class TestDegeneracyReadings:
     """The closed-form readings of `degeneracy` against canonical matrices."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_hypersurface_reading_matches_hilbert_point(self, data):
-        n = data.draw(st.sampled_from([2, 3]))
+        n = data.draw(st.sampled_from([2, 3, 4]))
         d = data.draw(st.integers(1, 3))
         # m < d and m = d + 1 included; below d - n the dimension check refuses
         m = data.draw(st.integers(max(0, d - n), d + 2))
@@ -109,15 +121,18 @@ class TestDegeneracyReadings:
         coefficient = st.integers(-3, 3).filter(bool).map(Fraction)
         terms = data.draw(st.dictionaries(st.sampled_from(ctx.monomials(d)), coefficient,
                                           min_size=1, max_size=4))
-        f = Polynomial(terms)
-        F = hilbert_point(ctx, Ideal([f]), m)
-        top, explicit_vanished = one_sample_reading("hypersurface", n, m, f, d=d)
-        assert top == (F.pivots == tuple(range(F.d)))
-        if m == d + 1:
-            free = [u for u in ctx.monomials(m) if u[n] == 0][: F.d]
-            assert explicit_vanished == (pluecker_coordinate(F, SchubertIndex(tuple(free))) == 0)
-        else:
-            assert explicit_vanished is None
+        check_hypersurface_reading(ctx, d, m, Polynomial(terms))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_hypersurface_reading_for_every_lead(self, n):
+        # each degree-d monomial as lm(f), above a dense tail of the monomials below it
+        ctx = RingContext(n, GrevLex())
+        for d in (1, 2, 3):
+            chain = ctx.monomials(d)
+            for k in range(len(chain)):
+                f = Polynomial({u: Fraction((-1) ** i * (i + 1)) for i, u in enumerate(chain[k:])})
+                for m in range(max(0, d - n), d + 3):
+                    check_hypersurface_reading(ctx, d, m, f)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

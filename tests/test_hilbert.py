@@ -391,6 +391,24 @@ class TestRevlexSegments:
                         expected = revlex_lemma_by_products(ctx, m, count, l)
                         assert revlex_lemma_check(ctx, m, count, l) == expected
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_product_set_oracle_up_to_the_guard(self, data):
+        # the guard's range: n <= 4, m <= 6, l <= 6, any segment size
+        ctx = RingContext(data.draw(st.integers(1, 4)), GrevLex())
+        m = data.draw(st.integers(0, 6))
+        count = data.draw(st.integers(0, ctx.dim(m)))
+        l = data.draw(st.integers(1, 6))
+        assert revlex_lemma_check(ctx, m, count, l) == revlex_lemma_by_products(ctx, m, count, l)
+
+    def test_size_and_degree_errors(self):
+        with pytest.raises(ValueError, match=r"index size 7 out of range 0..6"):
+            revlex_lemma_check(CTX2, 2, 7, 1)
+        with pytest.raises(ValueError, match=r"index size -1 out of range 0..6"):
+            revlex_lemma_check(CTX2, 2, -1, 1)
+        with pytest.raises(ValueError, match="l must be at least 1"):
+            revlex_lemma_check(CTX2, 2, 7, 0)
+
     def test_constant_codimension_corollary(self):
         # segments containing the corner power keep their codimension at l = 0, 1, 2
         for n in (1, 2, 3):

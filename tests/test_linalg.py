@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginlab import linalg
+from ginlab.poly import LinearChange
 from oracles import identity, mat_mul
 
 
@@ -182,6 +183,37 @@ def test_det_singular_and_identity():
     assert linalg.det([[1, 0, 2], [3, 0, 4], [5, 0, 6]]) == 0
     with pytest.raises(ValueError):
         linalg.det([[1, 2, 3], [4, 5, 6]])
+
+
+@st.composite
+def square_matrices(draw):
+    """Square int or rational matrices, about half made singular by a dependent row."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        entry = st.integers(-4, 4)
+    else:
+        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # one row becomes a combination of the others (the zero row when n = 1)
+        k = draw(st.integers(0, n - 1))
+        coeffs = draw(st.lists(entry, min_size=n, max_size=n))
+        mat[k] = [sum((c * row[j] for i, (c, row) in enumerate(zip(coeffs, mat)) if i != k),
+                      Fraction(0)) for j in range(n)]
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_rank_decides_invertibility_like_det(mat):
+    n = len(mat)
+    invertible = linalg.det(mat) != 0
+    assert (linalg.rank(mat, n) == n) == invertible
+    if invertible:
+        assert LinearChange(tuple(map(tuple, mat))).nvars == n
+    else:
+        with pytest.raises(ValueError, match="must be invertible"):
+            LinearChange(tuple(map(tuple, mat)))
 
 
 def test_kernel_annihilates_and_spans():

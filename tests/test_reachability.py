@@ -28,6 +28,7 @@ EXEMPT = {
     "grassmann.subspace_from_vectors": "called only by the traced families.points_hilbert_point",
     "grassmann.SubspaceBasis.d": "read only by the traced grassmann.pluecker_coordinate",
     "linalg._back_substitute": "called only by the traced linalg.rref",
+    "groebner.coefficient_rows": "called only by the traced groebner.graded_basis_matrix",
     "poly.Polynomial.__eq__": "value protocol: polynomials compare by their terms",
     "poly.Polynomial.__hash__": "value protocol: equal polynomials hash alike",
     "poly.Polynomial.__repr__": "value protocol: a polynomial prints as its text",
