@@ -21,7 +21,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
+from math import comb, inf, prod
 from pathlib import Path
 
 from . import linalg
@@ -147,9 +147,8 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
 
     def stratum_rank(entry):
         # higher degree first, then the higher index; the sentinel past every
-        # place puts an index after its extensions, as a longer index is higher
-        m = entry["degree"]
-        return (-m, index_rank(ctx, entry["index"]) + (ctx.dim(m),))
+        # pack puts an index after its extensions, as a longer index is higher
+        return (-entry["degree"], index_rank(ctx, entry["index"]) + (inf,))
 
     ordered = sorted(strata.values(), key=stratum_rank)
     total = len(members)

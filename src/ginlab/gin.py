@@ -13,11 +13,11 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .grassmann import SchubertIndex, index_rank
+from .grassmann import SchubertIndex
 from .groebner import Ideal, initial_ideal
 from .hilbert import HilbertPolynomial, gotzmann_number, hilbert_function
 from .hilbert import hilbert_polynomial_of_monomial_ideal
-from .monideal import MonomialIdeal, saturate
+from .monideal import MonomialIdeal, degree_part, saturate
 from .orders import RingContext
 from .poly import LinearChange, apply_change
 
@@ -112,18 +112,26 @@ def generic_initial_ideal(
     changes = [random_linear_change(ctx, seed + t, bound) for t in range(trials)]
     initials = [secondary_gin(ctx, I, g) for g in changes]
     P, m0, m = _certify(ctx, initials[0], I)
-    indices = [index_at_degree(ctx, M, m) for M in initials]
-    best = min(range(trials), key=lambda t: index_rank(ctx, indices[t]))
-    win = indices[best]
+    # Trials compare as their index ranks, the sorted packs of their degree-m
+    # slices, do: of two slices of one size, the lex-larger holds the least
+    # pack in which they differ.  So no list is sorted, and two sets are kept.
+    best, top, stable = 0, degree_part(ctx, initials[0].min_gens, m), True
+    for t in range(1, trials):
+        part = degree_part(ctx, initials[t].min_gens, m)
+        if part != top:
+            stable = False
+            if min(part ^ top) in part:
+                best, top = t, part
+    del top, part  # free both slices before the winner's index is built
     # The index is the degree-m slice of the generators of degree <= m, and
     # saturation ignores truncation, so saturating them gives the same ideal.
     low = frozenset(u for u in initials[best].min_gens if sum(u) <= m)
     return GinResult(
         gin=saturate(MonomialIdeal(ctx.nvars, low)),
-        index=win,
+        index=index_at_degree(ctx, initials[best], m),
         witness=changes[best],
         trials=trials,
-        stable=all(index == win for index in indices),
+        stable=stable,
         certification_degree=m,
         hilbert_polynomial=P,
         gotzmann=m0,

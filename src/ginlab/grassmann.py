@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import linalg
 from .groebner import Ideal, graded_basis_matrix
-from .orders import Monomial, RingContext
+from .orders import Monomial, RingContext, pack_width
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,10 @@ def pluecker_coordinate(F: SubspaceBasis, idx: SchubertIndex) -> Fraction:
 
 
 def index_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[int, ...]:
-    """The places of the index monomials in ``ctx.monomials(m)``, found in one walk down it.
+    """The packs at ``pack_width(m)`` of the index monomials, ascending as they descend.
 
     Of two indices of one size, the lex-larger has the lex-smaller rank.
     """
     if not idx.monomials:
         return ()
-    chain, k = ctx.monomials(sum(idx.monomials[0])), -1
-    return tuple([k := chain.index(u, k + 1) for u in idx.monomials])
+    return tuple(map(ctx.packing(pack_width(sum(idx.monomials[0]))).encode, idx.monomials))

@@ -293,7 +293,7 @@ def buchberger(ctx: RingContext, I: Ideal) -> tuple[Polynomial, ...]:
         # drop elements whose lead is divisible by another lead; of equal leads
         # the first is kept, since list.index finds the first
         leads = [lm for lm, _, _ in basis]
-        keep = [leads.index(u) for u in sorted(minimalize(leads), key=ctx.key)]
+        keep = [leads.index(u) for u in ctx.descending(minimalize(leads))]
         divisors = [(packing.encode(lm), lc, tail) for lm, lc, tail in basis]
         out = []
         for i in keep:

@@ -37,7 +37,7 @@ class MonomialIdeal:
 
     def gens_sorted(self, ctx: RingContext) -> tuple[Monomial, ...]:
         """The minimal generators, descending under ctx.order."""
-        return tuple(sorted(self.min_gens, key=ctx.key))
+        return tuple(ctx.descending(self.min_gens))
 
     def graded_monomials(self, ctx: RingContext, m: int) -> tuple[Monomial, ...]:
         """Degree-m monomials inside the ideal, descending under ctx.order."""

@@ -3,26 +3,26 @@
 A monomial is an exponent tuple over the variables x0..xn.  An order is an
 integer matrix and nothing else, ``rows(nvars)``: a is above b exactly when
 rows . a is lexicographically larger than rows . b (Robbiano, "Term orderings
-on the polynomial ring", 1985).  `order_key` turns the matrix into the one
-sort key, -rows . a, which ascends as monomials descend: ``sorted(mons,
-key=ctx.key)`` lists them in descending order and ``min(mons, key=ctx.key)``
-is the leading one.  A `RingContext` keeps that key for its lifetime.
+on the polynomial ring", 1985).
 
 One int per monomial (Monagan and Pearce, JSC 2011; Bachmann and Schoenemann,
-ISSAC 1998): `RingContext.packing(bits)` gives M(e) = (k(e) << P) + the
-exponents at bits + 1 bits each, k(e) the digits -rows . e in a base no product
-carries past and a guard bit atop each field.  A product is one addition, M
-ascends as monomials descend, x^a | x^b iff ((M(b) | G) - M(a)) & G == G for
-the guard bits G, and an exponent reaching 2^bits shows in M & G.
+ISSAC 1998) is the one reading of that matrix: `RingContext.packing(bits)`
+gives M(e) = (k(e) << P) + the exponents at bits + 1 bits each, k(e) the
+digits -rows . e in a base no product carries past and a guard bit atop each
+field.  A product is one addition, M ascends as monomials descend, x^a | x^b
+iff ((M(b) | G) - M(a)) & G == G for the guard bits G, and an exponent
+reaching 2^bits shows in M & G.
 
-So a degree is sorted by its packs: `RingContext.packs(m, bits)` is one sorted
-list per degree and width, and `RingContext.monomials(m)` decodes it.
+So monomials are sorted by their packs: `RingContext.descending(mons)` sorts
+any of them, of mixed degree too, and its first is the leading one;
+`RingContext.packs(m, bits)` is one sorted list per degree and width, and
+`RingContext.monomials(m)` decodes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 from operator import add, le, mul as times
 
@@ -119,22 +119,6 @@ class Packing:
         return tuple([p >> s & mask for s in range(0, w * len(self.scales), w)])
 
 
-@lru_cache(maxsize=None)
-def order_key(order: MonomialOrder, nvars: int):
-    """The sort key -rows . m of `order` on nvars variables; the larger monomial has the smaller key.
-
-    Cached per (order, nvars), so the width check runs once for each pair.
-    """
-    rows = order.rows(nvars)
-    if any(len(row) != nvars for row in rows):
-        raise ValueError("monomial order does not match the number of variables")
-
-    def key(m: Monomial) -> tuple[int, ...]:
-        return tuple([-sum(map(times, row, m)) for row in rows])
-
-    return key
-
-
 @dataclass(frozen=True)
 class RingContext:
     """Ambient ring Q[x0..xn] together with a total monomial order."""
@@ -145,16 +129,12 @@ class RingContext:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ambient projective dimension n must be at least 1")
-        order_key(self.order, self.nvars)  # refuses a matrix of the wrong width
+        if any(len(row) != self.nvars for row in self.order.rows(self.nvars)):
+            raise ValueError("monomial order does not match the number of variables")
 
     @property
     def nvars(self) -> int:
         return self.n + 1
-
-    @cached_property
-    def key(self):
-        """The order's sort key, ascending for descending monomials, cached per monomial."""
-        return lru_cache(maxsize=None)(order_key(self.order, self.nvars))
 
     @lru_cache(maxsize=None)
     def packing(self, bits: int) -> Packing:
@@ -165,6 +145,12 @@ class RingContext:
                 for i in range(self.nvars)]
         scales = tuple((-k << width * self.nvars) + (1 << width * i) for i, k in enumerate(keys))
         return Packing(scales, width, sum(1 << (width * i + bits) for i in range(self.nvars)))
+
+    def descending(self, monomials) -> list[Monomial]:
+        """`monomials`, of any degrees, descending under this context's order: ascending packs."""
+        monomials = list(monomials)
+        top = max(map(max, monomials), default=0)
+        return sorted(monomials, key=self.packing(pack_width(top)).encode)
 
     def check(self, m: Monomial) -> None:
         if len(m) != self.nvars:

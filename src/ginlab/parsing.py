@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .orders import GrevLex, Monomial, RingContext, order_key
+from .orders import Monomial, RingContext
 from .poly import Polynomial
 
 
@@ -224,10 +224,12 @@ def polynomial_str(f: Polynomial, ctx: RingContext | None = None) -> str:
     """f with its terms descending under ctx.order, or under grevlex without a ring."""
     if not f:
         return "0"
-    key = ctx.key if ctx else order_key(GrevLex(), f.nvars())
+    # without a ring, grevlex; a ring has two variables at least, and a
+    # one-variable monomial (a,) packs as x0^a of Q[x0, x1], as encode zips
+    ctx = ctx or RingContext(max(1, f.nvars() - 1))
     pieces = []
-    for e, c in sorted(f.terms.items(), key=lambda t: key(t[0])):
-        text = term_str(e, c)
+    for e in ctx.descending(f.terms):
+        text = term_str(e, f.terms[e])
         if not pieces:
             pieces.append(text)
         elif text.startswith("-"):

@@ -153,7 +153,7 @@ class Polynomial:
     def leading(self, ctx: RingContext) -> tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("leading term of the zero polynomial")
-        e = min(self.terms, key=ctx.key)
+        e = ctx.descending(self.terms)[0]
         return e, self.terms[e]
 
     def __repr__(self) -> str:

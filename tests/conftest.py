@@ -21,7 +21,8 @@ def oracle_key(order, m):
     """A hand-written sort key of `order`: the larger monomial has the larger key.
 
     Written from the definitions of the orders, not from their matrices, it is
-    the oracle of the one key `RingContext.key` derives from the matrix.
+    the oracle of `RingContext.descending`, which sorts by the packs that
+    `RingContext.packing` derives from the matrix.
     """
     if isinstance(order, Lex):
         return m

@@ -2,8 +2,9 @@
 
 Each function here was once part of the library.  It now lives with the tests
 because only tests call it: the factor-by-factor polynomial parser, normal
-forms, the tuple Buchberger kernel, the `order_key` sort of a degree slice,
-index ranks by table, the enumerating certification, index comparisons,
+forms, the tuple sort key `order_key` of an order matrix, the tuple
+Buchberger kernel and the `order_key` sort of a degree slice, index ranks by
+a table of places, the enumerating certification, index comparisons,
 weight vectors and the one-parameter-subgroup limit check serve as
 independent checks of what the commands compute, and the twisted cubic and
 random subspaces are test inputs.  Import them as ``from oracles import ...``.
@@ -13,6 +14,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import NamedTuple
@@ -38,9 +40,29 @@ from ginlab.gin import index_at_degree
 from ginlab.hilbert import HilbertPolynomial, MacaulayRep, binomial_poly, gotzmann_number
 from ginlab.hilbert import hilbert_polynomial_of_monomial_ideal
 from ginlab.monideal import MonomialIdeal, degree_part, minimalize
-from ginlab.orders import Monomial, RingContext, divides, lcm, mul, order_key, unit, variable
+from ginlab.orders import Monomial, RingContext, divides, lcm, mul, unit, variable
 from ginlab.parsing import ParseError, parse_expression
 from ginlab.poly import LinearChange, Polynomial
+
+# --- the tuple sort key of a monomial order ---------------------------------
+
+
+@lru_cache(maxsize=None)
+def order_key(order, nvars: int):
+    """The sort key -rows . m of `order` on nvars variables: the larger monomial, the smaller key.
+
+    ``sorted(mons, key=order_key(order, nvars))`` lists monomials in
+    descending order, as `RingContext.descending` does by their packs.  Cached
+    per (order, nvars), and each key per monomial.
+    """
+    rows = order.rows(nvars)
+
+    @lru_cache(maxsize=None)
+    def key(m: Monomial) -> tuple[int, ...]:
+        return tuple([-sum(r * e for r, e in zip(row, m)) for row in rows])
+
+    return key
+
 
 # --- polynomials, matrices and changes of variables -------------------------
 
@@ -162,7 +184,7 @@ def reduce(ctx: RingContext, f: Polynomial, basis) -> Polynomial:
 # --- division and Buchberger's algorithm on exponent tuples -----------------
 #
 # The packed kernel of `groebner` before it packed: monomials are exponent
-# tuples, the order is `ctx.key`, and every division runs to the full normal
+# tuples, the order is `order_key`, and every division runs to the full normal
 # form.  The packed `_buchberger` must find the same leads in the same order.
 
 
@@ -269,7 +291,7 @@ def tuple_buchberger(ctx: RingContext, generators, full: bool = True):
     `full` divides every remainder to its normal form, as the kernel did
     before it stopped each division at its lead.
     """
-    key = ctx.key
+    key = order_key(ctx.order, ctx.nvars)
     divisors: list = []
     sugars: list[int] = []
     nonzero = 0
@@ -338,12 +360,13 @@ def tuple_buchberger(ctx: RingContext, generators, full: bool = True):
 def tuple_reduced_basis(ctx: RingContext, divisors) -> tuple[Polynomial, ...]:
     """The monic reduced basis from `tuple_buchberger`'s divisors, leads descending."""
     leads = [lm for lm, _, _ in divisors]
-    keep = [leads.index(u) for u in sorted(minimalize(leads), key=ctx.key)]
+    key = order_key(ctx.order, ctx.nvars)
+    keep = [leads.index(u) for u in sorted(minimalize(leads), key=key)]
     reduced = []
     for i in keep:
         lm, lc, tail = divisors[i]
         others = [divisors[j] for j in keep if j != i]
-        h, _ = tuple_reduce(ctx.key, {lm: lc, **dict(tail)}, others)
+        h, _ = tuple_reduce(key, {lm: lc, **dict(tail)}, others)
         reduced.append(Polynomial({e: Fraction(c, h[lm]) for e, c in h.items()}))
     return tuple(reduced)
 
@@ -380,7 +403,7 @@ def subspace_from_polynomials(ctx: RingContext, m: int, polys) -> SubspaceBasis:
 def make_index(ctx: RingContext, monomials) -> SchubertIndex:
     """The index of strictly descending monomials of one degree; raises ValueError otherwise."""
     mons = tuple(tuple(m) for m in monomials)
-    key = ctx.key
+    key = order_key(ctx.order, ctx.nvars)
     for a, b in zip(mons, mons[1:]):
         if key(a) >= key(b):
             raise ValueError("index monomials must be strictly descending")

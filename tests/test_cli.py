@@ -189,11 +189,21 @@ class TestStrataCommand:
 
     def test_an_index_comes_after_its_extensions(self, capsys):
         # (x0^2) and (x0^2, x0*x1) are both read at degree 2; the longer index
-        # agrees with the shorter one on its first place and is the higher one
-        code, report = run_json(capsys, "strata", "--n", "2", "--mode", "initial",
-                                "--members", "x1^2|x0^2|x0^2;x0*x1")
-        assert code == 0
-        assert [s["index"] for s in report["strata"]] == [["x0^2", "x0*x1"], ["x0^2"], ["x1^2"]]
+        # agrees with the shorter one on its first place and is the higher one,
+        # under grevlex, lex and a weight order alike
+        conics = "x1^2|x0^2|x0^2;x0*x1|x0*x2 - x1^2|x1*x2;x2^2"
+        cases = [
+            ("x1^2|x0^2|x0^2;x0*x1", "grevlex", [["x0^2", "x0*x1"], ["x0^2"], ["x1^2"]]),
+            (conics, "grevlex", [["x0^2", "x0*x1"], ["x0^2"], ["x1^2"], ["x1*x2", "x2^2"]]),
+            (conics, "lex",
+             [["x0^2", "x0*x1"], ["x0^2"], ["x0*x2"], ["x1^2"], ["x1*x2", "x2^2"]]),
+            (conics, "weight:1,2,3", [["x2^2", "x1*x2"], ["x1^2"], ["x0*x1", "x0^2"], ["x0^2"]]),
+        ]
+        for members, order, expected in cases:
+            code, report = run_json(capsys, "strata", "--n", "2", "--mode", "initial",
+                                    "--order", order, "--members", members)
+            assert code == 0
+            assert [s["index"] for s in report["strata"]] == expected, order
 
     def test_plane_complete_intersection_member(self, capsys):
         # Hilbert polynomial 81 has Gotzmann number 81, so the index is taken at degree 81

@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +16,7 @@ from ginlab.orders import (
     mul,
     pack_width,
 )
+from ginlab.poly import Polynomial
 from oracles import key_sorted_monomials, positions_rank
 
 
@@ -23,17 +24,18 @@ def mono(*exps):
     return tuple(exps)
 
 
-# the ring key ascends as monomials descend: a smaller key is a larger monomial
+# `RingContext.descending` sorts monomials by their packs, which ascend as
+# monomials descend
 
 
 def test_lex_first_exponent_dominates():
-    key = RingContext(2, Lex()).key
-    assert key(mono(2, 0, 0)) < key(mono(1, 1, 0))
+    ctx = RingContext(2, Lex())
+    assert ctx.descending([mono(1, 1, 0), mono(2, 0, 0)]) == [mono(2, 0, 0), mono(1, 1, 0)]
 
 
 def test_lex_ignores_degree():
-    key = RingContext(1, Lex()).key
-    assert key(mono(1, 0)) < key(mono(0, 3))
+    ctx = RingContext(1, Lex())
+    assert ctx.descending([mono(0, 3), mono(1, 0)]) == [mono(1, 0), mono(0, 3)]
 
 
 def test_grevlex_degree_two_chain():
@@ -48,14 +50,14 @@ def test_grevlex_degree_two_chain():
         mono(0, 0, 2),
     ]
     assert list(ctx.monomials(2)) == expected
-    assert ctx.key(mono(0, 2, 0)) < ctx.key(mono(1, 0, 1))
+    assert ctx.descending(reversed(expected)) == expected
 
 
 def test_equal_iff_identical():
     mons = [u for m in range(4) for u in RingContext(2).monomials(m)]
     for order in (Lex(), GrevLex(), WeightOrder((1, 2, 3))):
-        key = RingContext(2, order).key
-        assert len({key(u) for u in mons}) == len(mons)
+        encode = RingContext(2, order).packing(pack_width(3)).encode
+        assert len({encode(u) for u in mons}) == len(mons)
 
 
 def test_dimension_mismatch_rejected():
@@ -71,11 +73,11 @@ def test_dimension_mismatch_rejected():
 
 
 def test_weight_order_compares_weight_then_tiebreak():
-    key = RingContext(2, WeightOrder((1, 1, 0))).key
+    ctx = RingContext(2, WeightOrder((1, 1, 0)))
     # weight 2 beats weight 1
-    assert key(mono(0, 2, 0)) < key(mono(1, 0, 1))
+    assert ctx.descending([mono(1, 0, 1), mono(0, 2, 0)]) == [mono(0, 2, 0), mono(1, 0, 1)]
     # equal weight falls back to grevlex
-    assert key(mono(2, 0, 0)) < key(mono(1, 1, 0))
+    assert ctx.descending([mono(1, 1, 0), mono(2, 0, 0)]) == [mono(2, 0, 0), mono(1, 1, 0)]
 
 
 def test_weight_order_rejects_negative_weights():
@@ -88,7 +90,9 @@ ORDERS = [Lex(), GrevLex(), WeightOrder((2, 1, 1)), WeightOrder((3, 0, 1), Lex()
 
 @pytest.mark.parametrize("order", ORDERS, ids=str)
 def test_order_axioms_on_samples(order):
-    key = RingContext(2, order).key
+    # the packs read the order: exponents up to 4 + 3 fit in pack_width(7)
+    ctx = RingContext(2, order)
+    key = ctx.packing(pack_width(7)).encode
     rng = random.Random(101)
     mons = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(60)]
     for a, b in combinations(mons[:25], 2):
@@ -98,7 +102,7 @@ def test_order_axioms_on_samples(order):
         s = tuple(rng.randint(0, 3) for _ in range(3))
         assert (key(mul(a, s)) > key(mul(b, s))) == (key(a) > key(b))
     # transitivity via sort consistency
-    chain = sorted(mons, key=key)
+    chain = ctx.descending(mons)
     for x, y in zip(chain, chain[1:]):
         assert key(x) <= key(y)
 
@@ -107,9 +111,10 @@ def test_order_axioms_on_samples(order):
 @settings(deadline=None)
 @given(data=st.data())
 def test_key_agrees_with_order_matrix(order, data):
-    # the ring key, derived from the matrix, sorts monomials of mixed degree
-    # exactly as the hand-written oracle key does; a weight order keeps its
-    # tiebreak and draws weights for each number of variables
+    # the ring's sort, by the packs of the matrix, lists monomials of mixed
+    # degree exactly as the hand-written oracle key does, and the leading term
+    # is its first; a weight order keeps its tiebreak and draws weights for
+    # each number of variables
     n = data.draw(st.integers(1, 4), label="n")
     if isinstance(order, WeightOrder):
         weights = data.draw(st.tuples(*[st.integers(0, 4)] * (n + 1)), label="weights")
@@ -118,8 +123,8 @@ def test_key_agrees_with_order_matrix(order, data):
                               min_size=2, max_size=12, unique=True), label="monomials")
     ctx = RingContext(n, order)
     expected = sorted(mons, key=lambda u: oracle_key(order, u), reverse=True)
-    assert sorted(mons, key=ctx.key) == expected
-    assert min(mons, key=ctx.key) == expected[0]
+    assert ctx.descending(mons) == expected
+    assert Polynomial(dict.fromkeys(mons, 1)).leading(ctx)[0] == expected[0]
 
 
 def test_order_matrices():
@@ -137,8 +142,15 @@ def test_monomial_enumeration_counts_and_descending():
                 assert len(mons) == comb(n + m, n)
                 keys = [oracle_key(order, u) for u in mons]
                 assert keys == sorted(keys, reverse=True)
-                full = SchubertIndex(mons)
-                assert index_rank(ctx, full) == positions_rank(ctx, full) == tuple(range(len(mons)))
+                assert positions_rank(ctx, SchubertIndex(mons)) == tuple(range(len(mons)))
+                # ranks ascend as the monomials descend, and with the strata
+                # sentinel past every pack a top segment ranks below each
+                # longer one, which sorts first
+                ranks = [index_rank(ctx, SchubertIndex((u,))) for u in mons]
+                assert ranks == sorted(set(ranks))
+                tops = [index_rank(ctx, SchubertIndex(mons[:k])) + (inf,)
+                        for k in range(len(mons) + 1)]
+                assert tops == sorted(set(tops), reverse=True)
 
 
 @st.composite
@@ -153,16 +165,24 @@ def rings(draw):
 @settings(deadline=None)
 @given(rings(), st.integers(0, 8), st.data())
 def test_degree_slices_and_ranks_match_the_order_key_oracles(ctx, k, data):
-    # the one sort of the packs lists a slice as the order-key sort did, its
-    # packs are the encoded monomials, and the walk down it ranks an index
-    # as the table of places did
+    # the one sort of the packs lists a slice as the order-key sort did, and
+    # its packs are the encoded monomials; ranks by packs order two indices
+    # as the table of places does, and with the strata sentinel past every
+    # pack an index ranks below each of its extensions
     expected = key_sorted_monomials(ctx, k)
     assert ctx.monomials(k) == expected
     assert ctx.packs(k, pack_width(k)) == tuple(map(ctx.packing(pack_width(k)).encode, expected))
-    places = sorted(data.draw(st.sets(st.integers(0, len(expected) - 1)), label="places"))
-    # copies of the monomials, so the walk compares values and not identities
-    idx = SchubertIndex(tuple(tuple(list(expected[p])) for p in places))
-    assert index_rank(ctx, idx) == positions_rank(ctx, idx) == tuple(places)
+
+    def index(places):
+        return SchubertIndex(tuple(expected[p] for p in sorted(places)))
+
+    every = st.sets(st.integers(0, len(expected) - 1))
+    places, other = data.draw(every, label="places"), data.draw(every, label="other")
+    a, b = index(places), index(other)
+    ra, rb, pa, pb = (f(ctx, i) for f in (index_rank, positions_rank) for i in (a, b))
+    assert (ra < rb, ra == rb) == (pa < pb, pa == pb)
+    if not other <= places:
+        assert ra + (inf,) > index_rank(ctx, index(places | other)) + (inf,)
 
 
 def test_context_validation():

@@ -46,6 +46,13 @@ def test_polynomial_str_round_trip():
         assert parse_polynomial(polynomial_str(f), 3) == f
 
 
+def test_ring_free_printer_reads_grevlex():
+    # repr has no ring: it prints under grevlex, one variable included
+    assert repr(Polynomial({(2,): 1, (0,): -3})) == "x0^2 - 3"
+    assert repr(Polynomial.zero()) == "0"
+    assert repr(Polynomial({(1, 0, 2): 2, (3, 0, 0): -1, (0, 0, 0): 5})) == "-x0^3 + 2*x0*x2^2 + 5"
+
+
 def test_leading_term_examples():
     grevlex = RingContext(2, GrevLex())
     assert p("x0*x2 - x1^2").leading(grevlex) == ((0, 2, 0), Fraction(-1))
