@@ -233,7 +233,7 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
     if dim_expected < 0 or dim_expected > ctx.dim(m):
         raise CliError(f"no subspace of codimension P({m}) in degree {m}")
     alpha_star = ctx.top_segment(m, dim_expected)
-    applicable = not P.is_zero() and P.degree >= 1 and m > m0
+    applicable = bool(P) and P.degree() >= 1 and m > m0
 
     # p_alpha* is nonzero exactly when in(I)_m is the top segment alpha*
     if kind == "hypersurface":

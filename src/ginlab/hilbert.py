@@ -1,5 +1,7 @@
 """Hilbert functions and polynomials, Gotzmann expansions, segment ideals.
 
+A Hilbert polynomial is a one-variable `Polynomial` printed in m, and
+C(m + s, k) is expanded on ints with one division by k! per coefficient.
 The binomial expansion P(m) = sum_i C(m + a_i - i + 1, a_i) with weakly
 decreasing a_i exists exactly for the Hilbert polynomials of graded ideals;
 its length is the Gotzmann number, the degree at which lex segments and
@@ -29,85 +31,31 @@ class NotAdmissible(ValueError):
     """The polynomial has no Gotzmann binomial expansion."""
 
 
-@dataclass(frozen=True)
-class HilbertPolynomial:
-    """Univariate rational polynomial in m, stored by ascending power coefficients."""
+class HilbertPolynomial(Polynomial):
+    """A `Polynomial` in the one variable m: the exponent tuple (k,) stands for m^k."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ()
 
     @classmethod
     def make(cls, coeffs) -> "HilbertPolynomial":
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
+        """The polynomial with the given coefficients of m^0, m^1, ..."""
+        return cls(((k,), c) for k, c in enumerate(coeffs))
 
     @classmethod
     def constant(cls, c) -> "HilbertPolynomial":
         return cls.make([c])
 
-    @classmethod
-    def zero(cls) -> "HilbertPolynomial":
-        return cls(())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("degree of the zero polynomial")
-        return len(self.coeffs) - 1
-
     def __call__(self, m) -> Fraction:
-        x = Fraction(m)
-        total = _F0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
-    def __add__(self, other: "HilbertPolynomial") -> "HilbertPolynomial":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return HilbertPolynomial.make(
-            [(a[i] if i < len(a) else _F0) + (b[i] if i < len(b) else _F0) for i in range(n)]
-        )
-
-    def __sub__(self, other: "HilbertPolynomial") -> "HilbertPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "HilbertPolynomial":
-        return HilbertPolynomial(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, HilbertPolynomial):
-            if not self.coeffs or not other.coeffs:
-                return HilbertPolynomial.zero()
-            out = [_F0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return HilbertPolynomial.make(out)
-        scale = Fraction(other)
-        return HilbertPolynomial.make([c * scale for c in self.coeffs])
-
-    __rmul__ = __mul__
+        return sum((c * m**k for (k,), c in self.terms.items()), _F0)
 
     def __pow__(self, k: int) -> "HilbertPolynomial":
         _check_input_degree("exponent", k, self)
-        out = HilbertPolynomial.constant(1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return super().__pow__(k) if k else self.constant(1)
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         pieces = []
-        for p in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[p]
-            if not c:
-                continue
+        for (p,) in sorted(self.terms, reverse=True):
+            c = self.terms[(p,)]
             if p == 0:
                 body = str(abs(c))
             else:
@@ -117,24 +65,29 @@ class HilbertPolynomial:
                 pieces.append(body if c > 0 else f"-{body}")
             else:
                 pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces)
+        return " ".join(pieces) or "0"
 
-
-_M = HilbertPolynomial.make([0, 1])
+    __repr__ = __str__
 
 
 def binomial_poly(shift: int, k: int) -> HilbertPolynomial:
     """C(m + shift, k) as a polynomial in m."""
     if k < 0:
         raise ValueError("binomial order must be nonnegative")
-    return _choose(HilbertPolynomial.make([shift, 1]), k)
+    # k! C(m + shift, k) = (m + shift) (m + shift - 1) ... (m + shift - k + 1), on ints
+    coeffs = [1]
+    for i in range(k):
+        a = shift - i
+        coeffs = [a * c + b for c, b in zip(coeffs + [0], [0] + coeffs)]
+    den = factorial(k)
+    return HilbertPolynomial._raw({(p,): Fraction(c, den) for p, c in enumerate(coeffs) if c})
 
 
 def _choose(top: HilbertPolynomial, k: int) -> HilbertPolynomial:
-    """C(top, k) = top (top - 1) ... (top - k + 1) / k!."""
-    out = HilbertPolynomial.constant(1)
+    """C(top, k) = top (top - 1) ... (top - k + 1) / k!, for any polynomial top."""
+    out = top.constant(1)
     for i in range(k):
-        out = out * (top + HilbertPolynomial.constant(-i))
+        out = out * (top + top.constant(-i))
     return out * Fraction(1, factorial(k))
 
 
@@ -165,7 +118,7 @@ _MAX_INPUT_DEGREE = 100
 
 
 def _check_input_degree(what: str, k: int, base: HilbertPolynomial) -> None:
-    degree = 0 if base.is_zero() else base.degree
+    degree = base.degree() if base else 0
     if k * max(degree, 1) > _MAX_INPUT_DEGREE:
         raise ValueError(f"{what} {k} on a degree-{degree} polynomial exceeds "
                          f"the input degree limit {_MAX_INPUT_DEGREE}")
@@ -176,9 +129,9 @@ def macaulay_rep(P: HilbertPolynomial) -> MacaulayRep:
     a: list[int] = []
     remainder = P
     i = 1
-    while not remainder.is_zero():
-        d = remainder.degree
-        lead = remainder.coeffs[-1]
+    while remainder:
+        d = remainder.degree()
+        lead = remainder.terms[(d,)]
         if lead < 0:
             raise NotAdmissible(f"{P} is not an admissible Hilbert polynomial")
         block = lead * factorial(d)
@@ -356,8 +309,8 @@ def _read_binomial(sc, expr, start: int) -> HilbertPolynomial:
     bottom = expr()
     sc.expect(")")
     # C(f, g) with either g a constant or f - g a constant (C(n+m, m) style)
-    order = bottom if bottom.is_zero() or bottom.degree == 0 else top - bottom
-    if not order.is_zero() and order.degree > 0:
+    order = bottom if not bottom or bottom.degree() == 0 else top - bottom
+    if order and order.degree() > 0:
         raise ParseError("binomial C(f,g) needs g or f-g constant", start)
     k = order(0)
     if k.denominator != 1 or k < 0:
@@ -368,5 +321,5 @@ def _read_binomial(sc, expr, start: int) -> HilbertPolynomial:
 
 def parse_hilbert_polynomial(text: str) -> HilbertPolynomial:
     """Parse expressions like ``2*m + 1`` or ``C(m+2,2) - C(m,2)``."""
-    atoms = {"m": lambda sc, expr, start: _M, "C": _read_binomial}
+    atoms = {"m": lambda sc, expr, start: HilbertPolynomial.make([0, 1]), "C": _read_binomial}
     return parse_expression(text, HilbertPolynomial.constant, atoms, "m, a number, C(...) or '('")

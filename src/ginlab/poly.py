@@ -97,10 +97,10 @@ class Polynomial:
                 out[e] = v
             else:
                 del out[e]
-        return Polynomial._raw(out)
+        return self._raw(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({e: -c for e, c in self.terms.items()})
+        return self._raw({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -113,11 +113,11 @@ class Polynomial:
                         out[e] = v
                     elif e in out:
                         del out[e]
-            return Polynomial._raw(out)
+            return self._raw(out)
         c = Fraction(other)
         if not c:
-            return Polynomial.zero()
-        return Polynomial._raw({e: c0 * c for e, c0 in self.terms.items()})
+            return self.zero()
+        return self._raw({e: c0 * c for e, c0 in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -128,11 +128,11 @@ class Polynomial:
         if nv is None:
             if k == 0:
                 raise ValueError("0**0 of a polynomial with unknown arity")
-            return Polynomial.zero()
+            return self.zero()
         if k and len(self.terms) == 1:
             ((e, c),) = self.terms.items()
-            return Polynomial._raw({tuple(k * x for x in e): c if c == 1 else c**k})
-        result = Polynomial.constant(nv, 1)
+            return self._raw({tuple(k * x for x in e): c if c == 1 else c**k})
+        result = self._raw({unit(nv): Fraction(1)})
         base = self
         while k:
             if k & 1:

@@ -3,11 +3,11 @@
 Each function here was once part of the library.  It now lives with the tests
 because only tests call it: the factor-by-factor polynomial parser, normal
 forms, the tuple sort key `order_key` of an order matrix, the tuple
-Buchberger kernel and the `order_key` sort of a degree slice, index ranks by
-a table of places, the enumerating certification, index comparisons,
-weight vectors and the one-parameter-subgroup limit check serve as
-independent checks of what the commands compute, and the twisted cubic and
-random subspaces are test inputs.  Import them as ``from oracles import ...``.
+Buchberger kernel and the `order_key` sort of a degree slice, the
+coefficient-list Hilbert polynomial, index ranks by a table of places, the
+enumerating certification, index comparisons, weight vectors and the
+one-parameter-subgroup limit check serve as independent checks of what the
+commands compute, and the twisted cubic and random subspaces are test inputs.  Import them as ``from oracles import ...``.
 """
 
 import heapq
@@ -369,6 +369,92 @@ def tuple_reduced_basis(ctx: RingContext, divisors) -> tuple[Polynomial, ...]:
         h, _ = tuple_reduce(key, {lm: lc, **dict(tail)}, others)
         reduced.append(Polynomial({e: Fraction(c, h[lm]) for e, c in h.items()}))
     return tuple(reduced)
+
+
+@dataclass(frozen=True)
+class CoefficientHilbertPolynomial:
+    """A polynomial in m as its tuple of coefficients by ascending power.
+
+    An arithmetic on coefficient lists, independent of `Polynomial`, that
+    `HilbertPolynomial` is checked against.  Powers skip the input degree
+    limit, which the parser applies.
+    """
+
+    coeffs: tuple[Fraction, ...]
+
+    @classmethod
+    def make(cls, coeffs) -> "CoefficientHilbertPolynomial":
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cls(tuple(cs))
+
+    @classmethod
+    def constant(cls, c) -> "CoefficientHilbertPolynomial":
+        return cls.make([c])
+
+    @classmethod
+    def zero(cls) -> "CoefficientHilbertPolynomial":
+        return cls(())
+
+    def __call__(self, m) -> Fraction:
+        x = Fraction(m)
+        total = Fraction(0)
+        for c in reversed(self.coeffs):
+            total = total * x + c
+        return total
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        n = max(len(a), len(b))
+        zero = Fraction(0)
+        return self.make([(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
+                          for i in range(n)])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return CoefficientHilbertPolynomial(tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, CoefficientHilbertPolynomial):
+            if not self.coeffs or not other.coeffs:
+                return self.zero()
+            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+            return self.make(out)
+        scale = Fraction(other)
+        return self.make([c * scale for c in self.coeffs])
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        out = self.constant(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        pieces = []
+        for p in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[p]
+            if not c:
+                continue
+            if p == 0:
+                body = str(abs(c))
+            else:
+                var = "m" if p == 1 else f"m^{p}"
+                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
+            if not pieces:
+                pieces.append(body if c > 0 else f"-{body}")
+            else:
+                pieces.append(("+ " if c > 0 else "- ") + body)
+        return " ".join(pieces)
 
 
 def macaulay_polynomial(rep: MacaulayRep) -> HilbertPolynomial:

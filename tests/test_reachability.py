@@ -39,8 +39,9 @@ MEMBERS = "x0*x2 - x1^2; x0*x1\n\n# a second member\nx0^2\n"
 
 # The README examples, then requests for what those leave unreached: a large
 # power, too many points for the box, lex and weight orders, products and
-# powers of sums, a leading minus, a parse error and the zero ideal.  `run_everything` adds
-# --file, --members-file, --out and the console script hook.
+# powers of sums, a sum to the power 0, a leading minus, a parse error and the
+# zero ideal.  `run_everything` adds --file, --members-file, --out and the
+# console script hook.
 ARGV = [
     ["gin", "--n", "2", "--ideal", "x0*x2 - x1^2", "--order", "grevlex", "--trials", "5",
      "--seed", "3"],
@@ -60,6 +61,7 @@ ARGV = [
     ["gin", "--n", "2", "--ideal", "x0*x2 - x1^2", "--order", "weight:1,2,3", "--trials", "2"],
     ["gin", "--n", "2", "--ideal", "(x0 + 2*x1)^2 - (x0 - x2)*x2; x1*(x0 + x1 + x2)^2",
      "--trials", "2"],
+    ["gin", "--n", "2", "--ideal", "x0*x2*(x1 + x2)^0 - x1^2", "--trials", "2"],
     ["gin", "--n", "2", "--ideal", "-x0*x2 + x1^2", "--trials", "2"],
     ["gin", "--n", "2", "--ideal", "x0*", "--trials", "2"],
     ["gin", "--n", "2", "--ideal", "(x0 - x0)^2", "--trials", "2"],
