@@ -5,6 +5,8 @@ the Hilbert polynomial P and the generator degrees, so P, its Gotzmann number
 and the certification degree belong to I and are read once per gin, off the
 first trial.  The generic initial ideal is the trial whose Schubert index at
 the certification degree is lex-maximal among `trials` seeded random changes.
+A gin packs I's generators once, and its trials are packed end to end, from
+`apply_change` to `initial_ideal`: the only `Polynomial`s are I's, for the report.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from .groebner import Ideal, initial_ideal
 from .hilbert import HilbertPolynomial, gotzmann_number, hilbert_function
 from .hilbert import hilbert_polynomial_of_monomial_ideal
 from .monideal import MonomialIdeal, degree_part, saturate
-from .orders import RingContext
-from .poly import LinearChange, apply_change
+from .orders import RingContext, pack_width
+from .poly import LinearChange, Packed, apply_change, pack
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,17 @@ def certified_initial_ideal(ctx: RingContext, J: Ideal) -> SecondaryGin:
     return SecondaryGin(inJ, _certify(ctx, inJ, J)[2])
 
 
-def secondary_gin(ctx: RingContext, I: Ideal, g: LinearChange) -> MonomialIdeal:
-    """in(g·I), the initial ideal after the specific change g."""
+def _packed(ctx: RingContext, I: Ideal) -> list[Packed]:
+    """I's generators packed at 2 * pack_width(deg I) bits for g·I, whose exponents reach deg I."""
     if not I.homogeneous:
         raise ValueError("secondary gins require a homogeneous ideal")
-    return initial_ideal(ctx, Ideal([apply_change(ctx, g, f) for f in I.generators]))
+    return [pack(ctx, f, 2 * pack_width(I.max_degree())) for f in I.generators]
+
+
+def secondary_gin(ctx: RingContext, I: Ideal | list[Packed], g: LinearChange) -> MonomialIdeal:
+    """in(g·I), the initial ideal after the specific change g; I may come packed by `_packed`."""
+    generators = _packed(ctx, I) if isinstance(I, Ideal) else I
+    return initial_ideal(ctx, [apply_change(ctx, g, f) for f in generators])
 
 
 def generic_initial_ideal(
@@ -110,7 +118,8 @@ def generic_initial_ideal(
     if not I.homogeneous:
         raise ValueError("generic initial ideals require a homogeneous ideal")
     changes = [random_linear_change(ctx, seed + t, bound) for t in range(trials)]
-    initials = [secondary_gin(ctx, I, g) for g in changes]
+    generators = _packed(ctx, I)
+    initials = [secondary_gin(ctx, generators, g) for g in changes]
     P, m0, m = _certify(ctx, initials[0], I)
     # Trials compare as their index ranks, the sorted packs of their degree-m
     # slices, do: of two slices of one size, the lex-larger holds the least
@@ -122,13 +131,14 @@ def generic_initial_ideal(
             stable = False
             if min(part ^ top) in part:
                 best, top = t, part
-    del top, part  # free both slices before the winner's index is built
+    del part  # free the other slice before the winner's index is read off `top`
     # The index is the degree-m slice of the generators of degree <= m, and
     # saturation ignores truncation, so saturating them gives the same ideal.
     low = frozenset(u for u in initials[best].min_gens if sum(u) <= m)
     return GinResult(
         gin=saturate(MonomialIdeal(ctx.nvars, low)),
-        index=index_at_degree(ctx, initials[best], m),
+        index=SchubertIndex(tuple(u for u, c in zip(ctx.monomials(m), ctx.packs(m, pack_width(m)))
+                                  if c in top)),
         witness=changes[best],
         trials=trials,
         stable=stable,

@@ -1,16 +1,16 @@
 """Multivariate division, Buchberger's algorithm, initial ideals, graded pieces.
 
-Polynomials carry `Fraction` coefficients at the API, but division and
-Buchberger's algorithm run on Python ints.  A basis element is kept as its
-primitive integer multiple with positive leading coefficient, and division is
-fraction-free: the working polynomial is scaled by lc/gcd(c, lc) instead of
-dividing by lc, as in Bareiss elimination.  The next term to cancel comes off
-a heap of the working polynomial's monomials (Monagan and Pearce, "Sparse
-polynomial division using a heap", 2011) instead of a scan for the maximum.
-Each integer remainder is a positive multiple of the rational one, so the
-pair sequence and the reduced basis are those of rational arithmetic.
-`initial_ideal` reads the minimal leads of the unreduced integer basis, and
-`Fraction` is built only for the monic reduced basis.
+Division and Buchberger's algorithm run on Python ints, on `poly.Packed`
+generators: an `Ideal`'s packed once at entry, a gin trial's as they come.  A
+basis element is kept as its primitive integer multiple with positive leading
+coefficient, and division is fraction-free: the working polynomial is scaled by
+lc/gcd(c, lc) instead of dividing by lc, as in Bareiss elimination.  The next
+term to cancel comes off a heap of the working polynomial's monomials (Monagan
+and Pearce, "Sparse polynomial division using a heap", 2011) instead of a scan
+for the maximum.  Each integer remainder is a positive multiple of the rational
+one, so the pair sequence and the reduced basis are those of rational
+arithmetic.  `initial_ideal` reads the minimal leads of the unreduced integer
+basis, and `Fraction` is built only for the monic reduced basis.
 
 Inside Buchberger's algorithm a polynomial is {M: int} (`RingContext.packing`);
 an exponent that outgrows the packing restarts the run at twice the width.
@@ -43,7 +43,7 @@ from math import gcd
 from . import linalg
 from .monideal import MonomialIdeal, degree_part, minimalize
 from .orders import Monomial, RingContext, lcm, mul, pack_width, unit
-from .poly import Polynomial
+from .poly import Packed, Polynomial, _primitive, pack
 
 _F0 = Fraction(0)
 
@@ -72,21 +72,9 @@ class Ideal:
         return f"Ideal({inner})"
 
 
-def _int_terms(f: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
-    """A primitive integer polynomial and the scale that maps it back to f."""
-    ints, scale = linalg.primitive_int_row(tuple(f.terms.values()), len(f.terms))
-    return dict(zip(f.terms, ints)), scale
-
-
 def _divisor(f: dict[int, int]):
     """(lm, lc, tail) of the primitive multiple of packed f with lc > 0; the tail descends."""
-    terms = sorted(f.items())
-    g = gcd(*f.values())
-    if terms[0][1] < 0:
-        g = -g
-    if g != 1:
-        terms = [(e, c // g) for e, c in terms]
-    (lm, lc), *tail = terms
+    (lm, lc), *tail = sorted(_primitive(f)[0].items())
     return lm, lc, tail
 
 
@@ -163,36 +151,45 @@ def _reduce(guard: int, work: dict[int, int], divisors, full: bool = False):
 
 
 def _regular_sequence_count(ctx: RingContext, generators):
-    """d -> the number of degree-d multiples of the powers x_i^(d_i), d_i the generator degrees.
+    """d -> the number of degree-d multiples of x_i^(d_i), d_i the packed generators' degrees.
 
     None for over n + 1 or inhomogeneous generators.  The count is
     sum_T (-1)^(|T|+1) dim S_(d - sum_T d_i) over the nonempty sets T of powers.
     """
-    if len(generators) > ctx.nvars or not all(g.is_homogeneous() for g in generators):
+    if len(generators) > ctx.nvars or not all(g.homogeneous for g in generators):
         return None
-    degrees = [g.degree() for g in generators]
+    degrees = [g.degree for g in generators]
     terms = [((-1) ** (k + 1), sum(T))
              for k in range(1, len(degrees) + 1) for T in combinations(degrees, k)]
     return lambda d: sum(sign * ctx.dim(d - s) for sign, s in terms)
 
 
-def _widened(ctx: RingContext, generators, run):
-    """run(packing), first with room for d^2 (d the top exponent; Bezout), then twice as wide."""
-    bits = 2 * pack_width(max((max(e) for g in generators for e in g.terms), default=0))
+def _packed(ctx: RingContext, polynomials) -> list[Packed]:
+    """The nonzero polynomials packed with room for d^2 (d the top exponent; Bezout)."""
+    bits = 2 * pack_width(max((max(e) for f in polynomials for e in f.terms), default=0))
+    return [pack(ctx, f, bits) for f in polynomials if f]
+
+
+def _widened(ctx: RingContext, generators: list[Packed], run):
+    """run(packing, generators) at the generators' packing, then re-packed twice as wide."""
+    bits = generators[0].bits if generators else 1
     while True:
         try:
-            return run(ctx.packing(bits))
+            return run(ctx.packing(bits), generators)
         except OverflowError:
+            decode, encode = ctx.packing(bits).decode, ctx.packing(2 * bits).encode
             bits *= 2
+            generators = [f._replace(terms={encode(decode(m)): c for m, c in f.terms.items()},
+                                     bits=bits) for f in generators]
 
 
-def _buchberger(ctx: RingContext, generators) -> list:
-    """A Groebner basis of the generators as (lm, lc, tail), not reduced; see `_basis`."""
-    return _widened(ctx, generators, lambda packing: _basis(ctx, packing, generators))
+def _buchberger(ctx: RingContext, generators: list[Packed]) -> list:
+    """A Groebner basis of the packed generators as (lm, lc, tail), not reduced; see `_basis`."""
+    return _widened(ctx, generators, lambda packing, gens: _basis(ctx, packing, gens))
 
 
-def _basis(ctx: RingContext, packing, generators) -> list:
-    """A Groebner basis as (lm, lc, tail), lm the lead's exponent tuple and the tail packed.
+def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
+    """A basis of generators packed at `packing`, as (lm, lc, tail): lm a tuple, the tail packed.
 
     [] for the zero ideal and [(unit, 1, [])] for the unit ideal.  Pairs are
     taken by sugar (Giovini et al., "One sugar cube, please", 1991): a
@@ -218,13 +215,12 @@ def _basis(ctx: RingContext, packing, generators) -> list:
     divisors: list = []
     leads: list[Monomial] = []
     ecarts: list[int] = []  # sugar minus lead degree
-    generators = [g for g in generators if g]
     for g in generators:
-        h, _ = _reduce(guard, {encode(e): c for e, c in _int_terms(g)[0].items()}, divisors)
+        h, _ = _reduce(guard, dict(g.terms), divisors)  # a copy: a restart re-packs g
         if h:
             divisors.append(_divisor(h))
             leads.append(packing.decode(divisors[-1][0]))
-            ecarts.append(g.degree() - sum(leads[-1]))
+            ecarts.append(g.degree - sum(leads[-1]))
     unit_basis = [(unit(ctx.nvars), 1, [])]
     if any(sum(lm) == 0 for lm in leads):
         return unit_basis
@@ -288,8 +284,8 @@ def _basis(ctx: RingContext, packing, generators) -> list:
 def buchberger(ctx: RingContext, I: Ideal) -> tuple[Polynomial, ...]:
     """The unique reduced Groebner basis of I for ctx.order, leads descending."""
 
-    def reduced(packing):
-        basis = _basis(ctx, packing, I.generators)
+    def reduced(packing, generators):
+        basis = _basis(ctx, packing, generators)
         # drop elements whose lead is divisible by another lead; of equal leads
         # the first is kept, since list.index finds the first
         leads = [lm for lm, _, _ in basis]
@@ -304,12 +300,13 @@ def buchberger(ctx: RingContext, I: Ideal) -> tuple[Polynomial, ...]:
                 {packing.decode(e): Fraction(c, h[lm]) for e, c in h.items()}))
         return tuple(out)
 
-    return _widened(ctx, I.generators, reduced)
+    return _widened(ctx, _packed(ctx, I.generators), reduced)
 
 
-def initial_ideal(ctx: RingContext, I: Ideal) -> MonomialIdeal:
-    """Monomial ideal of leading terms: the minimal leads of any Groebner basis of I."""
-    return MonomialIdeal(ctx.nvars, minimalize(lm for lm, _, _ in _buchberger(ctx, I.generators)))
+def initial_ideal(ctx: RingContext, I: Ideal | list[Packed]) -> MonomialIdeal:
+    """The minimal leads of any Groebner basis of I, an `Ideal` or its generators packed."""
+    generators = _packed(ctx, I.generators) if isinstance(I, Ideal) else I
+    return MonomialIdeal(ctx.nvars, minimalize(lm for lm, _, _ in _buchberger(ctx, generators)))
 
 
 def coefficient_rows(ctx: RingContext, m: int, shifted) -> list[list[Fraction]]:

@@ -84,16 +84,14 @@ def parse_expression(text: str, constant, atoms, expected: str, run=None):
         negate = sc.take("-")
         if not negate:
             sc.take("+")
-        total = term()
-        if negate:
-            total = -total
+        parts = [(False, -term() if negate else term())]
         while True:
             if sc.take("+"):
-                total = total + term()
+                parts.append((False, term()))
             elif sc.take("-"):
-                total = total - term()
+                parts.append((True, term()))
             else:
-                return total
+                return parts[0][1]._gathered(parts[1:]) if len(parts) > 1 else parts[0][1]
 
     def term():
         product = run(sc) if run else None

@@ -1,10 +1,9 @@
-"""Sparse multivariate polynomials over Q and linear changes of variables.
+"""Sparse multivariate polynomials over Q, their packed form, and linear changes of variables.
 
-A `Polynomial` maps exponent tuples to `Fraction` coefficients.
-`apply_change` clears the denominators of the matrix and of the polynomial
-and expands on Python ints over packed monomials, reusing the products that
-earlier calls with the same `LinearChange` expanded; it builds a `Fraction`
-only for its result.
+A `Polynomial` maps exponent tuples to `Fraction` coefficients.  `pack` gives
+its `Packed` form, which `apply_change` expands on Python ints and Buchberger's
+algorithm reads, so a gin trial is packed end to end; only `apply_change` of a
+`Polynomial` converts back to one, once, at its return.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .orders import Monomial, RingContext, mul, pack_width, unit
@@ -81,26 +81,22 @@ class Polynomial:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._merged(other, False)
+        return self._gathered(((False, other),))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._merged(other, True)
-
-    def _merged(self, other: "Polynomial", subtract: bool) -> "Polynomial":
-        """self + other or self - other, merged term by term into a copy of self."""
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e)
-            if v is None:
-                out[e] = -c if subtract else c
-            elif v := (v - c if subtract else v + c):
-                out[e] = v
-            else:
-                del out[e]
-        return self._raw(out)
+        return self._gathered(((True, other),))
 
     def __neg__(self) -> "Polynomial":
         return self._raw({e: -c for e, c in self.terms.items()})
+
+    def _gathered(self, parts) -> "Polynomial":
+        """self plus each f of the (negate, f) parts, or minus f where negate, of self's class."""
+        out = dict(self.terms)
+        for negate, f in parts:
+            for e, c in f.terms.items():
+                c = -c if negate else c
+                out[e] = out[e] + c if e in out else c
+        return self._raw({e: c for e, c in out.items() if c})
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -186,66 +182,85 @@ class LinearChange:
         object.__setattr__(self, "matrix", mat)
         if linalg.rank(mat, n) != n:
             raise ValueError("change of variables must be invertible")
-        # packing -> {prefix e: packed y^e}, filled by apply_change
+        # packing -> {M(e): (packed y^e, |e|)}, filled by apply_change
         object.__setattr__(self, "_products", {})
 
     @property
     def nvars(self) -> int:
         return len(self.matrix)
 
-def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial) -> Polynomial:
-    """Substitute g into f and expand; degree is preserved on homogeneous input.
 
-    The expansion runs on integers: with D the common denominator of the
-    matrix, x_i maps to y_i / D where y_i has integer coefficients, and with F
-    the common denominator of f, F * f has integer coefficients.  A term of
-    degree k is scaled by D^(top - k) for the top degree of f, so every term
-    is D^top times its true value; one division by F * D^top at the end gives
-    the result.
+class Packed(NamedTuple):
+    """Nonzero content * sum(c * x^M), M packed at ctx.packing(bits); the ints are primitive."""
 
-    Monomials are packed (``ctx.packing(pack_width(top))``), so a product of
-    monomials is one int addition.  The product y^e is built one
-    factor at a time and kept in g's table for that packing for every prefix
-    (e_0, ..., e_k) of e, so the terms of f, and every later polynomial
-    changed by g, share their common factors.
+    terms: dict[int, int]  # M: c, with c > 0 at the lead, the least M
+    content: Fraction
+    bits: int
+    degree: int
+    homogeneous: bool
+
+
+def _primitive(terms: dict[int, int]) -> tuple[dict[int, int], int]:
+    """(terms / h, h): h the gcd of the ints, signed so that the lead's is positive."""
+    h = math.gcd(*terms.values())
+    if terms[min(terms)] < 0:
+        h = -h
+    return (terms if h == 1 else {m: c // h for m, c in terms.items()}), h
+
+
+def pack(ctx: RingContext, f: Polynomial, bits: int) -> Packed:
+    """Nonzero f as `Packed` at ctx.packing(bits), which must hold its exponents."""
+    for e in f.terms:
+        ctx.check(e)
+    ints, content = linalg.primitive_int_row(tuple(f.terms.values()), len(f.terms))
+    terms, h = _primitive(dict(zip(map(ctx.packing(bits).encode, f.terms), ints)))
+    degrees = set(map(sum, f.terms))
+    return Packed(terms, content * h, bits, max(degrees), len(degrees) == 1)
+
+
+def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial | Packed):
+    """g·f, of f's type: `Packed` at f's packing, which must hold exponents up to deg f.
+
+    x_i maps to y_i / D, D the matrix's common denominator and y_i integral:
+    a term of degree k is scaled by D^(d - k), d = deg f, and the content is
+    divided by D^d.  y^e is built a factor at a time, the last variable of x^e
+    first, and kept in g's table for the packing for every x^e it passes, so
+    the terms of f, and every later polynomial changed by g, share them.
     """
-    nv = ctx.nvars
-    if g.nvars != nv:
+    if isinstance(f, Polynomial):
+        if not f:
+            return f
+        moved = apply_change(ctx, g, pack(ctx, f, pack_width(f.degree())))
+        decode = ctx.packing(moved.bits).decode
+        return Polynomial._raw({decode(m): moved.content * c for m, c in moved.terms.items()})
+    if g.nvars != ctx.nvars:
         raise ValueError("change of variables does not match the ring context")
-    if not f:
-        return f
-    top = f.degree()
-    packing = ctx.packing(pack_width(top))
+    packing = ctx.packing(f.bits)
+    xs, w = packing.scales, packing.width  # xs: the packs of x_0, ..., x_n
     D = math.lcm(*(x.denominator for row in g.matrix for x in row))
-    xs = packing.scales  # the packs of x_0, ..., x_n
     images = [
         {xs[j]: x.numerator * (D // x.denominator) for j, x in enumerate(row) if x}
         for row in g.matrix
     ]
-    products = g._products.setdefault(packing, {(): {0: 1}})
+    products = g._products.setdefault(packing, {0: ({0: 1}, 0)})
 
-    def product(e: Monomial) -> dict[int, int]:
-        """y_0^e_0 * ... * y_k^e_k for a prefix e of length k + 1."""
-        p = products.get(e)
+    def product(m: int) -> tuple[dict[int, int], int]:
+        """(y^e, |e|) for the monomial x^e packed as m."""
+        p = products.get(m)
         if p is None:
-            if e[-1]:
-                p = _int_product(product(e[:-1] + (e[-1] - 1,)), images[len(e) - 1])
-            else:
-                p = product(e[:-1])
-            products[e] = p
+            i = ((m % (1 << w * ctx.nvars)).bit_length() - 1) // w  # x^e's last variable
+            q, k = product(m - xs[i])
+            p = products[m] = (_int_product(q, images[i]), k + 1)
         return p
 
-    F = math.lcm(*(c.denominator for c in f.terms.values()))
     out: dict[int, int] = {}
-    for exps, c in f.terms.items():
-        ctx.check(exps)
-        c = c.numerator * (F // c.denominator) * D ** (top - sum(exps))
-        for e, v in product(exps).items():
+    for m, c in f.terms.items():
+        y, k = product(m)
+        c *= D ** (f.degree - k)
+        for e, v in y.items():
             out[e] = out.get(e, 0) + c * v
-    den = F * D**top
-    if den == 1:
-        return Polynomial._raw({packing.decode(e): Fraction(v) for e, v in out.items() if v})
-    return Polynomial._raw({packing.decode(e): Fraction(v, den) for e, v in out.items() if v})
+    terms, h = _primitive({e: v for e, v in out.items() if v})
+    return f._replace(terms=terms, content=f.content * h / D**f.degree)
 
 
 def _int_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:

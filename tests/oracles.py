@@ -5,11 +5,12 @@ because only tests call it: the factor-by-factor polynomial parser, normal
 forms, the tuple sort key `order_key` of an order matrix, the tuple
 Buchberger kernel and the `order_key` sort of a degree slice, the
 coefficient-list Hilbert polynomial, index ranks by a table of places, the
-enumerating certification, index comparisons, weight vectors and the
+enumerating and the counting certification, index comparisons, weight vectors and the
 one-parameter-subgroup limit check serve as independent checks of what the
 commands compute, and the twisted cubic and random subspaces are test inputs.  Import them as ``from oracles import ...``.
 """
 
+import functools
 import heapq
 import random
 from dataclasses import dataclass
@@ -31,7 +32,7 @@ from ginlab.grassmann import (
 from ginlab.groebner import (
     Ideal,
     _divisor,
-    _int_terms,
+    _packed,
     _reduce,
     _widened,
     coefficient_rows,
@@ -167,16 +168,15 @@ def reduce(ctx: RingContext, f: Polynomial, basis) -> Polynomial:
     if not f:
         return f
 
-    def run(packing):
-        def packed(g):
-            return {packing.encode(e): c for e, c in _int_terms(g)[0].items()}
-
-        divisors = [_divisor(packed(g)) for g in basis]
-        rem, s = _reduce(packing.guard, packed(f), divisors, True)
+    def run(packing, generators):
+        work, *divisors = generators
+        divisors = [_divisor(dict(g.terms)) for g in divisors]
+        rem, s = _reduce(packing.guard, dict(work.terms), divisors, True)
         return {packing.decode(e): c for e, c in rem.items()}, s
 
-    rem, s = _widened(ctx, [f, *basis], run)
-    scale = _int_terms(f)[1]
+    packed = _packed(ctx, [f, *basis])
+    rem, s = _widened(ctx, packed, run)
+    scale = packed[0].content
     num, den = scale.numerator, scale.denominator * s
     return Polynomial({e: Fraction(c * num, den) for e, c in rem.items()})
 
@@ -282,6 +282,12 @@ def tuple_reduce(key, work: dict[Monomial, int], divisors, full: bool = True):
                 return work, s
             rem.append((m, c, s))
     return {m: c * (s // sm) for m, c, sm in rem}, s
+
+
+def _int_terms(f: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
+    """A primitive integer polynomial and the scale that maps it back to f."""
+    ints, scale = linalg.primitive_int_row(tuple(f.terms.values()), len(f.terms))
+    return dict(zip(f.terms, ints)), scale
 
 
 def tuple_buchberger(ctx: RingContext, generators, full: bool = True):
@@ -538,6 +544,25 @@ def enumerating_certify(ctx: RingContext, inJ: MonomialIdeal, J: Ideal):
     m0 = gotzmann_number(P)
     m = max(m0, J.max_degree())
     while len(index_at_degree(ctx, inJ, m).monomials) != ctx.dim(m) - P(m):
+        m += 1
+    return P, m0, m
+
+
+def counting_certify(ctx: RingContext, gens, J: Ideal):
+    """(P, m0, m) of S/M, M generated by the monomials `gens`, counted by inclusion-exclusion.
+
+    HF(S/M)_d = sum over the subsets T of gens of (-1)^|T| dim S_(d - deg lcm T),
+    and P is the same sum of the binomials C(m - deg lcm T + n, n) as
+    polynomials in m; m is the least degree from max(m0, deg J) on where the
+    two agree.  No Hilbert series numerator and no index is read, so this is
+    an oracle of `gin._certify` at any m.
+    """
+    signed = [((-1) ** k, sum(functools.reduce(lcm, T, unit(ctx.nvars))))
+              for k in range(len(gens) + 1) for T in combinations(gens, k)]
+    P = sum((binomial_poly(ctx.n - a, ctx.n) * sign for sign, a in signed), HilbertPolynomial.zero())
+    m0 = gotzmann_number(P)
+    m = max(m0, J.max_degree())
+    while sum(sign * ctx.dim(m - a) for sign, a in signed) != P(m):
         m += 1
     return P, m0, m
 

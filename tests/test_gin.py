@@ -26,11 +26,12 @@ from ginlab.linalg import det
 from ginlab.monideal import saturate
 from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.parsing import parse_polynomial
-from ginlab.poly import LinearChange, Polynomial, apply_change
+from ginlab.poly import LinearChange, Polynomial, apply_change, pack
 
 from conftest import exhaustive_limit_oracle, oracle_generic_initial_ideal
 from oracles import (
     WeightVector,
+    counting_certify,
     enumerating_certify,
     identity_change,
     ideal_of,
@@ -198,6 +199,67 @@ def test_gin_runs_buchberger_once_per_trial(monkeypatch):
     assert Ideal.__slots__ == ("generators", "homogeneous")
 
 
+def test_gin_trials_build_no_polynomial(monkeypatch):
+    # a trial runs on the packed form: the generators are packed once per gin,
+    # and no Polynomial or Ideal is built between the change and in(g·I)
+    I = twisted_cubic_ideal()
+    built = Counter()
+    real_raw, real_init, real_ideal = Polynomial._raw.__func__, Polynomial.__init__, Ideal.__init__
+
+    def raw(cls, terms):
+        built[cls] += 1
+        return real_raw(cls, terms)
+
+    def init(self, terms=None):
+        built[type(self)] += 1
+        real_init(self, terms)
+
+    def ideal(self, generators):
+        built[Ideal] += 1
+        real_ideal(self, generators)
+
+    monkeypatch.setattr(Polynomial, "_raw", classmethod(raw))
+    monkeypatch.setattr(Polynomial, "__init__", init)
+    monkeypatch.setattr(Ideal, "__init__", ideal)
+    trials, real_trial = [], gin.secondary_gin
+
+    def trial(ctx, generators, g):
+        before = sum(built.values())
+        out = real_trial(ctx, generators, g)
+        trials.append(sum(built.values()) - before)
+        return out
+
+    monkeypatch.setattr(gin, "secondary_gin", trial)
+    generic_initial_ideal(CTX3, I, trials=3, seed=5)
+    assert trials == [0, 0, 0]
+    # the counters do see the Polynomial boundary of apply_change
+    apply_change(CTX3, random_linear_change(CTX3, seed=5), I.generators[0])
+    assert built[Polynomial] == 1
+
+
+def test_gin_trial_restarts_past_the_first_packing(monkeypatch):
+    # a trial packs at 2 * pack_width(3) = 4 bits, room for exponent 15; the
+    # lex basis of these cubics after a change reaches x2^27, so Buchberger's
+    # algorithm restarts at 8 bits on the re-packed generators
+    ctx = RingContext(3, Lex())
+    I = Ideal([p(t, 4) for t in ("x0*x3^2 - x1^3", "x1*x3^2 - x2^3", "x0^3 - x2*x3^2")])
+    g = random_linear_change(ctx, seed=0, bound=3)
+    widths, real = [], groebner._basis
+
+    def basis(ctx, packing, generators):
+        widths.append(packing.width - 1)
+        return real(ctx, packing, generators)
+
+    monkeypatch.setattr(groebner, "_basis", basis)
+    restarted = secondary_gin(ctx, I, g)
+    assert widths == [4, 8]
+    wide = secondary_gin(ctx, [pack(ctx, f, 8) for f in I.generators], g)
+    assert widths == [4, 8, 8]
+    assert restarted == wide
+    assert restarted == initial_ideal(ctx, Ideal([apply_change(ctx, g, f) for f in I.generators]))
+    assert (0, 0, 27, 0) in restarted.min_gens
+
+
 def test_gin_reads_p_and_m0_once_per_request(monkeypatch):
     calls = Counter()
     for name in ("hilbert_polynomial_of_monomial_ideal", "gotzmann_number"):
@@ -215,22 +277,34 @@ def test_gin_reads_p_and_m0_once_per_request(monkeypatch):
     )
 
 
+# Monomials the enumerating oracle may list, summed over the degrees it builds
+# an index at: about 0.1 s here.  Some draws reach m > 300, where it lists
+# millions and takes up to a minute.
+ENUMERATION_BUDGET = 20_000
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(*[st.integers(0, 3)] * (n + 1)), max_size=5)
 )))
 @example((2, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)]))  # HF is 1, 3, 2, 0; P = 0, m = 3
 @example((2, [(1, 0, 0), (0, 3, 0), (0, 1, 3)]))  # a redundant generator of degree 4
+@example((3, [(3, 0, 2, 0), (2, 2, 2, 2), (3, 2, 0, 2), (0, 3, 3, 2), (3, 2, 1, 1)]))  # m = 311
 def test_certification_matches_the_enumerating_oracle(drawn):
-    # P, m0 and m read off the Hilbert series numerator are those that the
-    # loop building the index at each degree finds.  J keeps every drawn
-    # generator, so a redundant one can raise deg J, and many draws are not
-    # saturated
+    # P, m0 and m read off the Hilbert series numerator are those that
+    # inclusion-exclusion over the drawn generators counts, and, where m is
+    # small enough to list, those that the loop building the index at each
+    # degree finds.  J keeps every drawn generator, so a redundant one can
+    # raise deg J, and many draws are not saturated
     n, gens = drawn
     ctx = RingContext(n, GrevLex())
     J = Ideal([Polynomial.monomial(g) for g in gens])
     inJ = initial_ideal(ctx, J)
-    assert gin._certify(ctx, inJ, J) == enumerating_certify(ctx, inJ, J)
+    certified = gin._certify(ctx, inJ, J)
+    assert certified == counting_certify(ctx, gens, J)
+    P, m0, m = certified
+    if sum(ctx.dim(d) for d in range(max(m0, J.max_degree()), m + 1)) <= ENUMERATION_BUDGET:
+        assert gin._certify(ctx, inJ, J) == enumerating_certify(ctx, inJ, J)
 
 
 SECONDARY_INPUTS = [

@@ -448,7 +448,7 @@ def packed_run(ctx, gens):
         return r, s
 
     with patch.object(groebner, "_basis", basis), patch.object(groebner, "_reduce", reduce_):
-        out = groebner._buchberger(ctx, gens)
+        out = groebner._buchberger(ctx, groebner._packed(ctx, gens))
     return out, widths, sum(nonzero)
 
 
@@ -476,7 +476,7 @@ def test_stopping_at_the_lead_can_change_the_pair_sequence_not_the_answer():
     # in(I) and the reduced basis are unique
     gens = [p("6/7*x0*x1*x2 + 7/5*x1^2"), p("-2*x0*x1^2 + 3/4*x1^2*x2 + 1/3*x2^3 + 7/5*x2^2"),
             p("5*x0*x1*x2 - 8/5*x1 + 3/2*x2")]
-    leads = [lm for lm, _, _ in groebner._buchberger(CTX2_LEX, gens)]
+    leads = [lm for lm, _, _ in groebner._buchberger(CTX2_LEX, groebner._packed(CTX2_LEX, gens))]
     full, nonzero = tuple_buchberger(CTX2_LEX, gens)
     assert leads == [lm for lm, _, _ in full if lm != (0, 0, 8)]
     assert nonzero == len(leads) + 1
@@ -567,7 +567,7 @@ HILBERT_CRITERION_CASES = {
 @pytest.mark.parametrize("name", sorted(HILBERT_CRITERION_CASES))
 def test_hilbert_criterion_matches_fraction_oracle(name):
     ctx, gens, has_bound = HILBERT_CRITERION_CASES[name]
-    assert (groebner._regular_sequence_count(ctx, gens) is not None) == has_bound
+    assert (groebner._regular_sequence_count(ctx, groebner._packed(ctx, gens)) is not None) == has_bound
     gb = buchberger(ctx, Ideal(gens))
     assert gb == fraction_buchberger(ctx, gens)
     leads = frozenset(g.leading(ctx)[0] for g in gb)
@@ -603,7 +603,8 @@ def test_unreduced_leads_in_pair_order(name):
         "four quadrics in P^2": (2, dense_ci(2, (2, 2, 2, 2), 1)),
     }[family]
     ctx = RingContext(n, Lex() if order == "lex" else GrevLex())
-    assert [lm for lm, _, _ in groebner._buchberger(ctx, gens)] == UNREDUCED_LEADS[name]
+    basis = groebner._buchberger(ctx, groebner._packed(ctx, gens))
+    assert [lm for lm, _, _ in basis] == UNREDUCED_LEADS[name]
 
 
 @pytest.mark.parametrize(
@@ -641,8 +642,8 @@ def test_regular_sequence_powers_match_k_product(problem):
 def test_regular_sequence_powers_not_applicable():
     assert regular_sequence_powers(CTX2, [p("x0")] * 4) is None
     assert regular_sequence_powers(CTX2, [p("x0^2 + x1")]) is None
-    assert groebner._regular_sequence_count(CTX2, [p("x0")] * 4) is None
-    assert groebner._regular_sequence_count(CTX2, [p("x0^2 + x1")]) is None
+    assert groebner._regular_sequence_count(CTX2, groebner._packed(CTX2, [p("x0")] * 4)) is None
+    assert groebner._regular_sequence_count(CTX2, groebner._packed(CTX2, [p("x0^2 + x1")])) is None
     assert regular_sequence_bound(CTX2, [p("x0")] * 4) is None
     assert regular_sequence_powers(CTX2, []) == []
 
@@ -656,7 +657,8 @@ def test_regular_sequence_count_matches_enumeration(problem):
     ctx = RingContext(n, Lex())
     gens = [Polynomial.variable(n + 1, i) ** k for i, k in enumerate(degrees)]
     powers = regular_sequence_powers(ctx, gens)
-    assert groebner._regular_sequence_count(ctx, gens)(d) == len(degree_part(ctx, powers, d))
+    count = groebner._regular_sequence_count(ctx, groebner._packed(ctx, gens))
+    assert count(d) == len(degree_part(ctx, powers, d))
 
 
 CI_23_P3 = [
@@ -694,7 +696,7 @@ def test_reductions_inside_buchberger(monkeypatch, ctx, gens, nonzero):
         return r, s
 
     monkeypatch.setattr(groebner, "_reduce", counted)
-    groebner._buchberger(ctx, gens)
+    groebner._buchberger(ctx, groebner._packed(ctx, gens))
     assert results == nonzero
 
 

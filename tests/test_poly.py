@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ginlab.orders import GrevLex, Lex, RingContext
+from ginlab.orders import GrevLex, Lex, RingContext, pack_width
 from ginlab.parsing import ParseError, parse_polynomial, polynomial_str
-from ginlab.poly import LinearChange, Polynomial, apply_change
+from ginlab.poly import LinearChange, Polynomial, apply_change, pack
 from oracles import identity_change, mat_mul, primitive
 
 
@@ -202,6 +202,68 @@ def test_apply_change_matches_fraction_oracle(problem):
     fresh = LinearChange(g.matrix)
     assert fresh == g and hash(fresh) == hash(g) and repr(fresh) == repr(g)
     assert [apply_change(ctx, fresh, f) for f in reversed(fs)] == outs[::-1]
+
+
+def inverse(matrix):
+    """The inverse of an invertible rational matrix, by Gauss-Jordan elimination on Fractions."""
+    n = len(matrix)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+@st.composite
+def packed_changes(draw):
+    """A rational change, a polynomial of degree <= 5 in 2-5 variables and a width for it.
+
+    The polynomial has rational terms, on request a negative lead, and on
+    request is g^-1 h for a drawn h, so that g·f cancels back to h.
+    """
+    nv = draw(st.integers(2, 5))
+    ctx = RingContext(nv - 1, draw(st.sampled_from([GrevLex(), Lex()])))
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    rows = draw(st.lists(st.lists(entries, min_size=nv, max_size=nv), min_size=nv, max_size=nv))
+    try:
+        g = LinearChange(tuple(tuple(r) for r in rows))
+    except ValueError:
+        assume(False)
+    top = draw(st.integers(0, 5))
+    monomials = st.lists(st.integers(0, nv - 1), max_size=top).map(
+        lambda indices: tuple(indices.count(i) for i in range(nv)))
+    f = Polynomial(draw(st.dictionaries(monomials, entries.filter(bool), min_size=1, max_size=5)))
+    if draw(st.booleans()) and f.leading(ctx)[1] > 0:
+        f = -f
+    if draw(st.booleans()):
+        f = fraction_apply_change(ctx, LinearChange(inverse(g.matrix)), f)
+    bits = draw(st.sampled_from([pack_width(f.degree()), 2 * pack_width(f.degree())]))
+    return ctx, g, f, bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_changes())
+@example((
+    RingContext(2, GrevLex()),
+    LinearChange(((Fraction(1, 2), 1, 0), (0, Fraction(-3, 7), 1), (1, 0, 2))),
+    p("-1/3*x0^2*x1 + 5/2*x2^3 - 7/4*x1^3"),
+    4,
+))
+def test_packed_change_matches_fraction_oracle(problem):
+    ctx, g, f, bits = problem
+    moved = apply_change(ctx, g, pack(ctx, f, bits))
+    decode = ctx.packing(bits).decode
+    expected = fraction_apply_change(ctx, g, f)
+    assert {decode(m): moved.content * c for m, c in moved.terms.items()} == expected.terms
+    # the packed form: primitive ints with a positive lead, at f's packing, f's degree
+    assert gcd(*moved.terms.values()) == 1 and moved.terms[min(moved.terms)] > 0
+    assert decode(min(moved.terms)) == expected.leading(ctx)[0]
+    assert (moved.bits, moved.degree, moved.homogeneous) == (bits, f.degree(), f.is_homogeneous())
+    assert apply_change(ctx, g, f) == expected
 
 
 def test_linear_change_validation():
