@@ -92,7 +92,8 @@ def _packed(ctx: RingContext, I: Ideal) -> list[Packed]:
     """I's generators packed at 2 * pack_width(deg I) bits for g·I, whose exponents reach deg I."""
     if not I.homogeneous:
         raise ValueError("secondary gins require a homogeneous ideal")
-    return [pack(ctx, f, 2 * pack_width(I.max_degree())) for f in I.generators]
+    bits = 2 * pack_width(I.max_degree())
+    return [pack(ctx, f, bits) for f in I.generators]
 
 
 def secondary_gin(ctx: RingContext, I: Ideal | list[Packed], g: LinearChange) -> MonomialIdeal:

@@ -177,8 +177,7 @@ def _widened(ctx: RingContext, generators: list[Packed], run):
         try:
             return run(ctx.packing(bits), generators)
         except OverflowError:
-            decode, encode = ctx.packing(bits).decode, ctx.packing(2 * bits).encode
-            bits *= 2
+            decode, encode, bits = ctx.packing(bits).decode, ctx.packing(2 * bits).encode, 2 * bits
             generators = [f._replace(terms={encode(decode(m)): c for m, c in f.terms.items()},
                                      bits=bits) for f in generators]
 

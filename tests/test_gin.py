@@ -302,7 +302,7 @@ def test_certification_matches_the_enumerating_oracle(drawn):
     inJ = initial_ideal(ctx, J)
     certified = gin._certify(ctx, inJ, J)
     assert certified == counting_certify(ctx, gens, J)
-    P, m0, m = certified
+    _, m0, m = certified
     if sum(ctx.dim(d) for d in range(max(m0, J.max_degree()), m + 1)) <= ENUMERATION_BUDGET:
         assert gin._certify(ctx, inJ, J) == enumerating_certify(ctx, inJ, J)
 
