@@ -113,7 +113,7 @@ def run_gin(ctx: RingContext, I: Ideal, trials: int, seed: int, bound: int):
         "trials": trials,
         "ideal": _ideal_strings(ctx, I.generators),
         "gin": _monomial_ideal_strings(ctx, result.gin),
-        "index": result.index.as_strings(),
+        "index": result.index.as_strings(ctx),
         "certification_degree": result.certification_degree,
         "stable": result.stable,
         "borel_fixed": borel,
@@ -160,7 +160,7 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
             borel_ok = False
         strata_json.append(
             {
-                "index": entry["index"].as_strings(),
+                "index": entry["index"].as_strings(ctx),
                 "gin_generators": gens,
                 "member_ids": sorted(entry["members"]),
                 "count": len(entry["members"]),
@@ -275,7 +275,7 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
         "gotzmann": m0,
         "theorem_applicable": applicable,
         "subspace_dimension": dim_expected,
-        "alpha_star": [monomial_str(u) for u in alpha_star],
+        "alpha_star": list(ctx.names(m)[:dim_expected]),
         "vanished_count": vanished,
         "all_vanished": all_vanished,
         "witness": witness,

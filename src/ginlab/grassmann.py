@@ -3,6 +3,9 @@
 A degree-m subspace is stored as a reduced row echelon matrix whose columns
 are the degree-m monomials in descending order, so the pivot columns realise
 the initial subspace and the maximal nonvanishing Plücker index directly.
+An index is a strictly descending run of that chain, ``ctx.monomials(m)``, so
+its names and ranks are read off ``ctx.names(m)`` and ``ctx.packs(m, w)`` at
+the places that one walk along the chain finds.
 """
 
 from __future__ import annotations
@@ -21,10 +24,30 @@ class SchubertIndex:
 
     monomials: tuple[Monomial, ...]
 
-    def as_strings(self) -> list[str]:
-        from .parsing import monomial_str
+    def as_strings(self, ctx: RingContext) -> list[str]:
+        """The printed monomials, read off ``ctx.names(m)``; ValueError off ctx's chain."""
+        m, places = _places(ctx, self.monomials)
+        names = ctx.names(m)
+        return [names[k] for k in places]
 
-        return [monomial_str(m) for m in self.monomials]
+
+def _places(ctx: RingContext, monomials: tuple[Monomial, ...]) -> tuple[int, list[int]]:
+    """The degree m of `monomials` and where they sit on ``ctx.monomials(m)``, in one walk.
+
+    Raises ValueError unless they are a strictly descending run of that chain.
+    """
+    if not monomials:
+        return 0, []
+    m = sum(monomials[0])
+    chain, places, k = ctx.monomials(m), [], 0
+    for u in monomials:
+        try:
+            k = chain.index(u, k) + 1
+        except ValueError:
+            raise ValueError(f"index monomial {u} does not follow the ones before it "
+                             f"on the descending degree-{m} chain of this ring") from None
+        places.append(k - 1)
+    return m, places
 
 
 @dataclass(frozen=True)
@@ -79,6 +102,6 @@ def index_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[int, ...]:
 
     Of two indices of one size, the lex-larger has the lex-smaller rank.
     """
-    if not idx.monomials:
-        return ()
-    return tuple(map(ctx.packing(pack_width(sum(idx.monomials[0]))).encode, idx.monomials))
+    m, places = _places(ctx, idx.monomials)
+    packs = ctx.packs(m, pack_width(m))
+    return tuple([packs[k] for k in places])

@@ -157,7 +157,7 @@ def gotzmann_number(P: HilbertPolynomial) -> int:
 
 
 def _numerator(gens) -> list[int]:
-    """Coefficients of K(t), where HS(S/M) = K(t) / (1 - t)^(n+1).
+    """Coefficients of K(t), where HS(S/M) = K(t) / (1 - t)^(n+1) and `gens` generate M minimally.
 
     Bigatti's pivot recursion K(M) = K(M + (p)) + t^deg(p) K(M : p) with
     p = x_i^e, x_i the most frequent variable and e the median exponent of
@@ -179,7 +179,8 @@ def _numerator(gens) -> list[int]:
     exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
     e = exps[len(exps) // 2]
     p = tuple(e if j == i else 0 for j in range(nv))
-    K = _numerator(minimalize([*gens, p]))
+    # p lies outside M, so adding it drops exactly the generators it divides
+    K = _numerator([g for g in gens if g[i] < e] + [p])
     colon = _numerator(minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens))
     K += [0] * (len(colon) + e - len(K))
     for j, c in enumerate(colon):

@@ -15,8 +15,10 @@ reaching 2^bits shows in M & G.
 
 So monomials are sorted by their packs: `RingContext.descending(mons)` sorts
 any of them, of mixed degree too, and its first is the leading one;
-`RingContext.packs(m, bits)` is one sorted list per degree and width, and
-`RingContext.monomials(m)` decodes it.
+`RingContext.packs(m, bits)` is one sorted list per degree and width,
+`RingContext.monomials(m)` decodes it, and `RingContext.names(m)` holds the
+printed name of each, in the same order: the degree-m chain that Schubert
+indices are read off, each name formatted once per ring and degree.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def divides(a: Monomial, b: Monomial) -> bool:
 
 
 def lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def unit(nvars: int) -> Monomial:
@@ -169,6 +171,13 @@ class RingContext:
     @lru_cache(maxsize=None)
     def _monomials(self, m: int) -> tuple[Monomial, ...]:
         return tuple(map(self.packing(pack_width(m)).decode, self.packs(m, pack_width(m))))
+
+    @lru_cache(maxsize=None)
+    def names(self, m: int) -> tuple[str, ...]:
+        """The printed names of ``monomials(m)``, in its order."""
+        from .parsing import monomial_str
+
+        return tuple(map(monomial_str, self.monomials(m)))
 
     @lru_cache(maxsize=None)
     def packs(self, m: int, bits: int) -> tuple[int, ...]:

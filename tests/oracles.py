@@ -4,7 +4,8 @@ Each function here was once part of the library.  It now lives with the tests
 because only tests call it: the factor-by-factor polynomial parser, normal
 forms, the tuple sort key `order_key` of an order matrix, the tuple
 Buchberger kernel and the `order_key` sort of a degree slice, the
-coefficient-list Hilbert polynomial, index ranks by a table of places, the
+coefficient-list Hilbert polynomial, index ranks by a table of places, index
+names and ranks formatted and encoded per monomial, the
 enumerating and the counting certification, index comparisons, weight vectors and the
 one-parameter-subgroup limit check serve as independent checks of what the
 commands compute, and the twisted cubic and random subspaces are test inputs.  Import them as ``from oracles import ...``.
@@ -41,8 +42,8 @@ from ginlab.gin import index_at_degree
 from ginlab.hilbert import HilbertPolynomial, MacaulayRep, binomial_poly, gotzmann_number
 from ginlab.hilbert import hilbert_polynomial_of_monomial_ideal
 from ginlab.monideal import MonomialIdeal, degree_part, minimalize
-from ginlab.orders import Monomial, RingContext, divides, lcm, mul, unit, variable
-from ginlab.parsing import ParseError, parse_expression
+from ginlab.orders import Monomial, RingContext, divides, lcm, mul, pack_width, unit, variable
+from ginlab.parsing import ParseError, monomial_str, parse_expression
 from ginlab.poly import LinearChange, Polynomial
 
 # --- the tuple sort key of a monomial order ---------------------------------
@@ -531,6 +532,18 @@ def positions_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[int, ...]:
         return ()
     place = {u: k for k, u in enumerate(key_sorted_monomials(ctx, sum(idx.monomials[0])))}
     return tuple(place[u] for u in idx.monomials)
+
+
+def formatted_strings(idx: SchubertIndex) -> list[str]:
+    """`SchubertIndex.as_strings` as it formatted each monomial afresh; kept as its oracle."""
+    return [monomial_str(u) for u in idx.monomials]
+
+
+def encoded_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[int, ...]:
+    """`index_rank` as it encoded each monomial at ``pack_width(m)``; kept as its oracle."""
+    if not idx.monomials:
+        return ()
+    return tuple(map(ctx.packing(pack_width(sum(idx.monomials[0]))).encode, idx.monomials))
 
 
 def enumerating_certify(ctx: RingContext, inJ: MonomialIdeal, J: Ideal):

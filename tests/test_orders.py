@@ -16,8 +16,9 @@ from ginlab.orders import (
     mul,
     pack_width,
 )
+from ginlab.parsing import monomial_str
 from ginlab.poly import Polynomial
-from oracles import key_sorted_monomials, positions_rank
+from oracles import encoded_rank, formatted_strings, key_sorted_monomials, positions_rank
 
 
 def mono(*exps):
@@ -183,6 +184,55 @@ def test_degree_slices_and_ranks_match_the_order_key_oracles(ctx, k, data):
     assert (ra < rb, ra == rb) == (pa < pb, pa == pb)
     if not other <= places:
         assert ra + (inf,) > index_rank(ctx, index(places | other)) + (inf,)
+
+
+@settings(deadline=None)
+@given(rings(), st.integers(0, 8), st.data())
+def test_index_names_and_ranks_off_the_chain_match_the_per_monomial_oracles(ctx, k, data):
+    # names(k) formats the chain once, in the order of its packs; an index
+    # reads its strings and ranks off the chain as formatting and encoding
+    # each of its monomials did, also when its tuples are not the chain's own
+    chain = ctx.monomials(k)
+    assert ctx.names(k) == tuple(map(monomial_str, chain))
+    places = sorted(data.draw(st.sets(st.integers(0, len(chain) - 1)), label="places"))
+    for idx in (SchubertIndex(tuple(chain[p] for p in places)),
+                SchubertIndex(tuple(tuple(list(chain[p])) for p in places))):
+        assert idx.as_strings(ctx) == formatted_strings(idx)
+        assert index_rank(ctx, idx) == encoded_rank(ctx, idx)
+
+
+@settings(deadline=None)
+@given(rings(), st.integers(1, 8), st.data())
+def test_an_index_off_the_descending_chain_raises(ctx, k, data):
+    # a run out of order, a repeat, a monomial of another degree or of
+    # another ring is never cut short or read past: it raises ValueError
+    chain = ctx.monomials(k)
+    a, b = sorted(data.draw(st.sets(st.integers(0, len(chain) - 1), min_size=2, max_size=2)))
+    u, v = chain[a], chain[b]
+    bad = data.draw(st.sampled_from([
+        (v, u), (u, u), (u, v, u), (u, ctx.monomials(k + 1)[0]), (u + (0,),), (u, v + (0,)),
+        (u[:-1] + (u[-1] + 1,), v),
+    ]), label="index")
+    for read in (SchubertIndex(bad).as_strings, lambda c: index_rank(c, SchubertIndex(bad))):
+        with pytest.raises(ValueError, match=f"degree-{sum(bad[0])} chain"):
+            read(ctx)
+
+
+def test_index_reads_format_and_encode_nothing(monkeypatch):
+    # once the ring's names are formatted, reading an index's strings and
+    # rank calls neither monomial_str nor the pack encoder
+    ctx = RingContext(3, Lex())
+    idx = SchubertIndex(ctx.monomials(4)[3:30:2])
+    names = ctx.names(4)
+
+    def refuse(*args):
+        raise AssertionError("formatted or encoded a monomial")
+
+    monkeypatch.setattr("ginlab.parsing.monomial_str", refuse)
+    monkeypatch.setattr("ginlab.orders.Packing.encode", refuse)
+    assert idx.as_strings(ctx) == list(names[3:30:2])
+    assert index_rank(ctx, idx) == ctx.packs(4, pack_width(4))[3:30:2]
+    assert ctx.names(4) is names
 
 
 def test_context_validation():
