@@ -179,7 +179,7 @@ def _numerator(gens) -> list[int]:
     exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
     e = exps[len(exps) // 2]
     p = tuple(e if j == i else 0 for j in range(nv))
-    # p lies outside M, so adding it drops exactly the generators it divides
+    # p lies outside M, so adding it drops exactly its multiples among the generators
     K = _numerator([g for g in gens if g[i] < e] + [p])
     colon = _numerator(minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens))
     K += [0] * (len(colon) + e - len(K))
