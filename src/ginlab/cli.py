@@ -22,12 +22,13 @@ import sys
 from fractions import Fraction
 from functools import cache
 from math import comb, inf, prod
+from operator import itemgetter
 from pathlib import Path
 
 from . import linalg
 from .families import derive_seed, random_form, random_ideal, random_points
 from .gin import certified_initial_ideal, generic_initial_ideal, index_at_degree, is_borel_fixed
-from .grassmann import index_rank
+from .grassmann import names_and_rank
 from .groebner import Ideal
 from .hilbert import (
     HilbertPolynomial,
@@ -145,12 +146,13 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
             strata[ideal.min_gens] = {"index": index, "degree": m, "ideal": ideal, "members": []}
         strata[ideal.min_gens]["members"].append(member_id)
 
-    def stratum_rank(entry):
+    for entry in strata.values():
         # higher degree first, then the higher index; the sentinel past every
         # pack puts an index after its extensions, as a longer index is higher
-        return (-entry["degree"], index_rank(ctx, entry["index"]) + (inf,))
+        entry["names"], rank = names_and_rank(ctx, entry["index"])
+        entry["rank"] = (-entry["degree"], rank + (inf,))
 
-    ordered = sorted(strata.values(), key=stratum_rank)
+    ordered = sorted(strata.values(), key=itemgetter("rank"))
     total = len(members)
     borel_ok = True
     strata_json = []
@@ -160,7 +162,7 @@ def run_strata(ctx: RingContext, members, mode: str, seed: int, description: str
             borel_ok = False
         strata_json.append(
             {
-                "index": entry["index"].as_strings(ctx),
+                "index": entry["names"],
                 "gin_generators": gens,
                 "member_ids": sorted(entry["members"]),
                 "count": len(entry["members"]),
@@ -251,11 +253,12 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
             nonzero = not dim or mul(f.leading(ctx)[0], tail) == alpha_star[-1]
         else:
             # I_m = ker E for the evaluation matrix E; by Plücker duality
-            # p_alpha*(ker E) = +-det E[:, last count columns]
+            # p_alpha*(ker E) = +-det E[:, last count columns], and a nonzero
+            # minor already proves rank E = count, so only a zero one needs the rank
             E = [[prod(c**k for k, c in zip(u, pt) if k) for u in cols]
                  for pt in random_points(ctx, count, rng, bound)]
-            dim = len(cols) - linalg.rank(E, len(cols))
             nonzero = linalg.det([row[dim_expected:] for row in E]) != 0
+            dim = dim_expected if nonzero else len(cols) - linalg.rank(E, len(cols))
         if dim != dim_expected:
             raise CliError(f"sample {s} has unexpected dimension {dim} != {dim_expected}")
         if not nonzero:

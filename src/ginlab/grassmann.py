@@ -26,9 +26,7 @@ class SchubertIndex:
 
     def as_strings(self, ctx: RingContext) -> list[str]:
         """The printed monomials, read off ``ctx.names(m)``; ValueError off ctx's chain."""
-        m, places = _places(ctx, self.monomials)
-        names = ctx.names(m)
-        return [names[k] for k in places]
+        return names_and_rank(ctx, self)[0]
 
 
 def _places(ctx: RingContext, monomials: tuple[Monomial, ...]) -> tuple[int, list[int]]:
@@ -97,11 +95,12 @@ def pluecker_coordinate(F: SubspaceBasis, idx: SchubertIndex) -> Fraction:
     return linalg.det(sub)
 
 
-def index_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[int, ...]:
-    """The packs at ``pack_width(m)`` of the index monomials, ascending as they descend.
+def names_and_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[list[str], tuple[int, ...]]:
+    """The names of the index monomials and their rank, off one walk along the chain.
 
-    Of two indices of one size, the lex-larger has the lex-smaller rank.
+    The rank is their packs at ``pack_width(m)``, ascending as they descend:
+    of two indices of one size, the lex-larger has the lex-smaller rank.
     """
     m, places = _places(ctx, idx.monomials)
-    packs = ctx.packs(m, pack_width(m))
-    return tuple([packs[k] for k in places])
+    names, packs = ctx.names(m), ctx.packs(m, pack_width(m))
+    return [names[k] for k in places], tuple([packs[k] for k in places])

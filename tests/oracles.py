@@ -4,8 +4,9 @@ Each function here was once part of the library.  It now lives with the tests
 because only tests call it: the factor-by-factor polynomial parser, normal
 forms, the tuple sort key `order_key` of an order matrix, the tuple
 Buchberger kernel and the `order_key` sort of a degree slice, the
-coefficient-list Hilbert polynomial, index ranks by a table of places, index
-names and ranks formatted and encoded per monomial, the
+coefficient-list Hilbert polynomial, the `Fraction` binomials, Gotzmann
+expansion and h-vector sum, index ranks by a table of places, index
+names and ranks formatted and encoded per monomial, a points sample read rank first, the
 enumerating and the counting certification, index comparisons, weight vectors and the
 one-parameter-subgroup limit check serve as independent checks of what the
 commands compute, and the twisted cubic and random subspaces are test inputs.  Import them as ``from oracles import ...``.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import comb, factorial, gcd, prod
 from typing import NamedTuple
 
 from ginlab import linalg
@@ -26,7 +27,7 @@ from ginlab.grassmann import (
     SchubertIndex,
     SubspaceBasis,
     hilbert_point,
-    index_rank,
+    names_and_rank,
     pluecker_coordinate,
     subspace_from_vectors,
 )
@@ -39,7 +40,14 @@ from ginlab.groebner import (
     coefficient_rows,
 )
 from ginlab.gin import index_at_degree
-from ginlab.hilbert import HilbertPolynomial, MacaulayRep, binomial_poly, gotzmann_number
+from ginlab.hilbert import (
+    _MAX_EXPANSION_TERMS,
+    HilbertPolynomial,
+    MacaulayRep,
+    NotAdmissible,
+    binomial_poly,
+    gotzmann_number,
+)
 from ginlab.hilbert import hilbert_polynomial_of_monomial_ideal
 from ginlab.monideal import MonomialIdeal, degree_part, minimalize
 from ginlab.orders import Monomial, RingContext, divides, lcm, mul, pack_width, unit, variable
@@ -464,6 +472,60 @@ class CoefficientHilbertPolynomial:
         return " ".join(pieces)
 
 
+def fraction_binomial_poly(shift: int, k: int) -> HilbertPolynomial:
+    """`binomial_poly` as it multiplied out (m + shift) ... (m + shift - k + 1) on its own."""
+    if k < 0:
+        raise ValueError("binomial order must be nonnegative")
+    coeffs = [1]
+    for i in range(k):
+        a = shift - i
+        coeffs = [a * c + b for c, b in zip(coeffs + [0], [0] + coeffs)]
+    den = factorial(k)
+    return HilbertPolynomial._raw({(p,): Fraction(c, den) for p, c in enumerate(coeffs) if c})
+
+
+def fraction_choose(top: HilbertPolynomial, k: int) -> HilbertPolynomial:
+    """`hilbert._choose` as k products of `Fraction` polynomials, then a division by k!."""
+    out = top.constant(1)
+    for i in range(k):
+        out = out * (top + top.constant(-i))
+    return out * Fraction(1, factorial(k))
+
+
+def fraction_macaulay_rep(P: HilbertPolynomial) -> MacaulayRep:
+    """`macaulay_rep` on `Fraction` polynomials: each block subtracted as two binomials."""
+    a: list[int] = []
+    remainder = P
+    i = 1
+    while remainder:
+        d = remainder.degree()
+        lead = remainder.terms[(d,)]
+        if lead < 0:
+            raise NotAdmissible(f"{P} is not an admissible Hilbert polynomial")
+        block = lead * factorial(d)
+        if block.denominator != 1:
+            raise NotAdmissible(f"{P} is not an admissible Hilbert polynomial")
+        b = int(block)
+        if i + b > _MAX_EXPANSION_TERMS:
+            raise ValueError(f"Gotzmann expansion of {P} exceeds {_MAX_EXPANSION_TERMS} terms")
+        if d == 0:
+            a.extend([0] * b)
+            break
+        a.extend([d] * b)
+        remainder += (fraction_binomial_poly(d - i - b + 2, d + 1)
+                      - fraction_binomial_poly(d - i + 2, d + 1))
+        i += b
+    return MacaulayRep(tuple(a))
+
+
+def fraction_h_vector_sum(ctx: RingContext, M: MonomialIdeal) -> HilbertPolynomial:
+    """`hilbert_polynomial_of_monomial_ideal` as the sum of h_i C(m + n - i, n - i) on `Fraction`s."""
+    K = M.numerator
+    h = [(-1) ** i * sum(c * comb(j, i) for j, c in enumerate(K)) for i in range(ctx.n + 1)]
+    terms = (c * fraction_binomial_poly(ctx.n - i, ctx.n - i) for i, c in enumerate(h) if c)
+    return sum(terms, HilbertPolynomial.zero())
+
+
 def macaulay_polynomial(rep: MacaulayRep) -> HilbertPolynomial:
     """sum_i C(m + a_i - i + 1, a_i), the polynomial whose Gotzmann expansion is `rep`."""
     terms = (binomial_poly(ai - i + 1, ai) for i, ai in enumerate(rep.a, start=1))
@@ -485,6 +547,19 @@ def random_subspace(
         F = subspace_from_vectors(ctx, m, rows)
         if F.d == d:
             return F
+
+
+def rank_first_points_sample(ctx: RingContext, m: int, points, dim_expected: int):
+    """(dim I_m, p_alpha* != 0) for the ideal of `points`, with rank E taken on every sample.
+
+    E is the evaluation matrix on ``ctx.monomials(m)``, I_m = ker E, and
+    p_alpha* is the minor on its last len(points) columns; this is how
+    `degeneracy --kind points` read a sample before it took the minor first.
+    """
+    cols = ctx.monomials(m)
+    E = [[prod(c**k for k, c in zip(u, pt) if k) for u in cols] for pt in points]
+    dim = len(cols) - linalg.rank(E, len(cols))
+    return dim, linalg.det([row[dim_expected:] for row in E]) != 0
 
 
 def subspace_from_polynomials(ctx: RingContext, m: int, polys) -> SubspaceBasis:
@@ -524,6 +599,11 @@ def key_sorted_monomials(ctx: RingContext, m: int) -> tuple[Monomial, ...]:
         exps.append(m + nvars - 1 - prev - 1)
         out.append(tuple(exps))
     return tuple(sorted(out, key=order_key(ctx.order, nvars)))
+
+
+def index_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[int, ...]:
+    """The rank half of `names_and_rank`: the packs the tests compare indices by."""
+    return names_and_rank(ctx, idx)[1]
 
 
 def positions_rank(ctx: RingContext, idx: SchubertIndex) -> tuple[int, ...]:

@@ -1,10 +1,15 @@
 import argparse
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ginlab import cli, gin, hilbert, linalg
 from ginlab.cli import main
+from ginlab.orders import GrevLex, RingContext
+from oracles import rank_first_points_sample
 
 
 def run(capsys, *argv):
@@ -385,6 +390,49 @@ class TestDegeneracyCommand:
     def test_negative_degree_refused_first(self, capsys, argv):
         assert main(argv.split()) == 2
         assert capsys.readouterr().err == "error: negative degree\n"
+
+
+@st.composite
+def point_samples(draw):
+    """(n, m, count, samples): a few samples of count points in P^n, some on x_n = 0 or repeated."""
+    n, m, count = draw(st.integers(1, 3)), draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    last = st.just(0) if draw(st.booleans()) else st.integers(-3, 3)
+    point = st.tuples(*[st.integers(-3, 3)] * n, last).filter(any)
+    samples = draw(st.lists(st.lists(point, min_size=count, max_size=count), min_size=1, max_size=3))
+    return n, m, count, samples
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_samples())
+# three points of the line x2 = 0 in P^2: the minor on x0*x2, x1*x2, x2^2 is 0, the rank is 3
+@example((2, 2, 3, [[(1, 0, 0), (0, 1, 0), (1, 1, 0)]]))
+# a repeated point: the minor is 0 and rank E is 2 < 3, so the sample is refused
+@example((2, 3, 3, [[(1, 2, 3), (1, 0, 1), (1, 2, 3)]]))
+def test_points_minor_first_matches_rank_first_oracle(drawn):
+    n, m, count, samples = drawn
+    ctx = RingContext(n, GrevLex())
+    dim_expected = ctx.dim(m) - count
+    assume(dim_expected >= 0)
+    vanished, witness, error = 0, None, None
+    for s, points in enumerate(samples):
+        dim, nonzero = rank_first_points_sample(ctx, m, points, dim_expected)
+        if dim != dim_expected:
+            error = f"sample {s} has unexpected dimension {dim} != {dim_expected}"
+            break
+        if not nonzero:
+            vanished += 1
+        elif witness is None:
+            witness = s
+    drawn_points = iter(samples)
+    with mock.patch.object(cli, "random_points", lambda *args: next(drawn_points)):
+        try:
+            report, _ = cli.run_degeneracy("points", n, m, len(samples), 0, count=count)
+        except cli.CliError as exc:
+            assert str(exc) == error
+        else:
+            assert error is None
+            assert (report["vanished_count"], report["witness"]) == (vanished, witness)
+            assert report["subspace_dimension"] == dim_expected
 
 
 class TestHilbInfoCommand:

@@ -13,7 +13,7 @@ from ginlab.gin import (
     random_linear_change,
     secondary_gin,
 )
-from ginlab.grassmann import hilbert_point, index_rank
+from ginlab.grassmann import hilbert_point
 from ginlab import gin, groebner, hilbert
 from ginlab.groebner import Ideal, buchberger, initial_ideal
 from ginlab.hilbert import (
@@ -35,6 +35,7 @@ from oracles import (
     enumerating_certify,
     identity_change,
     ideal_of,
+    index_rank,
     initial_subspace,
     monomial_ideal,
     one_ps_limit_check,

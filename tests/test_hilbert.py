@@ -27,7 +27,15 @@ from ginlab.hilbert import (
 from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, Lex, RingContext, mul
 from ginlab.parsing import ParseError, parse_polynomial
-from oracles import CoefficientHilbertPolynomial, macaulay_polynomial, monomial_ideal
+from oracles import (
+    CoefficientHilbertPolynomial,
+    fraction_binomial_poly,
+    fraction_choose,
+    fraction_h_vector_sum,
+    fraction_macaulay_rep,
+    macaulay_polynomial,
+    monomial_ideal,
+)
 
 CTX2 = RingContext(2, GrevLex())
 CTX3 = RingContext(3, GrevLex())
@@ -152,11 +160,12 @@ def test_arithmetic_matches_coefficient_oracle(a, b, c, k):
 
 
 def test_integer_binomials_match_choose_and_comb():
-    for s in range(-8, 9):
-        for k in range(11):
+    for s in range(-20, 21):
+        for k in range(13):
             B = binomial_poly(s, k)
             assert type(B) is HilbertPolynomial
             assert B == _choose(HilbertPolynomial.make([s, 1]), k)
+            assert B == fraction_binomial_poly(s, k)
             for m in range(-s, 13):  # where m + s >= 0
                 assert B(m) == comb(m + s, k)
 
@@ -289,6 +298,51 @@ class TestGotzmann:
         for text in ("-m", "m^2"):
             with pytest.raises(NotAdmissible):
                 macaulay_rep(hp(text))
+
+
+class TestIntegerKernel:
+    """C(f, k), the h-vector sum and the Gotzmann expansion on ints, against their `Fraction` oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(-4, 4, max_denominator=6), min_size=1, max_size=4),
+           st.integers(0, 12))
+    @example([Fraction(0)], 3)
+    @example([Fraction(0), Fraction(1, 2), Fraction(1, 2)], 2)
+    @example([Fraction(-3, 2), Fraction(5, 6), Fraction(0), Fraction(-1, 4)], 12)
+    def test_choose_matches_fraction_products(self, coeffs, k):
+        top = HilbertPolynomial.make(coeffs)
+        assert _choose(top, k) == fraction_choose(top, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(*[st.integers(0, 4)] * (n + 1)), max_size=6)
+    )))
+    @example((4, []))
+    @example((1, [(0, 0)]))
+    def test_h_vector_matches_fraction_sum(self, drawn):
+        n, gens = drawn
+        ctx, M = RingContext(n, GrevLex()), monomial_ideal(n + 1, gens)
+        assert hilbert_polynomial_of_monomial_ideal(ctx, M) == fraction_h_vector_sum(ctx, M)
+
+    # sums of drawn multiples of C(m + s, k), some with a negative lead, with a
+    # rational perturbation that may leave them admissible or not
+    binomial_sums = st.builds(
+        lambda parts, extra: sum((c * binomial_poly(s, k) for c, s, k in parts),
+                                 HilbertPolynomial.make(extra)),
+        st.lists(st.tuples(st.integers(-2, 4), st.integers(-6, 6), st.integers(0, 4)), max_size=4),
+        st.lists(st.fractions(-3, 3, max_denominator=6), max_size=3),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(binomial_sums, expansion_inputs))
+    @example(HilbertPolynomial.make([0, 400000]))
+    @example(HilbertPolynomial.make([0, Fraction(1, 2), Fraction(1, 2)]))
+    @example(HilbertPolynomial.make([5, -1]))
+    @example(HilbertPolynomial.make([0, 0, Fraction(-1, 2)]))
+    @example(HilbertPolynomial.make([500000]))
+    @example(HilbertPolynomial.make([-1]))
+    def test_gotzmann_matches_fraction_oracle(self, P):
+        assert expansion_outcome(macaulay_rep, P) == expansion_outcome(fraction_macaulay_rep, P)
 
 
 class TestLexSegmentIdeal:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_key
-from ginlab.grassmann import SchubertIndex, index_rank
+from ginlab.grassmann import SchubertIndex
 from ginlab.orders import (
     GrevLex,
     Lex,
@@ -18,7 +18,13 @@ from ginlab.orders import (
 )
 from ginlab.parsing import monomial_str
 from ginlab.poly import Polynomial
-from oracles import encoded_rank, formatted_strings, key_sorted_monomials, positions_rank
+from oracles import (
+    encoded_rank,
+    formatted_strings,
+    index_rank,
+    key_sorted_monomials,
+    positions_rank,
+)
 
 
 def mono(*exps):
