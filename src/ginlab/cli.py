@@ -21,12 +21,12 @@ import random
 import sys
 from fractions import Fraction
 from functools import cache
-from math import comb, inf, prod
+from math import comb, inf
 from operator import itemgetter
 from pathlib import Path
 
 from . import linalg
-from .families import derive_seed, random_form, random_ideal, random_points
+from .families import derive_seed, evaluations, random_form, random_ideal, random_points
 from .gin import certified_initial_ideal, generic_initial_ideal, index_at_degree, is_borel_fixed
 from .grassmann import names_and_rank
 from .groebner import Ideal
@@ -94,10 +94,6 @@ def _ideal_from_args(args, nvars: int) -> Ideal:
     return I
 
 
-def _ideal_strings(ctx: RingContext, gens) -> list[str]:
-    return [polynomial_str(g, ctx) for g in gens]
-
-
 def _monomial_ideal_strings(ctx: RingContext, M: MonomialIdeal) -> list[str]:
     return [monomial_str(u) for u in M.gens_sorted(ctx)]
 
@@ -112,7 +108,7 @@ def run_gin(ctx: RingContext, I: Ideal, trials: int, seed: int, bound: int):
         "order": str(ctx.order),
         "seed": seed,
         "trials": trials,
-        "ideal": _ideal_strings(ctx, I.generators),
+        "ideal": [polynomial_str(g, ctx) for g in I.generators],
         "gin": _monomial_ideal_strings(ctx, result.gin),
         "index": result.index.as_strings(ctx),
         "certification_degree": result.certification_degree,
@@ -234,7 +230,6 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
     dim_expected = ctx.dim(m) - int(value)
     if dim_expected < 0 or dim_expected > ctx.dim(m):
         raise CliError(f"no subspace of codimension P({m}) in degree {m}")
-    alpha_star = ctx.top_segment(m, dim_expected)
     applicable = bool(P) and P.degree() >= 1 and m > m0
 
     # p_alpha* is nonzero exactly when in(I)_m is the top segment alpha*
@@ -242,8 +237,7 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
         # I_m = f * S_(m-d), so in(I)_m = lm(f) * S_(m-d): dim S_(m-d) monomials, the
         # smallest lm(f) * x_n^(m-d), which is the last of alpha* exactly when they are alpha*
         dim, tail = ctx.dim(m - d), (0,) * n + (m - d,)
-    else:
-        cols = ctx.monomials(m)
+        alpha_star = ctx.top_segment(m, dim_expected)
     vanished = 0
     witness = None
     for s in range(samples):
@@ -255,10 +249,9 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
             # I_m = ker E for the evaluation matrix E; by Plücker duality
             # p_alpha*(ker E) = +-det E[:, last count columns], and a nonzero
             # minor already proves rank E = count, so only a zero one needs the rank
-            E = [[prod(c**k for k, c in zip(u, pt) if k) for u in cols]
-                 for pt in random_points(ctx, count, rng, bound)]
+            E = evaluations(ctx, random_points(ctx, count, rng, bound), m)
             nonzero = linalg.det([row[dim_expected:] for row in E]) != 0
-            dim = dim_expected if nonzero else len(cols) - linalg.rank(E, len(cols))
+            dim = dim_expected if nonzero else ctx.dim(m) - linalg.rank(E, ctx.dim(m))
         if dim != dim_expected:
             raise CliError(f"sample {s} has unexpected dimension {dim} != {dim_expected}")
         if not nonzero:
@@ -318,12 +311,8 @@ def run_hilb_info(ctx: RingContext, P: HilbertPolynomial, text: str):
     report["gotzmann"] = rep.gotzmann
     report["macaulay_rep"] = str(rep)
     report["macaulay_exponents"] = list(rep.a)
-    try:
-        L = _lex_ideal(ctx, P, rep.a)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    # _lex_ideal raises unless its own round trip reproduces P
-    report["lex_ideal"] = _ideal_strings(ctx, L.generators)
+    # _lex_ideal raises ValueError unless its own round trip reproduces P
+    report["lex_ideal"] = _monomial_ideal_strings(ctx, _lex_ideal(ctx, P, rep.a))
     report["round_trip_verified"] = True
     return report, 0
 

@@ -76,8 +76,12 @@ def _point_count(n: int, b: int) -> int:
     return sum(mu[k] * ((2 * (b // k) + 1) ** (n + 1) - 1) for k in range(1, b + 1)) // 2
 
 
+def evaluations(ctx: RingContext, points, m: int) -> list[list[int]]:
+    """The evaluation matrix: a row per point, its value at each of ``ctx.monomials(m)``."""
+    cols = ctx.monomials(m)
+    return [[prod(c**k for k, c in zip(u, pt) if k) for u in cols] for pt in points]
+
+
 def points_hilbert_point(ctx: RingContext, points, m: int) -> SubspaceBasis:
     """Degree-m forms vanishing at the points: the kernel of the evaluation matrix, canonicalized."""
-    cols = ctx.monomials(m)
-    values = [[prod(c**k for k, c in zip(u, pt)) for u in cols] for pt in points]
-    return subspace_from_vectors(ctx, m, linalg.kernel(values, len(cols)))
+    return subspace_from_vectors(ctx, m, linalg.kernel(evaluations(ctx, points, m), ctx.dim(m)))

@@ -1,8 +1,9 @@
 """Hilbert functions and polynomials, Gotzmann expansions, segment ideals.
 
-A Hilbert polynomial is a one-variable `Polynomial` printed in m.  C(f, k) for
-any parsed f, the h-vector sum and the Gotzmann expansion run on ints through
-one kernel, `_falling`, with one `Fraction` per output coefficient at the end.
+A Hilbert polynomial is a one-variable `Polynomial`, built by `make` and
+printed in m by `polynomial_str`.  C(f, k) for any parsed f, the h-vector sum
+and the Gotzmann expansion run on ints through one kernel, `_falling`, and
+`make` takes one `Fraction` per output coefficient at the end.
 The binomial expansion P(m) = sum_i C(m + a_i - i + 1, a_i) with weakly
 decreasing a_i exists exactly for the Hilbert polynomials of graded ideals;
 its length is the Gotzmann number, the degree at which lex segments and
@@ -21,8 +22,8 @@ from math import comb, factorial, lcm
 
 from .groebner import Ideal, initial_ideal
 from .monideal import MonomialIdeal, minimalize
-from .orders import GrevLex, RingContext, pack_width
-from .parsing import ParseError, parse_expression
+from .orders import GrevLex, RingContext, pack_width, unit
+from .parsing import ParseError, parse_expression, polynomial_str
 from .poly import Polynomial
 
 _F0 = Fraction(0)
@@ -38,9 +39,9 @@ class HilbertPolynomial(Polynomial):
     __slots__ = ()
 
     @classmethod
-    def make(cls, coeffs) -> "HilbertPolynomial":
-        """The polynomial with the given coefficients of m^0, m^1, ..."""
-        return cls(((k,), c) for k, c in enumerate(coeffs))
+    def make(cls, coeffs, den: int = 1) -> "HilbertPolynomial":
+        """The polynomial with coefficients c / den of m^0, m^1, ...: one `Fraction` per nonzero c."""
+        return cls._raw({(k,): Fraction(c, den) for k, c in enumerate(coeffs) if c})
 
     @classmethod
     def constant(cls, c) -> "HilbertPolynomial":
@@ -53,22 +54,17 @@ class HilbertPolynomial(Polynomial):
         _check_input_degree("exponent", k, self)
         return super().__pow__(k) if k else self.constant(1)
 
-    def __str__(self) -> str:
-        pieces = []
-        for (p,) in sorted(self.terms, reverse=True):
-            c = self.terms[(p,)]
-            if p == 0:
-                body = str(abs(c))
-            else:
-                var = "m" if p == 1 else f"m^{p}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(pieces) or "0"
+    def __repr__(self) -> str:
+        return polynomial_str(self, _M_RING, _m_power)
 
-    __repr__ = __str__
+
+# (k,) sorts as x0^k of Q[x0, x1], so the ring orders the powers of m
+_M_RING = RingContext(1)
+
+
+def _m_power(e: tuple[int]) -> str:
+    (k,) = e
+    return "1" if k == 0 else "m" if k == 1 else f"m^{k}"
 
 
 def _falling(T: list[int], q: int, k: int) -> list[int]:
@@ -81,11 +77,6 @@ def _falling(T: list[int], q: int, k: int) -> list[int]:
                 nxt[a] += T[b] * c
         out = nxt
     return out
-
-
-def _over(coeffs: list[int], den: int) -> HilbertPolynomial:
-    """The polynomial with coefficients c / den, m^0 first: one `Fraction` per nonzero c."""
-    return HilbertPolynomial._raw({(p,): Fraction(c, den) for p, c in enumerate(coeffs) if c})
 
 
 def _scaled(P: HilbertPolynomial, scale: int = 1) -> tuple[list[int], int]:
@@ -101,13 +92,13 @@ def binomial_poly(shift: int, k: int) -> HilbertPolynomial:
     """C(m + shift, k) as a polynomial in m."""
     if k < 0:
         raise ValueError("binomial order must be nonnegative")
-    return _over(_falling([shift, 1], 1, k), factorial(k))
+    return HilbertPolynomial.make(_falling([shift, 1], 1, k), factorial(k))
 
 
 def _choose(top: HilbertPolynomial, k: int) -> HilbertPolynomial:
     """C(top, k) = top (top - 1) ... (top - k + 1) / k!, for any polynomial top."""
     T, q = _scaled(top)
-    return _over(_falling(T, q, k), factorial(k) * q**k)
+    return HilbertPolynomial.make(_falling(T, q, k), factorial(k) * q**k)
 
 
 @dataclass(frozen=True)
@@ -234,7 +225,7 @@ def hilbert_polynomial_of_monomial_ideal(ctx: RingContext, M: MonomialIdeal) -> 
         h *= factorial(n) // factorial(n - i)
         for p, c in enumerate(_falling([n - i, 1], 1, n - i)):
             total[p] += h * c
-    return _over(total, factorial(n))
+    return HilbertPolynomial.make(total, factorial(n))
 
 
 def hilbert_polynomial(ctx: RingContext, I: Ideal) -> HilbertPolynomial:
@@ -252,17 +243,18 @@ def lex_segment_ideal(ctx: RingContext, P: HilbertPolynomial) -> Ideal:
     x_{n-d-1}^b_d ... x_{n-2}^b_1 x_{n-1}^b_0.  P = C(m + n, n) gives the zero
     ideal, any other d >= n needs more variables; a round trip checks P.
     """
-    return _lex_ideal(ctx, P, macaulay_rep(P).a)
+    M = _lex_ideal(ctx, P, macaulay_rep(P).a)
+    return Ideal([Polynomial.monomial(g) for g in M.gens_sorted(ctx)])
 
 
-def _lex_ideal(ctx: RingContext, P: HilbertPolynomial, a: tuple[int, ...]) -> Ideal:
-    """`lex_segment_ideal` from the Gotzmann exponents a of P, already expanded."""
+def _lex_ideal(ctx: RingContext, P: HilbertPolynomial, a: tuple[int, ...]) -> MonomialIdeal:
+    """L(P) as a monomial ideal, from the Gotzmann exponents a of P, already expanded."""
+    n = ctx.n
     if not a:
-        return Ideal([Polynomial.constant(ctx.nvars, 1)])
-    n, d = ctx.n, a[0]
-    if a == (n,):
+        gens = [unit(ctx.nvars)]
+    elif a == (n,):
         gens = []
-    elif d >= n:
+    elif (d := a[0]) >= n:
         raise ValueError(f"{P} needs more variables than the ambient ring provides")
     else:
         b = Counter(a)
@@ -275,7 +267,7 @@ def _lex_ideal(ctx: RingContext, P: HilbertPolynomial, a: tuple[int, ...]) -> Id
     M = MonomialIdeal(ctx.nvars, minimalize(gens))
     if hilbert_polynomial_of_monomial_ideal(ctx, M) != P:
         raise ValueError(f"{P} needs more variables than the ambient ring provides")
-    return Ideal([Polynomial.monomial(g) for g in M.gens_sorted(ctx)])
+    return M
 
 
 @dataclass(frozen=True)

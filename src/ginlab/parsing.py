@@ -1,6 +1,8 @@
-"""The one text grammar: rationals p/q, + - * ^, parentheses and the atoms of a ring.
+"""The one text grammar and its one printer: rationals p/q, + - * ^, parentheses and ring atoms.
 
-Polynomials have the atoms x0..xN, Hilbert polynomials (`ginlab.hilbert`) m and C(f,g).
+A ring names its atoms for both: x0..xN for polynomials, m and C(f,g) for
+Hilbert polynomials (`ginlab.hilbert`); `polynomial_str` prints the signs and
+coefficients and asks the ring's namer for each monomial.
 Digits are ASCII: an integer is a run of 0-9.
 
 Polynomial text is read a term at a time.  At the start of each term,
@@ -207,19 +209,8 @@ def monomial_str(e: Monomial) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def term_str(e: Monomial, c: Fraction) -> str:
-    mon = monomial_str(e)
-    if mon == "1":
-        return str(c)
-    if c == 1:
-        return mon
-    if c == -1:
-        return f"-{mon}"
-    return f"{c}*{mon}"
-
-
-def polynomial_str(f: Polynomial, ctx: RingContext | None = None) -> str:
-    """f with its terms descending under ctx.order, or under grevlex without a ring."""
+def polynomial_str(f: Polynomial, ctx: RingContext | None = None, name=monomial_str) -> str:
+    """f with its terms descending under ctx.order, or grevlex without a ring; `name` prints a monomial."""
     if not f:
         return "0"
     # without a ring, grevlex; a ring has two variables at least, and a
@@ -227,11 +218,9 @@ def polynomial_str(f: Polynomial, ctx: RingContext | None = None) -> str:
     ctx = ctx or RingContext(max(1, f.nvars() - 1))
     pieces = []
     for e in ctx.descending(f.terms):
-        text = term_str(e, f.terms[e])
-        if not pieces:
-            pieces.append(text)
-        elif text.startswith("-"):
-            pieces.append("- " + text[1:])
-        else:
-            pieces.append("+ " + text)
-    return " ".join(pieces)
+        c, mon = str(f.terms[e]), name(e)
+        sign, c = ("- ", c[1:]) if c[0] == "-" else ("+ ", c)
+        pieces.append(sign + (c if mon == "1" else mon if c == "1" else f"{c}*{mon}"))
+    # the leading term drops its "+ " and keeps a bare "-"
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -4,7 +4,8 @@ Each function here was once part of the library.  It now lives with the tests
 because only tests call it: the factor-by-factor polynomial parser, normal
 forms, the tuple sort key `order_key` of an order matrix, the tuple
 Buchberger kernel and the `order_key` sort of a degree slice, the
-coefficient-list Hilbert polynomial, the `Fraction` binomials, Gotzmann
+coefficient-list Hilbert polynomial, the term-at-a-time polynomial printer,
+the Hilbert polynomial's own printer and constructor, the `Fraction` binomials, Gotzmann
 expansion and h-vector sum, index ranks by a table of places, index
 names and ranks formatted and encoded per monomial, a points sample read rank first, the
 enumerating and the counting certification, index comparisons, weight vectors and the
@@ -470,6 +471,59 @@ class CoefficientHilbertPolynomial:
             else:
                 pieces.append(("+ " if c > 0 else "- ") + body)
         return " ".join(pieces)
+
+
+# --- the printers and the constructor that `polynomial_str` and `make` replaced
+
+
+def term_str(e: Monomial, c: Fraction) -> str:
+    mon = monomial_str(e)
+    if mon == "1":
+        return str(c)
+    if c == 1:
+        return mon
+    if c == -1:
+        return f"-{mon}"
+    return f"{c}*{mon}"
+
+
+def term_polynomial_str(f: Polynomial, ctx: RingContext | None = None) -> str:
+    """`parsing.polynomial_str` as it printed each term through `term_str`, then fixed the sign."""
+    if not f:
+        return "0"
+    ctx = ctx or RingContext(max(1, f.nvars() - 1))
+    pieces = []
+    for e in ctx.descending(f.terms):
+        text = term_str(e, f.terms[e])
+        if not pieces:
+            pieces.append(text)
+        elif text.startswith("-"):
+            pieces.append("- " + text[1:])
+        else:
+            pieces.append("+ " + text)
+    return " ".join(pieces)
+
+
+def hilbert_polynomial_str(P: HilbertPolynomial) -> str:
+    """The text `HilbertPolynomial.__str__` printed in m on its own, powers sorted by hand."""
+    pieces = []
+    for (p,) in sorted(P.terms, reverse=True):
+        c = P.terms[(p,)]
+        if p == 0:
+            body = str(abs(c))
+        else:
+            var = "m" if p == 1 else f"m^{p}"
+            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(pieces) or "0"
+
+
+def initialized_hilbert_polynomial(coeffs) -> HilbertPolynomial:
+    """`HilbertPolynomial.make` as it built through `Polynomial.__init__`, m^0 first."""
+    return HilbertPolynomial(((k,), c) for k, c in enumerate(coeffs))
 
 
 def fraction_binomial_poly(shift: int, k: int) -> HilbertPolynomial:

@@ -484,6 +484,13 @@ class TestHilbInfoCommand:
     def test_needs_more_variables(self, capsys):
         assert main(["hilb-info", "--n", "1", "--p", "2*m + 1"]) == 2
 
+    def test_needs_more_variables_prints_one_error_line(self, capsys):
+        # L(P)'s ValueError reaches main, which prints it as it is
+        assert main(["hilb-info", "--n", "1", "--p", "3*m"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 3*m needs more variables than the ambient ring provides\n"
+
     def test_takes_no_order(self, capsys):
         # L(P) is one monomial ideal whatever the order, so hilb-info has no --order
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ginlab.cli import run_hilb_info
 from ginlab.groebner import Ideal
 from ginlab.hilbert import (
     _MAX_EXPANSION_TERMS,
@@ -27,14 +28,18 @@ from ginlab.hilbert import (
 from ginlab.monideal import MonomialIdeal, saturate
 from ginlab.orders import GrevLex, Lex, RingContext, mul
 from ginlab.parsing import ParseError, parse_polynomial
+from ginlab.poly import Polynomial
 from oracles import (
     CoefficientHilbertPolynomial,
     fraction_binomial_poly,
     fraction_choose,
     fraction_h_vector_sum,
     fraction_macaulay_rep,
+    hilbert_polynomial_str,
+    initialized_hilbert_polynomial,
     macaulay_polynomial,
     monomial_ideal,
+    term_polynomial_str,
 )
 
 CTX2 = RingContext(2, GrevLex())
@@ -157,6 +162,29 @@ def test_arithmetic_matches_coefficient_oracle(a, b, c, k):
     for m in range(-3, 6):
         assert type(P(m)) is Fraction and P(m) == OP(m)
     assert (P == Q) == (OP == OQ)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-12, 12), max_size=5), st.integers(1, 6))
+@example([], 1)
+@example([0, 0], 3)
+@example([7], 1)
+@example([-4], 6)
+@example([0, 1], 1)
+@example([0, -2], 2)
+@example([1, -1, 0, 0, -1], 1)
+@example([3, 0, -6], 6)
+@example([2, 0, 0, 0, 5], 5)
+def test_make_and_printer_match_the_old_ones(numerators, den):
+    """`make` and `polynomial_str` against the constructor and printer they replaced."""
+    P = HilbertPolynomial.make(numerators, den)
+    coeffs = [Fraction(c, den) for c in numerators]
+    old = initialized_hilbert_polynomial(coeffs)
+    assert type(P) is HilbertPolynomial and P.terms == old.terms
+    assert all(type(c) is Fraction for c in P.terms.values())
+    assert HilbertPolynomial.make(coeffs).terms == old.terms
+    assert str(P) == repr(P) == hilbert_polynomial_str(P)
+    assert parse_hilbert_polynomial(str(P)) == P
 
 
 def test_integer_binomials_match_choose_and_comb():
@@ -401,6 +429,34 @@ class TestLexSegmentIdeal:
         P = macaulay_polynomial(MacaulayRep(a))
         assert macaulay_rep(P).a == a
         assert outcome(closed_form, ctx, P) == outcome(segment_oracle, ctx, P)
+
+    # every admissible P of hilb-info's benchmark grid: the constants, 6m - 3,
+    # each curve a*m + b its draw can pick (Gotzmann number g, a at most the
+    # family's bound) and the hypersurfaces; then P = 0, the unit ideal, and
+    # P = C(m+n, n), the zero ideal
+    BENCHMARK_GRID = (
+        [(2, HilbertPolynomial.constant(c)) for c in range(21)]
+        + [(3, HilbertPolynomial.constant(c)) for c in range(11)]
+        + [(3, hp("6*m - 3"))]
+        + [(n, HilbertPolynomial.make([g - a + 1 - comb(a - 1, 2), a]))
+           for n, max_g, max_a in ((3, 7, 4), (4, 5, 3))
+           for g in range(1, max_g + 1) for a in range(1, min(g, max_a) + 1)]
+        + [(n, hypersurface_hp(n, d)) for n, max_d in ((2, 6), (3, 6), (4, 4))
+           for d in range(1, max_d + 1)]
+        + [(n, binomial_poly(n, n)) for n in (2, 3, 4)]
+    )
+
+    @pytest.mark.parametrize("n, P", BENCHMARK_GRID)
+    def test_benchmark_grid_prints_as_the_old_path(self, n, P):
+        # the old path: an `Ideal` of monomial `Polynomial`s, printed a term at a time
+        ctx = RingContext(n, GrevLex())
+        L = lex_segment_ideal(ctx, P)
+        assert type(L) is Ideal
+        gens = ctx.descending(segment_oracle(ctx, P))
+        assert L.generators == tuple(Polynomial({g: 1}) for g in gens)
+        report, code = run_hilb_info(ctx, P, str(P))
+        assert code == 0
+        assert report["lex_ideal"] == [term_polynomial_str(g, ctx) for g in L.generators]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_full_ring_polynomial_is_the_zero_ideal(self, n):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ginlab.orders import GrevLex, Lex, RingContext, pack_width
+from ginlab.orders import GrevLex, Lex, RingContext, WeightOrder, pack_width
 from ginlab.parsing import ParseError, parse_polynomial, polynomial_str
 from ginlab.poly import LinearChange, Polynomial, apply_change, pack
-from oracles import identity_change, mat_mul, primitive
+from oracles import identity_change, mat_mul, primitive, term_polynomial_str
 
 
 def p(text, nvars=3):
@@ -44,6 +44,32 @@ def test_polynomial_str_round_trip():
     for text in ("x0*x2 - x1^2", "2*x0^3 + 1/3*x1*x2 - 5", "-x0 + x1"):
         f = p(text)
         assert parse_polynomial(polynomial_str(f), 3) == f
+
+
+@st.composite
+def ringed_polynomials(draw):
+    """A ring P^n, n from 1 to 4, under a drawn order, and a polynomial in it."""
+    n = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * (n + 1))
+    weights = st.builds(WeightOrder, st.tuples(*[st.integers(0, 3)] * (n + 1)))
+    order = draw(st.one_of(st.just(GrevLex()), st.just(Lex()), weights))
+    coefficients = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9),
+                             st.fractions(-5, 5, max_denominator=6))
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=6))
+    return RingContext(n, order), Polynomial(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ringed_polynomials())
+@example((RingContext(1), Polynomial.zero()))
+@example((RingContext(2), Polynomial.constant(3, -5)))
+@example((RingContext(2), Polynomial({(0, 0, 0): Fraction(1, 2), (0, 1, 0): -1})))
+@example((RingContext(3, Lex()), Polynomial({(0, 0, 0, 1): -1, (2, 0, 0, 0): Fraction(-3, 2)})))
+def test_printer_matches_the_term_printer(case):
+    ctx, f = case
+    assert polynomial_str(f, ctx) == term_polynomial_str(f, ctx)
+    assert repr(f) == polynomial_str(f) == term_polynomial_str(f)
+    assert parse_polynomial(polynomial_str(f, ctx), ctx.nvars) == f
 
 
 def test_ring_free_printer_reads_grevlex():

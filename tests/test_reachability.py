@@ -29,6 +29,7 @@ EXEMPT = {
     "grassmann.SubspaceBasis.d": "read only by the traced grassmann.pluecker_coordinate",
     "linalg._back_substitute": "called only by the traced linalg.rref",
     "groebner.coefficient_rows": "called only by the traced groebner.graded_basis_matrix",
+    "poly.Polynomial.monomial": "called only by the traced hilbert.lex_segment_ideal",
     "poly.Polynomial.__add__": "arithmetic protocol: polynomials add by their terms",
     "poly.Polynomial.__eq__": "value protocol: polynomials compare by their terms",
     "poly.Polynomial.__hash__": "value protocol: equal polynomials hash alike",
