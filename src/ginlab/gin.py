@@ -3,8 +3,12 @@
 A secondary gin is in(g·I) for one change g.  A change of coordinates keeps
 the Hilbert polynomial P and the generator degrees, so P, its Gotzmann number
 and the certification degree belong to I and are read once per gin, off the
-first trial.  The generic initial ideal is the trial whose Schubert index at
-the certification degree is lex-maximal among `trials` seeded random changes.
+first trial.  The three depend on in(g·I) and deg I alone, so they, like the
+Hilbert series numerator of in(g·I), are computed once per distinct generator
+set per process: a strata member or gin whose initial ideal was already seen
+is certified by one lookup.  The generic initial ideal is the trial whose
+Schubert index at the certification degree is lex-maximal among `trials`
+seeded random changes.
 A gin packs I's generators once, and its trials are packed end to end, from
 `apply_change` to `initial_ideal`: the only `Polynomial`s are I's, for the report.
 """
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 from .grassmann import SchubertIndex
@@ -70,11 +75,17 @@ def _certify(ctx: RingContext, inJ: MonomialIdeal, J: Ideal) -> tuple[HilbertPol
     m is the least degree from max(m0, deg J) on where the Hilbert function of
     S/J equals P(m): max(m0, deg J) itself for saturated J, possibly above for
     J that is not saturated, where J agrees with its saturation.  Both are read
-    off the Hilbert series numerator of in(J), which the ideal computes once.
+    off the Hilbert series numerator of in(J), once per (ctx, in(J), deg J):
+    deg J is in the key, as a redundant generator of J can raise m.
     """
+    return _certified(ctx, inJ, J.max_degree())
+
+
+@lru_cache(maxsize=None)
+def _certified(ctx: RingContext, inJ: MonomialIdeal, top: int) -> tuple[HilbertPolynomial, int, int]:
     P = hilbert_polynomial_of_monomial_ideal(ctx, inJ)
     m0 = gotzmann_number(P)
-    m = max(m0, J.max_degree())
+    m = max(m0, top)
     while hilbert_function(ctx, inJ, m) != P(m):
         m += 1
     return P, m0, m

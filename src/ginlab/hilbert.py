@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .groebner import Ideal, initial_ideal
@@ -219,13 +220,19 @@ def hilbert_polynomial_of_monomial_ideal(ctx: RingContext, M: MonomialIdeal) -> 
     i <= n and a polynomial in t (nothing for large m) for i > n.
     """
     K, n = M.numerator, ctx.n
-    total = [0] * (n + 1)  # n! P, as n! C(m + n - i, n - i) = n!/(n-i)! (m + n - i) ... (m + 1)
-    for i in range(n + 1):
+    total = [0] * (n + 1)  # n! P
+    for i, row in enumerate(_binomial_table(n)):
         h = (-1) ** i * sum(c * comb(j, i) for j, c in enumerate(K))
-        h *= factorial(n) // factorial(n - i)
-        for p, c in enumerate(_falling([n - i, 1], 1, n - i)):
+        for p, c in enumerate(row):
             total[p] += h * c
     return HilbertPolynomial.make(total, factorial(n))
+
+
+@lru_cache(maxsize=None)
+def _binomial_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """n! C(m + n - i, n - i) = n!/(n-i)! (m + n - i) ... (m + 1) on ints, m^0 first, for i = 0..n."""
+    return tuple(tuple(factorial(n) // factorial(n - i) * c for c in _falling([n - i, 1], 1, n - i))
+                 for i in range(n + 1))
 
 
 def hilbert_polynomial(ctx: RingContext, I: Ideal) -> HilbertPolynomial:

@@ -1,9 +1,14 @@
-"""Monomial ideals: minimal generators, degree-m slices, intersection, saturation."""
+"""Monomial ideals: minimal generators, degree-m slices, intersection, saturation.
+
+The Hilbert series numerator of a monomial ideal is a function of its minimal
+generators alone, so it is computed once per distinct generator set per
+process, and every equal `MonomialIdeal` reads the same tuple.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import lru_cache, reduce
 
 from .orders import Monomial, RingContext, divides, lcm, pack_width
 
@@ -25,12 +30,10 @@ class MonomialIdeal:
     nvars: int
     min_gens: frozenset[Monomial]
 
-    @cached_property
+    @property
     def numerator(self) -> tuple[int, ...]:
-        """K(t) with HS(S/M) = K(t) / (1 - t)^nvars, computed once per ideal."""
-        from .hilbert import _numerator
-
-        return tuple(_numerator(self.min_gens))
+        """K(t) with HS(S/M) = K(t) / (1 - t)^nvars, computed once per generator set."""
+        return _numerator_of(self.min_gens)
 
     def contains(self, m: Monomial) -> bool:
         return any(divides(g, m) for g in self.min_gens)
@@ -43,6 +46,13 @@ class MonomialIdeal:
         """Degree-m monomials inside the ideal, descending under ctx.order."""
         part = degree_part(ctx, self.min_gens, m)
         return tuple(u for u, c in zip(ctx.monomials(m), ctx.packs(m, pack_width(m))) if c in part)
+
+
+@lru_cache(maxsize=None)
+def _numerator_of(min_gens: frozenset[Monomial]) -> tuple[int, ...]:
+    from .hilbert import _numerator
+
+    return tuple(_numerator(min_gens))
 
 
 def degree_part(ctx: RingContext, gens, m: int) -> set[int]:

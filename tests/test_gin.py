@@ -14,7 +14,7 @@ from ginlab.gin import (
     secondary_gin,
 )
 from ginlab.grassmann import hilbert_point
-from ginlab import gin, groebner, hilbert
+from ginlab import gin, groebner, hilbert, monideal
 from ginlab.groebner import Ideal, buchberger, initial_ideal
 from ginlab.hilbert import (
     binomial_poly,
@@ -23,7 +23,7 @@ from ginlab.hilbert import (
     hilbert_polynomial_of_monomial_ideal,
 )
 from ginlab.linalg import det
-from ginlab.monideal import saturate
+from ginlab.monideal import MonomialIdeal, minimalize, saturate
 from ginlab.orders import GrevLex, Lex, RingContext
 from ginlab.parsing import parse_polynomial
 from ginlab.poly import LinearChange, Polynomial, apply_change, pack
@@ -271,11 +271,46 @@ def test_gin_reads_p_and_m0_once_per_request(monkeypatch):
 
         for module in (gin, hilbert):
             monkeypatch.setattr(module, name, counted)
-    result = generic_initial_ideal(CTX3, twisted_cubic_ideal(), trials=3, seed=5)
-    assert calls == {"hilbert_polynomial_of_monomial_ideal": 1, "gotzmann_number": 1}
-    assert (str(result.hilbert_polynomial), result.gotzmann, result.certification_degree) == (
-        "3*m + 1", 4, 4
-    )
+    # earlier tests may have certified the twisted cubic's in(g·I) already
+    gin._certified.cache_clear()
+    monideal._numerator_of.cache_clear()
+    for _ in range(2):
+        result = generic_initial_ideal(CTX3, twisted_cubic_ideal(), trials=3, seed=5)
+        # the second, identical request is certified by one lookup: the counts stay at 1
+        assert calls == {"hilbert_polynomial_of_monomial_ideal": 1, "gotzmann_number": 1}
+        assert (str(result.hilbert_polynomial), result.gotzmann, result.certification_degree) == (
+            "3*m + 1", 4, 4
+        )
+
+
+# in(J) of the @example below: (x0, x1^3, x1*x2^3) has HF 1, 2, 3, 3, 2, 1, 1, ...,
+# so m = 5, while a redundant multiple x0*x2^6 of x0 raises deg J, and m, to 7
+MINIMAL = ([(1, 0, 0), (0, 3, 0), (0, 1, 3)], 5)
+REDUNDANT = ([(1, 0, 0), (0, 3, 0), (0, 1, 3), (1, 0, 6)], 7)
+
+
+@pytest.mark.parametrize("calls", [(MINIMAL, REDUNDANT), (REDUNDANT, MINIMAL)])
+def test_certification_is_cached_per_generator_degree(calls):
+    # one in(J) under two degrees of J, in both call orders: a cache keyed on
+    # in(J) alone would hand the second J the first one's m
+    gin._certified.cache_clear()
+    initials = []
+    for gens, m in calls:
+        J = Ideal([Polynomial.monomial(g) for g in gens])
+        initials.append(initial_ideal(CTX2, J))
+        certified = gin._certify(CTX2, initials[-1], J)
+        assert certified == counting_certify(CTX2, gens, J)
+        assert certified[2] == m
+    assert initials[0] == initials[1] and initials[0] is not initials[1]
+
+
+def test_equal_monomial_ideals_read_one_numerator():
+    gens = [(2, 0, 1, 0), (0, 2, 1, 1), (1, 1, 0, 2), (0, 0, 3, 0)]
+    A = MonomialIdeal(4, minimalize(gens))
+    B = MonomialIdeal(4, minimalize(reversed(gens)))
+    assert A == B and A is not B and A.min_gens is not B.min_gens
+    assert A.numerator == tuple(hilbert._numerator(A.min_gens))
+    assert B.numerator is A.numerator
 
 
 # Monomials the enumerating oracle may list, summed over the degrees it builds
