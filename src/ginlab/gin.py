@@ -24,7 +24,7 @@ from .grassmann import SchubertIndex
 from .groebner import Ideal, initial_ideal
 from .hilbert import HilbertPolynomial, gotzmann_number, hilbert_function
 from .hilbert import hilbert_polynomial_of_monomial_ideal
-from .monideal import MonomialIdeal, degree_part, saturate
+from .monideal import MonomialIdeal, degree_part, saturate, slice_monomials
 from .orders import RingContext, pack_width
 from .poly import LinearChange, Packed, apply_change, pack
 
@@ -149,8 +149,7 @@ def generic_initial_ideal(
     low = frozenset(u for u in initials[best].min_gens if sum(u) <= m)
     return GinResult(
         gin=saturate(MonomialIdeal(ctx.nvars, low)),
-        index=SchubertIndex(tuple(u for u, c in zip(ctx.monomials(m), ctx.packs(m, pack_width(m)))
-                                  if c in top)),
+        index=SchubertIndex(slice_monomials(ctx, top, m)),
         witness=changes[best],
         trials=trials,
         stable=stable,

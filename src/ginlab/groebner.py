@@ -19,17 +19,13 @@ leads may come in another order than full division's, in(I) cannot change.
 
 Buchberger's algorithm skips the S-pairs that must reduce to zero by
 Traverso's Hilbert-driven criterion ("Hilbert functions and the Buchberger
-algorithm", JSC 1996).  Let I have r <= n + 1 homogeneous generators of
-degrees d_i.  dim I_d is the rank of a Macaulay matrix in their coefficients,
-largest for generic ones, which form a regular sequence; every regular
-sequence of these degrees, the powers x_i^(d_i) among them, has one Hilbert
-function.  So HF(S/<leads>)_d >= HF(S/I)_d >= HF(S/<x_i^(d_i)>)_d, and once
-|degree_part(leads, d)| reaches the count of degree-d multiples of the powers
-the leads span in(I)_d and every remaining pair of degree d reduces to zero.
-Only the leads are counted by `degree_part`.  The powers, on distinct
-variables, are counted in closed form by inclusion-exclusion: the common
-multiples of the powers in a set T are the multiples of their product, and in
-degree d they number dim S_(d - sum_T d_i).
+algorithm", JSC 1996).  For r <= n + 1 homogeneous generators of degrees d_i,
+dim I_d is the rank of a Macaulay matrix in their coefficients, largest for
+generic ones; these form a regular sequence, and every regular sequence of
+these degrees, the powers x_i^(d_i) among them, has one Hilbert function.  So
+HF(S/<leads>)_d >= HF(S/I)_d >= HF(S/<x_i^(d_i)>)_d, and once the outer two
+meet the leads span in(I)_d and every remaining pair of degree d reduces to
+zero.  Both sides are read by `hilbert.hilbert_function` off cached numerators.
 """
 
 from __future__ import annotations
@@ -37,11 +33,10 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 from . import linalg
-from .monideal import MonomialIdeal, degree_part, minimalize
+from .monideal import MonomialIdeal, minimalize
 from .orders import Monomial, RingContext, lcm, mul, pack_width, unit
 from .poly import Packed, Polynomial, _primitive, pack
 
@@ -150,18 +145,12 @@ def _reduce(guard: int, work: dict[int, int], divisors, full: bool = False):
     return {m: c * (s // sm) for m, c, sm in rem}, s
 
 
-def _regular_sequence_count(ctx: RingContext, generators):
-    """d -> the number of degree-d multiples of x_i^(d_i), d_i the packed generators' degrees.
-
-    None for over n + 1 or inhomogeneous generators.  The count is
-    sum_T (-1)^(|T|+1) dim S_(d - sum_T d_i) over the nonempty sets T of powers.
-    """
+def _bound_ideal(ctx: RingContext, generators: list[Packed]) -> MonomialIdeal | None:
+    """<x_i^(d_i)>, d_i the packed generators' degrees; None for over n + 1 or inhomogeneous ones."""
     if len(generators) > ctx.nvars or not all(g.homogeneous for g in generators):
         return None
-    degrees = [g.degree for g in generators]
-    terms = [((-1) ** (k + 1), sum(T))
-             for k in range(1, len(degrees) + 1) for T in combinations(degrees, k)]
-    return lambda d: sum(sign * ctx.dim(d - s) for sign, s in terms)
+    return MonomialIdeal(ctx.nvars, frozenset(
+        tuple(g.degree * e for e in x) for x, g in zip(ctx.variables(), generators)))
 
 
 def _packed(ctx: RingContext, polynomials) -> list[Packed]:
@@ -197,11 +186,11 @@ def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
     homogeneous input the sugar is deg l, so this is the normal strategy.
 
     Pairs that survive the coprime and chain criteria then meet Traverso's
-    Hilbert-driven criterion (see the module docstring), when
-    `_regular_sequence_count` applies.  At the first such pair of degree d
-    the deficit is counted; each new element of degree d lowers it by one,
-    since its lead lies outside <leads>_d, and while it is 0 the pair's
-    remainder would be 0 and it is skipped.
+    Hilbert-driven criterion (see the module docstring), when `_bound_ideal`
+    applies.  At the first such pair of degree d the deficit
+    HF(S/<leads>)_d - HF(S/bound)_d is counted; each new element of degree d
+    lowers it by one, since its lead lies outside <leads>_d, and while it is 0
+    the pair's remainder would be 0 and it is skipped.
     Skipped pairs count as done for the chain criterion, as reduced ones do,
     so the basis and the pair order are those of the plain algorithm.
 
@@ -224,7 +213,9 @@ def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
     if any(sum(lm) == 0 for lm in leads):
         return unit_basis
 
-    power_count = _regular_sequence_count(ctx, generators)
+    from .hilbert import hilbert_function  # hilbert imports this module
+
+    bound = _bound_ideal(ctx, generators)
     deficit_degree = deficit = -1
     heap: list = []
 
@@ -258,11 +249,12 @@ def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
                 break
         if skip:
             continue
-        if power_count is not None:
+        if bound is not None:
             # homogeneous input: the sugar is deg l, and pairs come by degree
             if sugar != deficit_degree:
                 deficit_degree = sugar
-                deficit = power_count(sugar) - len(degree_part(ctx, leads, sugar))
+                deficit = (hilbert_function(ctx, MonomialIdeal(ctx.nvars, minimalize(leads)), sugar)
+                           - hilbert_function(ctx, bound, sugar))
             if not deficit:
                 continue
         h, _ = _reduce(guard, _s_polynomial(divisors[i], divisors[j], l), divisors)

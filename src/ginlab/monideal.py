@@ -2,7 +2,9 @@
 
 The Hilbert series numerator of a monomial ideal is a function of its minimal
 generators alone, so it is computed once per distinct generator set per
-process, and every equal `MonomialIdeal` reads the same tuple.
+process, and every equal `MonomialIdeal` reads the same tuple.  `degree_part`
+packs a degree-m slice into ints for `graded_monomials` and the gin trials'
+comparison; `slice_monomials` reads such a set back along the degree-m chain.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ class MonomialIdeal:
 
     def graded_monomials(self, ctx: RingContext, m: int) -> tuple[Monomial, ...]:
         """Degree-m monomials inside the ideal, descending under ctx.order."""
-        part = degree_part(ctx, self.min_gens, m)
-        return tuple(u for u, c in zip(ctx.monomials(m), ctx.packs(m, pack_width(m))) if c in part)
+        return slice_monomials(ctx, degree_part(ctx, self.min_gens, m), m)
 
 
 @lru_cache(maxsize=None)
@@ -68,6 +69,11 @@ def degree_part(ctx: RingContext, gens, m: int) -> set[int]:
     for u in gens:
         part.update(map(encode(u).__add__, ctx.packs(m - sum(u), w)))
     return part
+
+
+def slice_monomials(ctx: RingContext, part: set[int], m: int) -> tuple[Monomial, ...]:
+    """The degree-m monomials whose packs lie in `part`, a `degree_part`, descending under ctx.order."""
+    return tuple(u for u, c in zip(ctx.monomials(m), ctx.packs(m, pack_width(m))) if c in part)
 
 
 def intersect(A: MonomialIdeal, B: MonomialIdeal) -> MonomialIdeal:

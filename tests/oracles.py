@@ -217,6 +217,18 @@ def regular_sequence_powers(ctx: RingContext, generators) -> list[Monomial] | No
     return [tuple(g.degree() * e for e in variable(ctx.nvars, i)) for i, g in enumerate(generators)]
 
 
+def power_multiples_count(ctx: RingContext, degrees):
+    """d -> the number of degree-d multiples of x_i^(d_i) for the degrees d_i, by inclusion-exclusion.
+
+    The common multiples of the powers in a set T are the multiples of their
+    product, so the count is sum_T (-1)^(|T|+1) dim S_(d - sum_T d_i) over the
+    nonempty sets T of powers.
+    """
+    terms = [((-1) ** (k + 1), sum(T))
+             for k in range(1, len(degrees) + 1) for T in combinations(degrees, k)]
+    return lambda d: sum(sign * ctx.dim(d - s) for sign, s in terms)
+
+
 def tuple_divisor(key, f: dict[Monomial, int]):
     """(lm, lc, tail) of the primitive multiple of f with lc > 0; the tail descends."""
     terms = sorted(f.items(), key=lambda t: key(t[0]))
@@ -301,8 +313,9 @@ def _int_terms(f: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
 
 
 def tuple_buchberger(ctx: RingContext, generators, full: bool = True):
-    """(divisors, nonzero): an unreduced basis as tuple (lm, lc, tail) and the number of
-    nonzero remainders, with the pair order, criteria and sugar of `groebner._buchberger`.
+    """(divisors, nonzero, reductions): an unreduced basis as tuple (lm, lc, tail), the
+    number of nonzero remainders and the number of divisions run, the generators' and the
+    S-pairs', with the pair order, criteria and sugar of `groebner._buchberger`.
 
     `full` divides every remainder to its normal form, as the kernel did
     before it stopped each division at its lead.
@@ -312,6 +325,7 @@ def tuple_buchberger(ctx: RingContext, generators, full: bool = True):
     sugars: list[int] = []
     nonzero = 0
     generators = [g for g in generators if g]
+    reductions = len(generators)
     for g in generators:
         h, _ = tuple_reduce(key, _int_terms(g)[0], divisors, full)
         if h:
@@ -320,7 +334,7 @@ def tuple_buchberger(ctx: RingContext, generators, full: bool = True):
             sugars.append(g.degree())
     unit_basis = [(unit(ctx.nvars), 1, [])]
     if any(sum(lm) == 0 for lm, _, _ in divisors):
-        return unit_basis, nonzero
+        return unit_basis, nonzero, reductions
 
     leads = [lm for lm, _, _ in divisors]
     powers = regular_sequence_powers(ctx, generators)
@@ -358,19 +372,20 @@ def tuple_buchberger(ctx: RingContext, generators, full: bool = True):
                            - len(degree_part(ctx, leads, sugar)))
             if not deficit:
                 continue
+        reductions += 1
         h, _ = tuple_reduce(key, tuple_s_polynomial(divisors[i], divisors[j], l), divisors, full)
         if not h:
             continue
         nonzero += 1
         d = tuple_divisor(key, h)
         if sum(d[0]) == 0:
-            return unit_basis, nonzero
+            return unit_basis, nonzero, reductions
         deficit -= 1
         divisors.append(d)
         leads.append(d[0])
         sugars.append(sugar)
         push_pairs(len(divisors) - 1)
-    return divisors, nonzero
+    return divisors, nonzero, reductions
 
 
 def tuple_reduced_basis(ctx: RingContext, divisors) -> tuple[Polynomial, ...]:

@@ -33,6 +33,7 @@ from oracles import (
     ideal_of,
     monic,
     monomial_ideal,
+    power_multiples_count,
     primitive,
     reduce,
     regular_sequence_powers,
@@ -433,7 +434,10 @@ def test_buchberger_matches_fraction_oracle(problem):
 
 
 def packed_run(ctx, gens):
-    """(basis, widths run at, nonzero remainders of the last run) of `groebner._buchberger`."""
+    """(basis, widths run at, nonzero remainders, divisions) of `groebner._buchberger`.
+
+    The last two count the last run, from which the basis comes.
+    """
     widths, nonzero = [], []
     real_basis, real_reduce = groebner._basis, groebner._reduce
 
@@ -449,7 +453,7 @@ def packed_run(ctx, gens):
 
     with patch.object(groebner, "_basis", basis), patch.object(groebner, "_reduce", reduce_):
         out = groebner._buchberger(ctx, groebner._packed(ctx, gens))
-    return out, widths, sum(nonzero)
+    return out, widths, sum(nonzero), len(nonzero)
 
 
 @settings(max_examples=150, deadline=None)
@@ -458,14 +462,16 @@ def packed_run(ctx, gens):
 @example((CTX2_LEX, [p("3/2*x0 + 1"), p("-2*x0")]))  # the unit ideal
 def test_packed_buchberger_matches_tuple_oracle(problem):
     ctx, gens = problem
-    basis, _, nonzero = packed_run(ctx, gens)
+    basis, _, nonzero, reductions = packed_run(ctx, gens)
     leads = [lm for lm, _, _ in basis]
-    # the same algorithm on exponent tuples: the same leads in the same order
-    divisors, oracle_nonzero = tuple_buchberger(ctx, gens, full=False)
+    # the same algorithm on exponent tuples: the same leads in the same order,
+    # and the same pairs reduced, so the Hilbert criterion skips the same ones
+    divisors, oracle_nonzero, oracle_reductions = tuple_buchberger(ctx, gens, full=False)
     assert leads == [lm for lm, _, _ in divisors]
     assert nonzero == oracle_nonzero
+    assert reductions == oracle_reductions
     # divisions to the full normal form, as before: the same answer
-    divisors, _ = tuple_buchberger(ctx, gens)
+    divisors, _, _ = tuple_buchberger(ctx, gens)
     assert minimalize(leads) == minimalize(lm for lm, _, _ in divisors)
     assert buchberger(ctx, Ideal(gens)) == tuple_reduced_basis(ctx, divisors)
 
@@ -477,7 +483,7 @@ def test_stopping_at_the_lead_can_change_the_pair_sequence_not_the_answer():
     gens = [p("6/7*x0*x1*x2 + 7/5*x1^2"), p("-2*x0*x1^2 + 3/4*x1^2*x2 + 1/3*x2^3 + 7/5*x2^2"),
             p("5*x0*x1*x2 - 8/5*x1 + 3/2*x2")]
     leads = [lm for lm, _, _ in groebner._buchberger(CTX2_LEX, groebner._packed(CTX2_LEX, gens))]
-    full, nonzero = tuple_buchberger(CTX2_LEX, gens)
+    full, nonzero, _ = tuple_buchberger(CTX2_LEX, gens)
     assert leads == [lm for lm, _, _ in full if lm != (0, 0, 8)]
     assert nonzero == len(leads) + 1
     assert minimalize(leads) == minimalize(lm for lm, _, _ in full)
@@ -503,11 +509,11 @@ CAPACITY_EDGE = [
 def test_packing_restarts_past_its_capacity(order, text):
     ctx = RingContext(3, order)
     gens = [p(t, 4) for t in text.split(";")]
-    basis, widths, nonzero = packed_run(ctx, gens)
+    basis, widths, nonzero, reductions = packed_run(ctx, gens)
     assert len(widths) > 1 and widths == sorted(widths)
-    divisors, oracle_nonzero = tuple_buchberger(ctx, gens, full=False)
+    divisors, oracle_nonzero, oracle_reductions = tuple_buchberger(ctx, gens, full=False)
     assert [lm for lm, _, _ in basis] == [lm for lm, _, _ in divisors]
-    assert nonzero == oracle_nonzero
+    assert (nonzero, reductions) == (oracle_nonzero, oracle_reductions)
     gb = buchberger(ctx, Ideal(gens))
     assert gb == tuple_reduced_basis(ctx, tuple_buchberger(ctx, gens)[0])
     # and full division by the reduced basis sends a member of the ideal to zero
@@ -567,7 +573,7 @@ HILBERT_CRITERION_CASES = {
 @pytest.mark.parametrize("name", sorted(HILBERT_CRITERION_CASES))
 def test_hilbert_criterion_matches_fraction_oracle(name):
     ctx, gens, has_bound = HILBERT_CRITERION_CASES[name]
-    assert (groebner._regular_sequence_count(ctx, groebner._packed(ctx, gens)) is not None) == has_bound
+    assert (groebner._bound_ideal(ctx, groebner._packed(ctx, gens)) is not None) == has_bound
     gb = buchberger(ctx, Ideal(gens))
     assert gb == fraction_buchberger(ctx, gens)
     leads = frozenset(g.leading(ctx)[0] for g in gb)
@@ -642,8 +648,8 @@ def test_regular_sequence_powers_match_k_product(problem):
 def test_regular_sequence_powers_not_applicable():
     assert regular_sequence_powers(CTX2, [p("x0")] * 4) is None
     assert regular_sequence_powers(CTX2, [p("x0^2 + x1")]) is None
-    assert groebner._regular_sequence_count(CTX2, groebner._packed(CTX2, [p("x0")] * 4)) is None
-    assert groebner._regular_sequence_count(CTX2, groebner._packed(CTX2, [p("x0^2 + x1")])) is None
+    assert groebner._bound_ideal(CTX2, groebner._packed(CTX2, [p("x0")] * 4)) is None
+    assert groebner._bound_ideal(CTX2, groebner._packed(CTX2, [p("x0^2 + x1")])) is None
     assert regular_sequence_bound(CTX2, [p("x0")] * 4) is None
     assert regular_sequence_powers(CTX2, []) == []
 
@@ -652,13 +658,17 @@ def test_regular_sequence_powers_not_applicable():
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.integers(1, 6), min_size=1, max_size=n + 1), st.integers(0, 25))))
 def test_regular_sequence_count_matches_enumeration(problem):
-    # the inclusion-exclusion count of the powers' degree-d multiples against the slice
+    # the criterion's bound ideal and the inclusion-exclusion count of the
+    # powers' degree-d multiples, each against the slice
     n, degrees, d = problem
     ctx = RingContext(n, Lex())
     gens = [Polynomial.variable(n + 1, i) ** k for i, k in enumerate(degrees)]
     powers = regular_sequence_powers(ctx, gens)
-    count = groebner._regular_sequence_count(ctx, groebner._packed(ctx, gens))
-    assert count(d) == len(degree_part(ctx, powers, d))
+    bound = groebner._bound_ideal(ctx, groebner._packed(ctx, gens))
+    assert bound.min_gens == frozenset(powers)
+    count = len(degree_part(ctx, powers, d))
+    assert ctx.dim(d) - hilbert_function(ctx, bound, d) == count
+    assert power_multiples_count(ctx, degrees)(d) == count
 
 
 CI_23_P3 = [
