@@ -9,8 +9,10 @@ out of resources (`MemoryError`, `RecursionError`) or raises another
 
 `revlex-lemma` counts S_l times each segment instead of listing it, and
 `degeneracy` reads each sample's top Plücker coordinate without a canonical
-matrix: off one monomial, lm(f) * x_n^(m-d), for a hypersurface f, and off
-one count x count minor of the evaluation matrix for a set of points.
+matrix: off one monomial, lm(f) * x_n^(m-d), for a hypersurface f, with lm(f)
+the monomial of the form's first nonzero coefficient drawn, and off one
+count x count minor of the evaluation matrix for a set of points, for which
+only the minor's columns are evaluated.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import linalg
-from .families import derive_seed, evaluations, random_form, random_ideal, random_points
+from .families import derive_seed, evaluations, random_ideal, random_lead, random_points
 from .gin import certified_initial_ideal, generic_initial_ideal, index_at_degree, is_borel_fixed
 from .grassmann import names_and_rank
 from .groebner import Ideal
@@ -243,15 +245,16 @@ def run_degeneracy(kind: str, n: int, m: int, samples: int, seed: int,
     for s in range(samples):
         rng = random.Random(derive_seed(seed, s))
         if kind == "hypersurface":
-            f = random_form(ctx, d, rng, bound)
-            nonzero = not dim or mul(f.leading(ctx)[0], tail) == alpha_star[-1]
+            lead = random_lead(ctx, d, rng, bound)  # drawn even when dim = 0: bound < 1 raises
+            nonzero = not dim or mul(lead, tail) == alpha_star[-1]
         else:
             # I_m = ker E for the evaluation matrix E; by Plücker duality
             # p_alpha*(ker E) = +-det E[:, last count columns], and a nonzero
-            # minor already proves rank E = count, so only a zero one needs the rank
-            E = evaluations(ctx, random_points(ctx, count, rng, bound), m)
-            nonzero = linalg.det([row[dim_expected:] for row in E]) != 0
-            dim = dim_expected if nonzero else ctx.dim(m) - linalg.rank(E, ctx.dim(m))
+            # minor already proves rank E = count, so only a zero one needs E and its rank
+            points, cols = random_points(ctx, count, rng, bound), ctx.monomials(m)
+            nonzero = linalg.det(evaluations(points, cols[dim_expected:])) != 0
+            dim = dim_expected if nonzero else (
+                len(cols) - linalg.rank(evaluations(points, cols), len(cols)))
         if dim != dim_expected:
             raise CliError(f"sample {s} has unexpected dimension {dim} != {dim_expected}")
         if not nonzero:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from itertools import cycle, islice
 from math import gcd, prod
 
 from . import linalg
 from .grassmann import SubspaceBasis, subspace_from_vectors
 from .groebner import Ideal
-from .orders import RingContext
+from .orders import Monomial, RingContext
 from .poly import Polynomial
 
 _MASK = (1 << 63) - 1
@@ -22,15 +23,28 @@ def derive_seed(seed: int, *parts: int) -> int:
     return h
 
 
-def random_form(ctx: RingContext, degree: int, rng: random.Random, bound: int = 100) -> Polynomial:
-    """Dense random form with integer coefficients in [-bound, bound], never zero."""
+def _draws(ctx: RingContext, degree: int, rng: random.Random, bound: int):
+    """Pairs (u, c) for u over ``ctx.monomials(degree)`` repeated, c drawn in [-bound, bound] as read."""
     if bound < 1:
         raise ValueError("coefficient bound must be at least 1")
-    monomials = ctx.monomials(degree)
+    return ((u, rng.randint(-bound, bound)) for u in cycle(ctx.monomials(degree)))
+
+
+def random_form(ctx: RingContext, degree: int, rng: random.Random, bound: int = 100) -> Polynomial:
+    """Dense random form with integer coefficients in [-bound, bound]; a zero batch is drawn again."""
+    draws, size = _draws(ctx, degree, rng, bound), ctx.dim(degree)
     while True:
-        f = Polynomial({e: rng.randint(-bound, bound) for e in monomials})
+        f = Polynomial(islice(draws, size))
         if f:
             return f
+
+
+def random_lead(ctx: RingContext, degree: int, rng: random.Random, bound: int = 100) -> Monomial:
+    """The leading monomial of `random_form` with these arguments: that of its first nonzero draw.
+
+    The monomials come in descending order, so the draws after that one are never read.
+    """
+    return next(u for u, c in _draws(ctx, degree, rng, bound) if c)
 
 
 def random_ideal(ctx: RingContext, degrees, rng: random.Random, bound: int = 100) -> Ideal:
@@ -76,12 +90,12 @@ def _point_count(n: int, b: int) -> int:
     return sum(mu[k] * ((2 * (b // k) + 1) ** (n + 1) - 1) for k in range(1, b + 1)) // 2
 
 
-def evaluations(ctx: RingContext, points, m: int) -> list[list[int]]:
-    """The evaluation matrix: a row per point, its value at each of ``ctx.monomials(m)``."""
-    cols = ctx.monomials(m)
+def evaluations(points, cols) -> list[list[int]]:
+    """The evaluation matrix on the columns `cols`: a row per point, its value at each monomial."""
     return [[prod(c**k for k, c in zip(u, pt) if k) for u in cols] for pt in points]
 
 
 def points_hilbert_point(ctx: RingContext, points, m: int) -> SubspaceBasis:
     """Degree-m forms vanishing at the points: the kernel of the evaluation matrix, canonicalized."""
-    return subspace_from_vectors(ctx, m, linalg.kernel(evaluations(ctx, points, m), ctx.dim(m)))
+    cols = ctx.monomials(m)
+    return subspace_from_vectors(ctx, m, linalg.kernel(evaluations(points, cols), len(cols)))

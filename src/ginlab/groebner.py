@@ -37,7 +37,7 @@ from math import gcd
 
 from . import linalg
 from .monideal import MonomialIdeal, minimalize
-from .orders import Monomial, RingContext, lcm, mul, pack_width, unit
+from .orders import Monomial, RingContext, divides, lcm, mul, pack_width, unit
 from .poly import Packed, Polynomial, _primitive, pack
 
 _F0 = Fraction(0)
@@ -216,6 +216,8 @@ def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
     from .hilbert import hilbert_function  # hilbert imports this module
 
     bound = _bound_ideal(ctx, generators)
+    # a new lead is divisible by no earlier one, so the minimal leads only lose those it divides
+    kept = minimalize(leads)
     deficit_degree = deficit = -1
     heap: list = []
 
@@ -253,7 +255,7 @@ def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
             # homogeneous input: the sugar is deg l, and pairs come by degree
             if sugar != deficit_degree:
                 deficit_degree = sugar
-                deficit = (hilbert_function(ctx, MonomialIdeal(ctx.nvars, minimalize(leads)), sugar)
+                deficit = (hilbert_function(ctx, MonomialIdeal(ctx.nvars, kept), sugar)
                            - hilbert_function(ctx, bound, sugar))
             if not deficit:
                 continue
@@ -268,6 +270,7 @@ def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
         divisors.append(d)
         leads.append(lm)
         ecarts.append(sugar - sum(lm))
+        kept = frozenset(u for u in kept if not divides(lm, u)) | {lm}
         push_pairs(len(divisors) - 1)
     return [(lm, lc, tail) for lm, (_, lc, tail) in zip(leads, divisors)]
 

@@ -7,7 +7,7 @@ previous pivot keeps every intermediate entry an integer minor of the input.
 Back-substitution stays fraction-free too: each echelon row, divided by its
 content, clears its pivot column from the rows above by integer
 cross-multiplication.  Fractions appear only when `rref` writes its output,
-one per nonzero entry, and when `det` applies the row scales.
+one per nonzero entry, and once at the return of `det`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ Row = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 
 
-def primitive_int_row(row: Sequence, ncols: int) -> tuple[list[int], Fraction]:
-    """A primitive integer row v and the scale s with row == s * v (s = 0 for a zero row)."""
+def primitive_int_row(row: Sequence, ncols: int) -> tuple[list[int], int, int]:
+    """Primitive integer row v, content g (0 for a zero row) and denominator den: row == g/den * v."""
     if len(row) != ncols:
         raise ValueError("row length does not match column count")
     den = lcm(*(x.denominator for x in row))
@@ -30,7 +30,7 @@ def primitive_int_row(row: Sequence, ncols: int) -> tuple[list[int], Fraction]:
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    return ints, Fraction(g, den)
+    return ints, g, den
 
 
 def _integer_rows(rows: Iterable[Sequence], ncols: int) -> list[list[int]]:
@@ -121,16 +121,17 @@ def det(rows: Sequence[Sequence]) -> Fraction:
         raise ValueError("determinant requires a square matrix")
     if n == 0:
         return Fraction(1)
-    scale = Fraction(1)
+    content = den = 1
     work: list[list[int]] = []
     for row in rows:
-        ints, s = primitive_int_row(row, n)
+        ints, g, q = primitive_int_row(row, n)
         work.append(ints)
-        scale *= s
+        content *= g
+        den *= q
     pivots, sign = _forward_eliminate(work, n)
     if len(pivots) < n:
         return Fraction(0)
-    return sign * work[n - 1][n - 1] * scale
+    return Fraction(sign * work[n - 1][n - 1] * content, den)
 
 
 def kernel(rows: Iterable[Sequence], ncols: int) -> list[Row]:

@@ -146,12 +146,6 @@ class Polynomial:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def leading(self, ctx: RingContext) -> tuple[Monomial, Fraction]:
-        if not self.terms:
-            raise ValueError("leading term of the zero polynomial")
-        e = ctx.descending(self.terms)[0]
-        return e, self.terms[e]
-
     def __repr__(self) -> str:
         from .parsing import polynomial_str
 
@@ -212,10 +206,10 @@ def pack(ctx: RingContext, f: Polynomial, bits: int) -> Packed:
     """Nonzero f as `Packed` at ctx.packing(bits), which must hold its exponents."""
     for e in f.terms:
         ctx.check(e)
-    ints, content = linalg.primitive_int_row(tuple(f.terms.values()), len(f.terms))
+    ints, g, den = linalg.primitive_int_row(tuple(f.terms.values()), len(f.terms))
     terms, h = _primitive(dict(zip(map(ctx.packing(bits).encode, f.terms), ints)))
     degrees = set(map(sum, f.terms))
-    return Packed(terms, content * h, bits, max(degrees), len(degrees) == 1)
+    return Packed(terms, Fraction(g * h, den), bits, max(degrees), len(degrees) == 1)
 
 
 def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial | Packed):

@@ -78,9 +78,17 @@ def order_key(order, nvars: int):
 # --- polynomials, matrices and changes of variables -------------------------
 
 
+def leading(ctx: RingContext, f: Polynomial) -> tuple[Monomial, Fraction]:
+    """The leading monomial of f under ctx.order and its coefficient."""
+    if not f.terms:
+        raise ValueError("leading term of the zero polynomial")
+    e = ctx.descending(f.terms)[0]
+    return e, f.terms[e]
+
+
 def monic(ctx: RingContext, f: Polynomial) -> Polynomial:
     """f divided by its leading coefficient under ctx.order."""
-    _, c = f.leading(ctx)
+    _, c = leading(ctx, f)
     return Polynomial({e: v / c for e, v in f.terms.items()})
 
 
@@ -88,7 +96,7 @@ def primitive(f: Polynomial) -> Polynomial:
     """f with denominators cleared and the integer content divided out."""
     if not f.terms:
         return f
-    ints, _ = linalg.primitive_int_row(tuple(f.terms.values()), len(f.terms))
+    ints, _, _ = linalg.primitive_int_row(tuple(f.terms.values()), len(f.terms))
     return Polynomial(dict(zip(f.terms, ints)))
 
 
@@ -308,8 +316,8 @@ def tuple_reduce(key, work: dict[Monomial, int], divisors, full: bool = True):
 
 def _int_terms(f: Polynomial) -> tuple[dict[Monomial, int], Fraction]:
     """A primitive integer polynomial and the scale that maps it back to f."""
-    ints, scale = linalg.primitive_int_row(tuple(f.terms.values()), len(f.terms))
-    return dict(zip(f.terms, ints)), scale
+    ints, g, den = linalg.primitive_int_row(tuple(f.terms.values()), len(f.terms))
+    return dict(zip(f.terms, ints)), Fraction(g, den)
 
 
 def tuple_buchberger(ctx: RingContext, generators, full: bool = True):
@@ -796,7 +804,7 @@ def weight_vector_for_order(ctx: RingContext, basis) -> WeightVector:
         raise ValueError("weight vector needs a nonempty basis")
     diffs: list[Monomial] = []
     for f in basis:
-        lead, _ = f.leading(ctx)
+        lead, _ = leading(ctx, f)
         for e in f.terms:
             if e != lead:
                 diffs.append(tuple(a - b for a, b in zip(lead, e)))

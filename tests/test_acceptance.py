@@ -37,6 +37,7 @@ from ginlab.poly import apply_change
 
 from conftest import MASTER_SEED, exhaustive_limit_oracle
 from oracles import (
+    leading,
     monomial_ideal,
     one_ps_limit_check,
     random_subspace,
@@ -222,7 +223,7 @@ def test_c8_weight_vectors_and_torus_limits(certified):
         gb = buchberger(ctx, I)
         omega = weight_vector_for_order(ctx, gb)  # strict inequalities re-checked inside
         for f in gb:
-            lead, _ = f.leading(ctx)
+            lead, _ = leading(ctx, f)
             lead_w = sum(a * b for a, b in zip(omega.omega, lead))
             for e in f.terms:
                 if e != lead:

@@ -37,6 +37,7 @@ from oracles import (
     ideal_of,
     index_rank,
     initial_subspace,
+    leading,
     monomial_ideal,
     one_ps_limit_check,
     schubert_cell_index,
@@ -465,7 +466,7 @@ class TestWeightVector:
         gb = buchberger(CTX3, twisted_cubic_ideal())
         w = weight_vector_for_order(CTX3, gb)
         for f in gb:
-            lead, _ = f.leading(CTX3)
+            lead, _ = leading(CTX3, f)
             lead_w = sum(a * b for a, b in zip(w.omega, lead))
             for e in f.terms:
                 if e != lead:

@@ -5,7 +5,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_key
@@ -30,6 +30,7 @@ from oracles import (
     INCOMPARABLE,
     compare_indices,
     initial_subspace,
+    leading,
     make_index,
     mat_mul,
     monomial_ideal,
@@ -81,13 +82,16 @@ class TestSubspaceFromPolynomials:
 
 
 def one_sample_reading(kind, n, m, sample, **size):
-    """`run_degeneracy` on the one given sample (a form or a point list).
+    """`run_degeneracy` on the one given sample (a form, given to it as its lead, or a point list).
 
     Returns (top coordinate nonzero, explicit_all_vanished or None), or None
     when the command refuses the sample's dimension.
     """
-    source = "random_form" if kind == "hypersurface" else "random_points"
-    with mock.patch.object(cli, source, lambda *args: sample):
+    if kind == "hypersurface":
+        source, drawn = "random_lead", leading(RingContext(n, GrevLex()), sample)[0]
+    else:
+        source, drawn = "random_points", sample
+    with mock.patch.object(cli, source, lambda *args: drawn):
         try:
             report, _ = cli.run_degeneracy(kind, n, m, 1, 0, **size)
         except cli.CliError:
@@ -164,6 +168,18 @@ class TestDegeneracyReadings:
         points = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)]
         assert points_hilbert_point(CTX2, points, 2).d == 3
         assert one_sample_reading("points", 2, 2, points, count=4) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([GrevLex(), Lex()]), st.integers(1, 4), st.integers(1, 3),
+       st.integers(0, 2**32))
+# P^1, d = 1, bound 1: seed 0 draws one zero batch, then -1 for x0; seed 16 two, then 0 and -1
+@example(1, GrevLex(), 1, 1, 0)
+@example(1, GrevLex(), 1, 1, 16)
+def test_random_lead_is_the_lead_of_random_form(n, order, d, bound, seed):
+    ctx = RingContext(n, order)
+    f = families.random_form(ctx, d, random.Random(seed), bound)
+    assert families.random_lead(ctx, d, random.Random(seed), bound) == leading(ctx, f)[0]
 
 
 def test_random_points_are_distinct_integer_points():

@@ -37,6 +37,7 @@ from oracles import (
     fraction_macaulay_rep,
     hilbert_polynomial_str,
     initialized_hilbert_polynomial,
+    leading,
     macaulay_polynomial,
     monomial_ideal,
     term_polynomial_str,
@@ -79,7 +80,7 @@ def segment_oracle(ctx, P):
 
 
 def closed_form(ctx, P):
-    return {g.leading(ctx)[0] for g in lex_segment_ideal(ctx, P).generators}
+    return {leading(ctx, g)[0] for g in lex_segment_ideal(ctx, P).generators}
 
 
 def outcome(build, ctx, P):

@@ -187,12 +187,16 @@ def test_det_singular_and_identity():
 
 @st.composite
 def square_matrices(draw):
-    """Square int or rational matrices, about half made singular by a dependent row."""
+    """Square int or rational matrices, about half made singular by a dependent row.
+
+    The ints are small or, as the entries of evaluation minors are, up to 10^12.
+    """
     n = draw(st.integers(1, 5))
-    if draw(st.booleans()):
-        entry = st.integers(-4, 4)
-    else:
-        entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    entry = draw(st.sampled_from([
+        st.integers(-4, 4),
+        st.integers(-10**12, 10**12),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    ]))
     mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
     if draw(st.booleans()):
         # one row becomes a combination of the others (the zero row when n = 1)
@@ -201,6 +205,14 @@ def square_matrices(draw):
         mat[k] = [sum((c * row[j] for i, (c, row) in enumerate(zip(coeffs, mat)) if i != k),
                       Fraction(0)) for j in range(n)]
     return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_det_is_the_permutation_expansion_as_a_fraction(mat):
+    value = linalg.det(mat)
+    assert type(value) is Fraction
+    assert value == perm_det(mat)
 
 
 @settings(max_examples=300, deadline=None)

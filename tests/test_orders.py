@@ -23,6 +23,7 @@ from oracles import (
     formatted_strings,
     index_rank,
     key_sorted_monomials,
+    leading,
     positions_rank,
 )
 
@@ -131,7 +132,7 @@ def test_key_agrees_with_order_matrix(order, data):
     ctx = RingContext(n, order)
     expected = sorted(mons, key=lambda u: oracle_key(order, u), reverse=True)
     assert ctx.descending(mons) == expected
-    assert Polynomial(dict.fromkeys(mons, 1)).leading(ctx)[0] == expected[0]
+    assert leading(ctx, Polynomial(dict.fromkeys(mons, 1)))[0] == expected[0]
 
 
 def test_order_matrices():
