@@ -11,6 +11,7 @@ Schubert index at the certification degree is lex-maximal among `trials`
 seeded random changes.
 A gin packs I's generators once, and its trials are packed end to end, from
 `apply_change` to `initial_ideal`: the only `Polynomial`s are I's, for the report.
+Each g·f is one Horner walk down f's degrees, so a form of any degree keeps a flat stack.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ def minimalize(gens) -> frozenset[Monomial]:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal given by its (automatically minimalized) generators."""
+    """Monomial ideal on its generators as given, which equality compares; the library minimalizes them."""
 
     nvars: int
     min_gens: frozenset[Monomial]
@@ -41,7 +41,7 @@ class MonomialIdeal:
         return any(divides(g, m) for g in self.min_gens)
 
     def gens_sorted(self, ctx: RingContext) -> tuple[Monomial, ...]:
-        """The minimal generators, descending under ctx.order."""
+        """The generators, descending under ctx.order."""
         return tuple(ctx.descending(self.min_gens))
 
     def graded_monomials(self, ctx: RingContext, m: int) -> tuple[Monomial, ...]:
@@ -53,7 +53,7 @@ class MonomialIdeal:
 def _numerator_of(min_gens: frozenset[Monomial]) -> tuple[int, ...]:
     from .hilbert import _numerator
 
-    return tuple(_numerator(min_gens))
+    return tuple(_numerator(minimalize(min_gens)))
 
 
 def degree_part(ctx: RingContext, gens, m: int) -> set[int]:

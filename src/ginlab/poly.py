@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over Q, their packed form, and linear changes of variables.
 
 A `Polynomial` maps exponent tuples to `Fraction` coefficients.  `pack` gives
-its `Packed` form, which `apply_change` expands on Python ints and Buchberger's
-algorithm reads, so a gin trial is packed end to end; only `apply_change` of a
-`Polynomial` converts back to one, once, at its return.
+its `Packed` form, which `apply_change` expands on Python ints by Horner's
+scheme and Buchberger's algorithm reads, so a gin trial is packed end to end;
+only `apply_change` of a `Polynomial` converts back to one, once, at its return.
 """
 
 from __future__ import annotations
@@ -158,12 +158,6 @@ class LinearChange:
 
     The standard Borel for the variable chain x0 > ... > xn is upper
     triangular, its opposite lower triangular; either is read off the matrix.
-
-    A change also keeps, for each packing, the table of products y^e that
-    `apply_change` has expanded, so the generators of an ideal share them.
-    The table is not a field: equality, hashing and repr see only the matrix.
-    It holds pure functions of the matrix, so concurrent calls that fill it
-    write equal values.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -176,8 +170,6 @@ class LinearChange:
         object.__setattr__(self, "matrix", mat)
         if linalg.rank(mat, n) != n:
             raise ValueError("change of variables must be invertible")
-        # packing -> {M(e): (packed y^e, |e|)}, filled by apply_change
-        object.__setattr__(self, "_products", {})
 
     @property
     def nvars(self) -> int:
@@ -217,9 +209,11 @@ def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial | Packed):
 
     x_i maps to y_i / D, D the matrix's common denominator and y_i integral:
     a term of degree k is scaled by D^(d - k), d = deg f, and the content is
-    divided by D^d.  y^e is built a factor at a time, the last variable of x^e
-    first, and kept in g's table for the packing for every x^e it passes, so
-    the terms of f, and every later polynomial changed by g, share them.
+    divided by D^d.  The sum is taken by the multivariate Horner scheme (Peña
+    and Sauer, SIAM J. Numer. Anal. 2000), a degree at a time from d down and
+    without recursion: a node x^M, M a prefix of f's monomials, holds the sum
+    of the scaled c * y^(e - M) over f's terms c * x^e through it, and is
+    multiplied by y_i into its parent x^(M - x_i), x_i its last variable.
     """
     if isinstance(f, Polynomial):
         if not f:
@@ -236,31 +230,19 @@ def apply_change(ctx: RingContext, g: LinearChange, f: Polynomial | Packed):
         {xs[j]: x.numerator * (D // x.denominator) for j, x in enumerate(row) if x}
         for row in g.matrix
     ]
-    products = g._products.setdefault(packing, {0: ({0: 1}, 0)})
-
-    def product(m: int) -> tuple[dict[int, int], int]:
-        """(y^e, |e|) for the monomial x^e packed as m."""
-        p = products.get(m)
-        if p is None:
-            i = ((m % (1 << w * ctx.nvars)).bit_length() - 1) // w  # x^e's last variable
-            q, k = product(m - xs[i])
-            p = products[m] = (_int_product(q, images[i]), k + 1)
-        return p
-
-    out: dict[int, int] = {}
+    d, low, digit = f.degree, (1 << w * ctx.nvars) - 1, (1 << w) - 1
+    levels: list[dict[int, dict[int, int]]] = [{} for _ in range(d + 1)]
     for m, c in f.terms.items():
-        y, k = product(m)
-        c *= D ** (f.degree - k)
-        for e, v in y.items():
-            out[e] = out.get(e, 0) + c * v
-    terms, h = _primitive({e: v for e, v in out.items() if v})
-    return f._replace(terms=terms, content=f.content * h / D**f.degree)
-
-
-def _int_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
+        k = (m & low) % digit  # the sum of m's exponent fields, as it is at most d < 2^w - 1
+        levels[k][m] = {0: c * D ** (d - k)}
+    while len(levels) > 1:
+        level, below = levels.pop(), levels[-1]
+        for m, value in level.items():
+            i = ((m & low).bit_length() - 1) // w  # x^m's last variable
+            parent = below.setdefault(m - xs[i], {})
+            for y, a in images[i].items():
+                for e, v in value.items():
+                    e += y
+                    parent[e] = parent.get(e, 0) + a * v
+    terms, h = _primitive({e: v for e, v in levels[0][0].items() if v})
+    return f._replace(terms=terms, content=f.content * h / D**d)

@@ -5,7 +5,7 @@ because only tests call it: the factor-by-factor polynomial parser, normal
 forms, the tuple sort key `order_key` of an order matrix, the tuple
 Buchberger kernel and the `order_key` sort of a degree slice, the
 coefficient-list Hilbert polynomial, the term-at-a-time polynomial printer,
-the Hilbert polynomial's own printer and constructor, the `Fraction` binomials, Gotzmann
+the product-table change of coordinates, the Hilbert polynomial's own printer and constructor, the `Fraction` binomials, Gotzmann
 expansion and h-vector sum, index ranks by a table of places, index
 names and ranks formatted and encoded per monomial, a points sample read rank first, the
 enumerating and the counting certification, index comparisons, weight vectors and the
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+import math
 from math import comb, factorial, gcd, prod
 from typing import NamedTuple
 
@@ -53,7 +54,7 @@ from ginlab.hilbert import hilbert_polynomial_of_monomial_ideal
 from ginlab.monideal import MonomialIdeal, degree_part, minimalize
 from ginlab.orders import Monomial, RingContext, divides, lcm, mul, pack_width, unit, variable
 from ginlab.parsing import ParseError, monomial_str, parse_expression
-from ginlab.poly import LinearChange, Polynomial
+from ginlab.poly import LinearChange, Packed, Polynomial, _primitive
 
 # --- the tuple sort key of a monomial order ---------------------------------
 
@@ -118,6 +119,52 @@ def mat_mul(a, b):
         tuple(sum((row[k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols))
         for row in a
     )
+
+
+def product_table_apply_change(ctx: RingContext, g: LinearChange, f: Packed, products=None) -> Packed:
+    """g·f by a table of the products y^e, each built from its prefix's, then summed term by term.
+
+    y_i is the integral image of x_i, D times its row; a term of degree k is
+    scaled by D^(d - k), as `apply_change` scales it.  `products`, the table
+    {M(e): (packed y^e, |e|)} at f's packing, may be shared by the forms that
+    one change moves, as the library once kept it on the change.
+    """
+    packing = ctx.packing(f.bits)
+    xs, w = packing.scales, packing.width
+    D = math.lcm(*(x.denominator for row in g.matrix for x in row))
+    images = [
+        {xs[j]: x.numerator * (D // x.denominator) for j, x in enumerate(row) if x}
+        for row in g.matrix
+    ]
+    products = {} if products is None else products
+    products.setdefault(0, ({0: 1}, 0))
+
+    def product(m: int) -> tuple[dict[int, int], int]:
+        """(y^e, |e|) for the monomial x^e packed as m."""
+        p = products.get(m)
+        if p is None:
+            i = ((m % (1 << w * ctx.nvars)).bit_length() - 1) // w  # x^e's last variable
+            q, k = product(m - xs[i])
+            p = products[m] = (_int_product(q, images[i]), k + 1)
+        return p
+
+    out: dict[int, int] = {}
+    for m, c in f.terms.items():
+        y, k = product(m)
+        c *= D ** (f.degree - k)
+        for e, v in y.items():
+            out[e] = out.get(e, 0) + c * v
+    terms, h = _primitive({e: v for e, v in out.items() if v})
+    return f._replace(terms=terms, content=f.content * h / D**f.degree)
+
+
+def _int_product(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
 
 
 def parse_polynomial_by_factors(text: str, nvars: int) -> Polynomial:

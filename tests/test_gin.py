@@ -314,6 +314,14 @@ def test_equal_monomial_ideals_read_one_numerator():
     assert B.numerator is A.numerator
 
 
+def test_numerator_of_generators_as_given_is_that_of_their_minimal_subset():
+    # x2^2 divides x1*x2^3; Bigatti's recursion on both once found no exponent to pivot on
+    given = MonomialIdeal(3, frozenset({(0, 0, 2), (0, 1, 3)}))
+    minimal = MonomialIdeal(3, frozenset({(0, 0, 2)}))
+    assert given != minimal
+    assert given.numerator == minimal.numerator == (1, 0, -1)
+
+
 # Monomials the enumerating oracle may list, summed over the degrees it builds
 # an index at: about 0.1 s here.  Some draws reach m > 300, where it lists
 # millions and takes up to a minute.

@@ -1,6 +1,8 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +11,14 @@ from hypothesis import strategies as st
 from ginlab.orders import GrevLex, Lex, RingContext, WeightOrder, pack_width
 from ginlab.parsing import ParseError, parse_polynomial, polynomial_str
 from ginlab.poly import LinearChange, Polynomial, apply_change, pack
-from oracles import identity_change, leading, mat_mul, primitive, term_polynomial_str
+from oracles import (
+    identity_change,
+    leading,
+    mat_mul,
+    primitive,
+    product_table_apply_change,
+    term_polynomial_str,
+)
 
 
 def p(text, nvars=3):
@@ -290,6 +299,76 @@ def test_packed_change_matches_fraction_oracle(problem):
     assert decode(min(moved.terms)) == leading(ctx, expected)[0]
     assert (moved.bits, moved.degree, moved.homogeneous) == (bits, f.degree(), f.is_homogeneous())
     assert apply_change(ctx, g, f) == expected
+
+
+@st.composite
+def forms_through_one_change(draw):
+    """A change with D > 1 on request, 1-3 forms of degree 0-6 in 2-6 variables, and a width.
+
+    A form is dense, every monomial of its degree with a nonzero int, or
+    sparse, a few rational terms up to its degree and one at it; on request it
+    also has a constant term, so that it is not homogeneous.
+    """
+    ctx = RingContext(draw(st.integers(1, 5)), draw(st.sampled_from([GrevLex(), Lex()])))
+    nv = ctx.nvars
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    rows = draw(st.lists(st.lists(entries, min_size=nv, max_size=nv), min_size=nv, max_size=nv))
+    scale = Fraction(1, draw(st.integers(1, 6)))  # D > 1 for integral rows too
+    try:
+        g = LinearChange(tuple(tuple(x * scale for x in r) for r in rows))
+    except ValueError:
+        assume(False)
+    fs = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(0, 6))
+        if draw(st.booleans()):
+            rng = random.Random(draw(st.integers(0, 2**32)))
+            terms = {e: rng.choice((-1, 1)) * rng.randint(1, 9) for e in ctx.monomials(d)}
+        else:
+            below = st.lists(st.integers(0, nv - 1), max_size=max(d - 1, 0)).map(
+                lambda indices: tuple(indices.count(i) for i in range(nv)))
+            terms = draw(st.dictionaries(below, entries, max_size=5))
+            terms[draw(st.sampled_from(ctx.monomials(d)))] = draw(entries.filter(bool))
+        if draw(st.booleans()):
+            terms[(0,) * nv] = draw(entries.filter(bool))
+        fs.append(Polynomial(terms))
+    top = max(f.degree() for f in fs)
+    return ctx, g, fs, draw(st.sampled_from([pack_width(top), 2 * pack_width(top)]))
+
+
+def dense_quintic_in_p5():
+    """A dense quintic in P^5 and a change with D = 60, too large for the `Fraction` oracle."""
+    ctx = RingContext(5, GrevLex())
+    g = LinearChange(tuple(
+        tuple(Fraction((7 * i + 3 * j * j) % 11 - 5, 1 + (i + j) % 5) for j in range(6))
+        for i in range(6)))
+    f = Polynomial({e: (k % 17 - 8) or 9 for k, e in enumerate(ctx.monomials(5))})
+    return ctx, g, [f, -f * Fraction(2, 3)], 6
+
+
+@settings(max_examples=80, deadline=None)
+@given(forms_through_one_change())
+@example(dense_quintic_in_p5())
+def test_apply_change_matches_product_table_oracle(problem):
+    ctx, g, fs, bits = problem
+    products = {}  # the oracle's table, shared by the forms as the library's was
+    for f in fs:
+        packed = pack(ctx, f, bits)
+        assert apply_change(ctx, g, packed) == product_table_apply_change(ctx, g, packed, products)
+
+
+def test_apply_change_to_a_high_degree_keeps_a_flat_stack():
+    # a walk that recursed once per factor would need 300 frames above this one
+    ctx = RingContext(1, GrevLex())
+    g = LinearChange(((1, 1), (1, -1)))
+    f = p("x0^300 + x1^300", 2)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 200)
+    try:
+        out = apply_change(ctx, g, f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out == Polynomial({(300 - k, k): 2 * comb(300, k) for k in range(0, 301, 2)})
 
 
 def test_linear_change_validation():
