@@ -25,7 +25,15 @@ generic ones; these form a regular sequence, and every regular sequence of
 these degrees, the powers x_i^(d_i) among them, has one Hilbert function.  So
 HF(S/<leads>)_d >= HF(S/I)_d >= HF(S/<x_i^(d_i)>)_d, and once the outer two
 meet the leads span in(I)_d and every remaining pair of degree d reduces to
-zero.  Both sides are read by `hilbert.hilbert_function` off cached numerators.
+zero.  Both sides are read by `hilbert.hilbert_function` off cached numerators,
+and the count comes before the chain criterion's scan of the basis.  Once the
+two Hilbert series are equal, which the numerators show, <leads> = in(I) and
+the run stops: the certificate.  Such a run records its trace, the pairs that
+gave new elements (Traverso, "Groebner trace algorithms", ISSAC 1988), and a
+later run with the same ring, degrees and inter-reduced leads, such as the next
+member of a stratum or the next gin trial, reduces only those pairs and is
+kept only if the certificate holds.  Replay and certificate are exact over Q,
+as the full run is; no modular image is taken.
 """
 
 from __future__ import annotations
@@ -176,6 +184,11 @@ def _buchberger(ctx: RingContext, generators: list[Packed]) -> list:
     return _widened(ctx, generators, lambda packing, gens: _basis(ctx, packing, gens))
 
 
+# (ctx, generator degrees, leads of the inter-reduced generators) -> the pairs (i, j)
+# that gave new elements in a run that ended on the certificate, in order
+_traces: dict[tuple, list[tuple[int, int]]] = {}
+
+
 def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
     """A basis of generators packed at `packing`, as (lm, lc, tail): lm a tuple, the tail packed.
 
@@ -185,14 +198,27 @@ def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
     multiples x^(l - lm) * f, and a new element takes its pair's.  For
     homogeneous input the sugar is deg l, so this is the normal strategy.
 
-    Pairs that survive the coprime and chain criteria then meet Traverso's
-    Hilbert-driven criterion (see the module docstring), when `_bound_ideal`
-    applies.  At the first such pair of degree d the deficit
-    HF(S/<leads>)_d - HF(S/bound)_d is counted; each new element of degree d
-    lowers it by one, since its lead lies outside <leads>_d, and while it is 0
-    the pair's remainder would be 0 and it is skipped.
-    Skipped pairs count as done for the chain criterion, as reduced ones do,
-    so the basis and the pair order are those of the plain algorithm.
+    When `_bound_ideal` applies, pairs that survive the coprime criterion meet
+    Traverso's Hilbert-driven criterion (see the module docstring) before the
+    chain criterion's scan: the count is cheaper.  At the first such pair of
+    degree d the deficit HF(S/<leads>)_d - HF(S/bound)_d is counted; each new
+    element of degree d lowers it by one, since its lead lies outside
+    <leads>_d, and while it is 0 the pair's remainder would be 0 and it is
+    skipped.  Skipped pairs count as done for the chain criterion, as reduced
+    ones do, so the basis and the pair order are those of the plain algorithm.
+
+    The run stops on a certificate: once the minimal leads have the Hilbert
+    series of the bound, <leads> lies in in(I) with its Hilbert function, so
+    the two are equal and every pair left would reduce to zero.  It is checked
+    before the pair loop and after each element that brings the deficit to 0.
+    A run that stops on it records the pairs that gave new elements, by
+    Traverso's Groebner trace ("Groebner trace algorithms", ISSAC 1988), under
+    (ctx, generator degrees, inter-reduced leads).  A later run with that key
+    reduces only those pairs, and is accepted if none reduces to zero and the
+    certificate holds at the end; otherwise the full run goes on from the
+    inter-reduced generators and records its own trace.  The replay is exact
+    arithmetic over Q, like the full run, and its answer is certified, not
+    sampled.
 
     A pair's lcm l is formed on the tuple leads once, when the pair is pushed;
     the heap keeps M(l), and both criteria read it.  The leads are coprime
@@ -203,21 +229,53 @@ def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
     divisors: list = []
     leads: list[Monomial] = []
     ecarts: list[int] = []  # sugar minus lead degree
+    kept: frozenset[Monomial] = frozenset()  # the minimal leads
+
+    def append(h, sugar: int) -> Monomial:
+        nonlocal kept
+        divisors.append(_divisor(h))
+        lm = packing.decode(divisors[-1][0])
+        leads.append(lm)
+        ecarts.append(sugar - sum(lm))
+        # no earlier lead divides lm, since `_reduce` stops at the first term none divides,
+        # so the minimal leads only lose those lm divides
+        kept = frozenset(u for u in kept if not divides(lm, u)) | {lm}
+        return lm
+
     for g in generators:
         h, _ = _reduce(guard, dict(g.terms), divisors)  # a copy: a restart re-packs g
         if h:
-            divisors.append(_divisor(h))
-            leads.append(packing.decode(divisors[-1][0]))
-            ecarts.append(g.degree - sum(leads[-1]))
+            append(h, g.degree)
     unit_basis = [(unit(ctx.nvars), 1, [])]
     if any(sum(lm) == 0 for lm in leads):
         return unit_basis
 
+    def basis():
+        return [(lm, lc, tail) for lm, (_, lc, tail) in zip(leads, divisors)]
+
     from .hilbert import hilbert_function  # hilbert imports this module
 
     bound = _bound_ideal(ctx, generators)
-    # a new lead is divisible by no earlier one, so the minimal leads only lose those it divides
-    kept = minimalize(leads)
+    if bound is not None:
+        def certified() -> bool:
+            return MonomialIdeal(ctx.nvars, kept).numerator == bound.numerator
+
+        if certified():
+            return basis()
+        key = (ctx, tuple(g.degree for g in generators), tuple(leads))
+        start, start_kept, replay = len(divisors), kept, _traces.get(key, ())
+        for i, j in replay:
+            l = lcm(leads[i], leads[j])
+            h, _ = _reduce(guard, _s_polynomial(divisors[i], divisors[j], encode(l)), divisors)
+            if not h:
+                break
+            append(h, sum(l) + max(ecarts[i], ecarts[j]))
+        else:
+            if replay and certified():
+                return basis()
+        del divisors[start:], leads[start:], ecarts[start:]
+        kept = start_kept
+        trace: list[tuple[int, int]] = []
     deficit_degree = deficit = -1
     heap: list = []
 
@@ -238,6 +296,14 @@ def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
         l = -neg_l
         if l == divisors[i][0] + divisors[j][0]:  # coprime leads
             continue
+        if bound is not None:
+            # homogeneous input: the sugar is deg l, and pairs come by degree
+            if sugar != deficit_degree:
+                deficit_degree = sugar
+                deficit = (hilbert_function(ctx, MonomialIdeal(ctx.nvars, kept), sugar)
+                           - hilbert_function(ctx, bound, sugar))
+            if not deficit:
+                continue
         lg = l | guard
         # chain criterion: both flanking pairs already handled
         skip = False
@@ -251,28 +317,19 @@ def _basis(ctx: RingContext, packing, generators: list[Packed]) -> list:
                 break
         if skip:
             continue
-        if bound is not None:
-            # homogeneous input: the sugar is deg l, and pairs come by degree
-            if sugar != deficit_degree:
-                deficit_degree = sugar
-                deficit = (hilbert_function(ctx, MonomialIdeal(ctx.nvars, kept), sugar)
-                           - hilbert_function(ctx, bound, sugar))
-            if not deficit:
-                continue
         h, _ = _reduce(guard, _s_polynomial(divisors[i], divisors[j], l), divisors)
         if not h:
             continue
-        d = _divisor(h)
-        lm = packing.decode(d[0])
-        if sum(lm) == 0:
+        if sum(append(h, sugar)) == 0:
             return unit_basis
-        deficit -= 1
-        divisors.append(d)
-        leads.append(lm)
-        ecarts.append(sugar - sum(lm))
-        kept = frozenset(u for u in kept if not divides(lm, u)) | {lm}
+        if bound is not None:
+            trace.append((i, j))
+            deficit -= 1
+            if not deficit and certified():
+                _traces[key] = trace
+                break
         push_pairs(len(divisors) - 1)
-    return [(lm, lc, tail) for lm, (_, lc, tail) in zip(leads, divisors)]
+    return basis()
 
 
 def buchberger(ctx: RingContext, I: Ideal) -> tuple[Polynomial, ...]:

@@ -2,7 +2,9 @@
 
 The Hilbert series numerator of a monomial ideal is a function of its minimal
 generators alone, so it is computed once per distinct generator set per
-process, and every equal `MonomialIdeal` reads the same tuple.  `degree_part`
+process, and every equal `MonomialIdeal` reads the same tuple.  The tuple ends
+in a nonzero coefficient, so two ideals have the same Hilbert series iff their
+numerators compare equal.  `degree_part`
 packs a degree-m slice into ints for `graded_monomials` and the gin trials'
 comparison; `slice_monomials` reads such a set back along the degree-m chain.
 """
@@ -34,7 +36,11 @@ class MonomialIdeal:
 
     @property
     def numerator(self) -> tuple[int, ...]:
-        """K(t) with HS(S/M) = K(t) / (1 - t)^nvars, computed once per generator set."""
+        """K(t) with HS(S/M) = K(t) / (1 - t)^nvars, computed once per generator set.
+
+        Trailing zero coefficients are dropped, so ideals with one Hilbert
+        series have equal tuples; the unit ideal's is ().
+        """
         return _numerator_of(self.min_gens)
 
     def contains(self, m: Monomial) -> bool:
@@ -53,7 +59,10 @@ class MonomialIdeal:
 def _numerator_of(min_gens: frozenset[Monomial]) -> tuple[int, ...]:
     from .hilbert import _numerator
 
-    return tuple(_numerator(minimalize(min_gens)))
+    K = _numerator(minimalize(min_gens))
+    while K and not K[-1]:
+        K.pop()
+    return tuple(K)
 
 
 def degree_part(ctx: RingContext, gens, m: int) -> set[int]:

@@ -1,5 +1,6 @@
 import heapq
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from unittest.mock import patch
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_key
-from ginlab import groebner
+from ginlab import groebner, monideal
 from ginlab.families import random_ideal
 from ginlab.groebner import Ideal, buchberger, graded_basis_matrix, initial_ideal
 from ginlab.hilbert import hilbert_function
@@ -437,7 +438,8 @@ def test_buchberger_matches_fraction_oracle(problem):
 def packed_run(ctx, gens):
     """(basis, widths run at, nonzero remainders, divisions) of `groebner._buchberger`.
 
-    The last two count the last run, from which the basis comes.
+    The last two count the last run, from which the basis comes.  It is a full
+    run: no trace that an earlier example recorded is replayed.
     """
     widths, nonzero = [], []
     real_basis, real_reduce = groebner._basis, groebner._reduce
@@ -452,7 +454,8 @@ def packed_run(ctx, gens):
         nonzero.append(bool(r))
         return r, s
 
-    with patch.object(groebner, "_basis", basis), patch.object(groebner, "_reduce", reduce_):
+    with patch.object(groebner, "_basis", basis), patch.object(groebner, "_reduce", reduce_), \
+            patch.object(groebner, "_traces", {}):
         out = groebner._buchberger(ctx, groebner._packed(ctx, gens))
     return out, widths, sum(nonzero), len(nonzero)
 
@@ -603,7 +606,8 @@ UNREDUCED_LEADS = {
 
 
 @pytest.mark.parametrize("name", sorted(UNREDUCED_LEADS))
-def test_unreduced_leads_in_pair_order(name):
+def test_unreduced_leads_in_pair_order(monkeypatch, name):
+    monkeypatch.setattr(groebner, "_traces", {})  # the full run's order, not a replay's
     family, order = name.rsplit(" ", 1)
     n, gens = {
         "twisted cubic": (3, list(twisted_cubic_ideal().generators)),
@@ -700,6 +704,7 @@ CI_23_P3 = [
     ],
 )
 def test_reductions_inside_buchberger(monkeypatch, ctx, gens, nonzero):
+    monkeypatch.setattr(groebner, "_traces", {})  # the full run, not a replay
     results = []
     real = groebner._reduce
 
@@ -711,6 +716,152 @@ def test_reductions_inside_buchberger(monkeypatch, ctx, gens, nonzero):
     monkeypatch.setattr(groebner, "_reduce", counted)
     groebner._buchberger(ctx, groebner._packed(ctx, gens))
     assert results == nonzero
+
+
+def test_equal_hilbert_series_read_equal_numerators():
+    # the lex in(ci(2,3)) in P^3 and the criterion's bound <x0^2, x1^3> have one
+    # Hilbert series; the certificate compares their numerators as tuples
+    ctx = RingContext(3, Lex())
+    M = initial_ideal(ctx, Ideal(CI_23_P3))
+    bound = groebner._bound_ideal(ctx, groebner._packed(ctx, CI_23_P3))
+    assert M != bound
+    assert M.numerator == bound.numerator == (1, 0, -1, -1, 0, 1)
+    # the unit ideal has K = 0, the zero ideal K = 1
+    assert monomial_ideal(3, [(0, 0, 0)]).numerator == ()
+    assert MonomialIdeal(3, frozenset()).numerator == (1,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 4)] * (n + 1)), max_size=5),
+    st.lists(st.tuples(*[st.integers(0, 4)] * (n + 1)), max_size=5),
+    st.permutations(range(n + 1)))))
+# the lex in(ci(2,3)) in P^3 and <x0^2, x1^3>
+@example(([(2, 0, 0, 0), (1, 2, 0, 0), (1, 1, 2, 0), (1, 1, 1, 2), (1, 1, 0, 4), (1, 0, 6, 0),
+           (0, 6, 0, 0)], [(2, 0, 0, 0), (0, 3, 0, 0)], [3, 2, 1, 0]))
+def test_numerators_are_equal_iff_hilbert_series_are(drawn):
+    # A, its image under a permutation of the variables, and an unrelated B: K
+    # has degree at most the generator degree sum D, and K_j is read off HF(S/M)
+    # in degrees <= j, so the series agree iff the functions agree up to D
+    a, b, perm = drawn
+    nv = len(perm)
+    ctx = RingContext(nv - 1, GrevLex())
+    A, B = monomial_ideal(nv, a), monomial_ideal(nv, b)
+    swapped = monomial_ideal(nv, [tuple(u[i] for i in perm) for u in a])
+    assert swapped.numerator == A.numerator
+    assert A.numerator[-1:] != (0,)
+    top = sum(map(sum, a)) + sum(map(sum, b))
+    same = all(hilbert_function(ctx, A, d) == hilbert_function(ctx, B, d) for d in range(top + 1))
+    assert (A.numerator == B.numerator) == same
+
+
+def dense_form(ctx, d, rng):
+    return Polynomial({u: rng.choice([-9, -5, -2, -1, 1, 3, 4, 7]) for u in ctx.monomials(d)})
+
+
+@st.composite
+def trace_families(draw):
+    """(ring, members): two or three ideals of one generator degree list, to run in turn.
+
+    n is 1-3, the order lex, grevlex or a weight order.  The first member is
+    dense and generic, so it records a trace whenever its degrees allow one;
+    later members are dense too, so they share its key, or sparse (1-3
+    terms a form), so they may share it and fail its replay.  With
+    `common`, every form of a member takes a common linear factor, so the
+    member is no complete intersection and never reaches its bound; with
+    n + 2 forms there is no bound at all.
+    """
+    n = draw(st.integers(1, 3))
+    weights = tuple(draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1)))
+    order = draw(st.sampled_from([Lex(), GrevLex(), WeightOrder(weights, Lex())]))
+    ring = RingContext(n)
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=n + 2))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    members = [[dense_form(ring, d, rng) for d in degrees]]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            gens = [dense_form(ring, d, rng) for d in degrees]
+        else:
+            gens = [Polynomial(dict(zip(
+                draw(st.lists(st.sampled_from(ring.monomials(d)), min_size=1, max_size=3,
+                              unique=True)),
+                draw(st.lists(st.integers(-3, 3).filter(bool), min_size=3, max_size=3)))))
+                for d in degrees]
+        if draw(st.booleans()):
+            common = dense_form(ring, 1, rng)
+            gens = [common * g for g in gens]
+        members.append(gens)
+    return RingContext(n, order), members
+
+
+def run_members(ctx, members, traces):
+    """[(in(J), reduced basis of J)] for the members J in turn; each call's trace dict is `traces()`."""
+    out = []
+    for gens in members:
+        calls = []
+        for f in (initial_ideal, buchberger):
+            with patch.object(groebner, "_traces", traces()):
+                calls.append(f(ctx, Ideal(gens)))
+        out.append(tuple(calls))
+    return out
+
+
+CI_22_P2_LEX = dense_ci(2, (2, 2), 2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(trace_families())
+# the dense ci(2,2) records [(0, 1), (1, 2)]; this member shares its key, and the
+# second replayed pair reduces to zero
+@example((CTX2_LEX, [CI_22_P2_LEX, [p("x0^2"), p("3*x0^2 + 2*x0*x1 + 2*x1^2")]]))
+# here the one replayed pair gives an element, and the certificate fails
+@example((CTX2, [dense_ci(2, (2, 2), 1), [p("x0^2 + x2^2"), p("x0*x1 + 3*x2^2")]]))
+def test_replayed_trace_matches_the_full_run(family):
+    # every member after the first may replay the trace an earlier one recorded;
+    # the oracle runs each call with no trace at all
+    ctx, members = family
+    shared = {}
+    replayed = run_members(ctx, members, lambda: shared)
+    assert replayed == run_members(ctx, members, dict)
+
+
+def test_a_dense_family_replays_its_first_trace(monkeypatch):
+    # ten dense ci(2,3) in lex P^3: the first member runs in full, forming 15
+    # pairs and reducing 5 of them; each later one forms and reduces only the 5
+    # its trace lists, and none reduces to zero.  The full run computes the
+    # Hilbert numerators of its bound and of its leads where it counts a degree
+    # or its deficit reaches 0; a replay's leads are the first member's, so it
+    # computes none
+    ctx = RingContext(3, Lex())
+    monkeypatch.setattr(groebner, "_traces", {})
+    monideal._numerator_of.cache_clear()
+    counts = Counter()
+    real_reduce, real_lcm = groebner._reduce, groebner.lcm
+
+    def reduce_(*args):
+        r, s = real_reduce(*args)
+        counts["reductions"] += 1
+        counts["zero"] += not r
+        return r, s
+
+    def lcm_(*args):
+        counts["pairs"] += 1
+        return real_lcm(*args)
+
+    monkeypatch.setattr(groebner, "_reduce", reduce_)
+    monkeypatch.setattr(groebner, "lcm", lcm_)
+    rng = random.Random(1)
+    runs = []
+    for _ in range(10):
+        I = random_ideal(RingContext(3), (2, 3), rng, bound=9)
+        counts.clear()
+        misses = monideal._numerator_of.cache_info().misses
+        M = initial_ideal(ctx, I)
+        runs.append((counts["reductions"] - 2, counts["pairs"], counts["zero"],
+                     monideal._numerator_of.cache_info().misses - misses))
+        assert M == run_members(ctx, [I.generators], dict)[0][0]
+    assert runs == [(5, 15, 0, 6)] + [(5, 5, 0, 0)] * 9
+    assert [len(trace) for trace in groebner._traces.values()] == [5]
 
 
 class TestInitialIdeal:
